@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build test test-race test-race-core test-short cover bench \
-        bench-check bench-obs bench-msgnet bench-runtime bench-batch \
+        bench-test bench-check bench-obs bench-msgnet bench-runtime bench-batch \
         bench-smoke experiments \
         experiments-quick modelcheck modelcheck-n5 examples fmt vet lint \
         fuzz-short soak-short clean
 
-all: build vet lint test test-race-core soak-short
+all: build vet lint test bench-test test-race-core soak-short
 
 build:
 	$(GO) build ./...
@@ -21,11 +21,12 @@ test-race:
 
 # Race-check the concurrency-heavy packages (the parallel ID-space engine,
 # the sweep driver, the observer fed by live ring goroutines, the
-# discrete-event network, and the goroutine-per-node runtime) without
+# discrete-event network, the goroutine-per-node runtime, and the soak
+# harness whose concurrent runs merge into one shared observer) without
 # paying for the whole suite under -race.
 test-race-core:
 	$(GO) test -race ./internal/check ./internal/parsweep ./internal/obs \
-	  ./internal/msgnet ./internal/runtime
+	  ./internal/msgnet ./internal/runtime ./internal/crosscheck
 
 test-short:
 	$(GO) test -short ./...
@@ -35,6 +36,11 @@ cover:
 
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# The end-to-end benchmark (bench/) is a nested module, so go test ./...
+# at the root never reaches it: vet and test it from its own directory.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Track the model checker's perf trajectory: run the checker + sweep
 # benchmarks and record (name, ns/op, allocs/op) in BENCH_check.json.

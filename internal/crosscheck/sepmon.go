@@ -8,12 +8,7 @@
 // (it still counts two holders).
 package crosscheck
 
-import (
-	"fmt"
-
-	"ssrmin/internal/core"
-	"ssrmin/internal/statemodel"
-)
+import "fmt"
 
 // settleWindows tracks perturbation instants and answers whether an
 // instant is inside a settle window. Both ends are closed: an instant
@@ -70,7 +65,13 @@ func (m *SeparationMonitor) Observe(t float64, members, primaries, secondaries [
 	if len(primaries) != 1 || len(secondaries) != 1 {
 		return
 	}
-	dist := ringDistance(members, primaries[0], secondaries[0])
+	p, s := primaries[0], secondaries[0]
+	m.observe(t, p, s, ringDistance(members, p, s))
+}
+
+// observe feeds one instant with singleton holders p and s dist hops
+// apart (-1: a holder is not a ring member).
+func (m *SeparationMonitor) observe(t float64, p, s, dist int) {
 	if dist < 0 {
 		return
 	}
@@ -91,7 +92,7 @@ func (m *SeparationMonitor) Observe(t float64, members, primaries, secondaries [
 	m.violations = append(m.violations, Violation{
 		Engine: m.engine, Kind: "separation", At: t,
 		Detail: fmt.Sprintf("primary holder %d and secondary holder %d are %d hops apart (settled bound %d)",
-			primaries[0], secondaries[0], dist, m.max),
+			p, s, dist, m.max),
 	})
 }
 
@@ -124,27 +125,18 @@ func ringDistance(members []int, a, b int) int {
 	if ia < 0 || ib < 0 {
 		return -1
 	}
+	return hops(ia, ib, len(members))
+}
+
+// hops is the minimal hop count between positions ia and ib on a ring of
+// size positions.
+func hops(ia, ib, size int) int {
 	d := ia - ib
 	if d < 0 {
 		d = -d
 	}
-	if back := len(members) - d; back < d {
+	if back := size - d; back < d {
 		return back
 	}
 	return d
-}
-
-// holdersOf splits a configuration into its primary- and secondary-token
-// holder sets (the state tier's analogue of Ring.Holders).
-func holdersOf(c statemodel.Config[core.State]) (prim, sec []int) {
-	for i := range c {
-		v := c.View(i)
-		if core.HasPrimary(v) {
-			prim = append(prim, i)
-		}
-		if core.HasSecondary(v) {
-			sec = append(sec, i)
-		}
-	}
-	return prim, sec
 }

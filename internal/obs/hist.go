@@ -49,6 +49,15 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// merge adds src's samples to h.
+func (h *Histogram) merge(src *Histogram) {
+	for i := range h.buckets {
+		addLoaded(&h.buckets[i], &src.buckets[i])
+	}
+	addLoaded(&h.count, &src.count)
+	addLoaded(&h.sum, &src.sum)
+}
+
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
