@@ -20,8 +20,8 @@ test-race:
 	$(GO) test -race ./...
 
 # Race-check the concurrency-heavy packages (the parallel ID-space engine,
-# the sweep driver, the observer fed by live ring goroutines, the
-# discrete-event network, the goroutine-per-node runtime, and the soak
+# the sweep driver, the observer fed by the live engine's worker loops,
+# the discrete-event network, the sharded live runtime, and the soak
 # harness whose concurrent runs merge into one shared observer) without
 # paying for the whole suite under -race.
 test-race-core:
@@ -64,9 +64,8 @@ bench-msgnet:
 	  | $(GO) run ./cmd/benchjson -o BENCH_msgnet.json
 
 # Record the sharded event-loop runtime: virtual-time engine throughput at
-# n=10k and n=100k vs the wall-clock goroutine-per-node legacy ring at
-# n=10k, in BENCH_runtime.json. The acceptance bar is >= 100k nodes
-# sustained and >= 5x the legacy events/s at n=10k.
+# n=10k and n=100k on 1 and 4 workers, in BENCH_runtime.json. The
+# acceptance bar is >= 100k nodes sustained.
 bench-runtime:
 	$(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -count 3 . \
 	  | $(GO) run ./cmd/benchjson -o BENCH_runtime.json
@@ -145,8 +144,8 @@ lint:
 # bound, one-message-per-direction link rule, token separation — checked
 # continuously. Exits non-zero (and writes a shrunk repro to
 # testdata/repros/) on any violation. The deterministic tiers get the
-# adversarial sweeps; the live tier gets a short wall-clock-bound sweep
-# on one worker; the final invocation is the mutation search, a fixed
+# adversarial sweeps; the live tier gets a short sweep on one worker; the
+# final invocation is the mutation search, a fixed
 # budget of hill-climb runs over link knobs, fault storms, and
 # churn/splice scripts — the dynamics the static sweeps never exercise.
 soak-short:
@@ -169,6 +168,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzJSONLEmit -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzWaiverParse -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzBitsliceStep -fuzztime 5s ./internal/bitslice
+	$(GO) test -run '^$$' -fuzz FuzzLoadRepros -fuzztime 5s ./internal/crosscheck
 
 clean:
 	$(GO) clean ./...

@@ -20,14 +20,12 @@ package ssrmin
 //	BenchmarkSynchronizer       §1.3:     α-synchronizer round throughput
 //	BenchmarkComposed           [9]:      (m,2m)-CS composition step cost
 //	BenchmarkParallelSweep      harness:  parallel vs sequential sweeps
-//	BenchmarkLiveRing           §5:       live goroutine ring throughput
-//	BenchmarkRuntimeEngine      §5:       sharded event-loop engine vs the
-//	                                      goroutine-per-node legacy runtime
+//	BenchmarkLiveRing           §5:       paced live ring throughput
+//	BenchmarkRuntimeEngine      §5:       sharded event-loop engine at scale
 
 import (
 	"fmt"
 	"math/rand"
-	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -402,8 +400,8 @@ func BenchmarkParallelSweepContention(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveRing measures wall-clock advance throughput of the real
-// goroutine deployment (short windows; dominated by the configured link
+// BenchmarkLiveRing measures wall-clock advance throughput of the paced
+// live deployment (short windows; dominated by the configured link
 // delay, as it should be).
 func BenchmarkLiveRing(b *testing.B) {
 	ring := NewLiveRing(5,
@@ -411,7 +409,6 @@ func BenchmarkLiveRing(b *testing.B) {
 		WithJitter(50*time.Microsecond),
 		WithRefresh(time.Millisecond),
 		WithSeed(1),
-		WithLegacyRuntime(),
 	)
 	ring.Start()
 	defer ring.Stop()
@@ -425,11 +422,9 @@ func BenchmarkLiveRing(b *testing.B) {
 }
 
 // BenchmarkRuntimeEngine measures sustained event throughput of the
-// sharded virtual-time engine at scale, against the goroutine-per-node
-// legacy runtime at n=10k. The engine advances unscaled virtual time, so
-// its events/s is bounded by dispatch cost; the legacy ring is paced by
-// real link delays, which is exactly the gap the engine exists to close.
-// The worker count is an explicit benchmark dimension — recorded as the
+// sharded virtual-time engine at scale. The engine advances unscaled
+// virtual time, so its events/s is bounded by dispatch cost. The worker
+// count is an explicit benchmark dimension — recorded as the
 // workers/run metric — so committed BENCH_runtime.json numbers say what
 // parallelism they were taken at instead of silently inheriting
 // GOMAXPROCS.
@@ -460,25 +455,4 @@ func BenchmarkRuntimeEngine(b *testing.B) {
 			})
 		}
 	}
-	b.Run("legacy/n=10000", func(b *testing.B) {
-		const n = 10000
-		alg := core.New(n, n+1)
-		ring := runtime.NewRing[core.State](alg, alg.InitialLegitimate(), ropts)
-		ring.Start()
-		defer ring.Stop()
-		b.ResetTimer()
-		rules := ring.RuleExecutions()
-		carried, _ := ring.LinkStats()
-		for i := 0; i < b.N; i++ {
-			time.Sleep(50 * time.Millisecond)
-		}
-		dr := ring.RuleExecutions() - rules
-		dc, _ := ring.LinkStats()
-		events := dr + (dc - carried)
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		b.ReportMetric(float64(n), "nodes/ring")
-		// The legacy ring runs one goroutine per node; the schedulable
-		// parallelism underneath is GOMAXPROCS.
-		b.ReportMetric(float64(goruntime.GOMAXPROCS(0)), "workers/run")
-	})
 }

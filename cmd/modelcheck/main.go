@@ -16,8 +16,7 @@
 // per-class transition tables and every scan — including the convergence
 // longest-path analysis — works on dense uint64 configuration IDs sharded
 // across -workers goroutines. That makes the n=5, K=6 instance (24⁵ ≈
-// 7.96M configurations) exhaustively checkable. -legacy selects the
-// original Decode/Encode path (the differential baseline).
+// 7.96M configurations) exhaustively checkable.
 //
 // The process exits non-zero on any lemma violation, so `make modelcheck`
 // can gate CI.
@@ -34,44 +33,34 @@ import (
 	"ssrmin/internal/core"
 	"ssrmin/internal/dijkstra"
 	"ssrmin/internal/inclusion"
-	"ssrmin/internal/statemodel"
 )
 
 func main() {
+	var cc cliconf.Config
+	cc.BindRing(flag.CommandLine, 3)
 	var (
-		n       = flag.Int("n", 3, "ring size")
-		k       = flag.Int("k", 0, "counter space K (default n+1)")
 		algF    = flag.String("alg", "ssrmin", "algorithm: ssrmin | sstoken")
 		maxConf = flag.Uint64("max-configs", 50_000_000, "refuse spaces larger than this")
 		workers = flag.Int("workers", 0, "parallel workers for all engine scans (0 = GOMAXPROCS)")
-		legacy  = flag.Bool("legacy", false, "use the legacy Decode/Encode checker instead of the compiled engine")
 	)
 	var prof cliconf.Profile
 	prof.Bind(flag.CommandLine)
 	flag.Parse()
-	if err := prof.Start(); err != nil {
+	if err := cc.ResolveK(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	parallelWorkers = *workers
-	if *k == 0 {
-		*k = *n + 1
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	ok := true
 	switch *algF {
 	case "ssrmin":
-		if *legacy {
-			ok = checkSSRminLegacy(*n, *k, *maxConf)
-		} else {
-			ok = checkSSRmin(*n, *k, *maxConf, *workers)
-		}
+		ok = checkSSRmin(cc.N, cc.K, *maxConf, *workers)
 	case "sstoken":
-		if *legacy {
-			ok = checkSSTokenLegacy(*n, *k, *maxConf)
-		} else {
-			ok = checkSSToken(*n, *k, *maxConf, *workers)
-		}
+		ok = checkSSToken(cc.N, cc.K, *maxConf, *workers)
 	default:
 		prof.Stop()
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algF)
@@ -85,10 +74,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// parallelWorkers configures the worker pool of the legacy path's
-// embarrassingly parallel scans.
-var parallelWorkers int
 
 // phase prints one check's verdict with its wall time and throughput in
 // configurations per second.
@@ -233,100 +218,4 @@ func checkSSToken(n, k int, maxConf uint64, workers int) bool {
 			conv.Illegitimate, stats.Edges, stats.Layers, float64(stats.BookkeepingBytes)/(1<<20))
 	}
 	return ok && convOK
-}
-
-func checkSSRminLegacy(n, k int, maxConf uint64) bool {
-	a := core.New(n, k)
-	c := check.New[core.State](a, maxConf)
-	fmt.Printf("== %s (legacy path): |Γ| = %d configurations ==\n", a.Name(), c.NumConfigs())
-	ok := true
-
-	start := time.Now()
-	if cex, fine := c.CheckNoDeadlockParallel(parallelWorkers); !fine {
-		fmt.Printf("FAIL Lemma 4 (no deadlock): deadlocked at %v\n", cex)
-		ok = false
-	} else {
-		fmt.Printf("PASS Lemma 4 (no deadlock)                         [%v]\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	start = time.Now()
-	rep := c.CheckClosure(a.Legitimate)
-	switch {
-	case rep.Counterexample != nil:
-		fmt.Printf("FAIL Lemma 1 (closure): %v -> %v\n", rep.Counterexample, rep.Successor)
-		ok = false
-	case rep.MaxEnabled != 1:
-		fmt.Printf("FAIL Lemma 1: %d processes enabled in some legitimate configuration\n", rep.MaxEnabled)
-		ok = false
-	default:
-		fmt.Printf("PASS Lemma 1 (closure): |Λ| = %d, exactly 1 enabled [%v]\n",
-			rep.Legitimate, time.Since(start).Round(time.Millisecond))
-	}
-
-	start = time.Now()
-	if cex, fine := c.CheckInvariantOnLegitimate(a.Legitimate, func(cfg statemodel.Config[core.State]) bool {
-		p, s, t := len(a.PrimaryHolders(cfg)), len(a.SecondaryHolders(cfg)), len(a.TokenHolders(cfg))
-		return p == 1 && s == 1 && t >= 1 && t <= 2
-	}); !fine {
-		fmt.Printf("FAIL Theorem 1 (token bounds) at %v\n", cex)
-		ok = false
-	} else {
-		fmt.Printf("PASS Theorem 1 (1 ≤ privileged ≤ 2 in Λ)           [%v]\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	start = time.Now()
-	steps, from, fine := c.LongestRestricted(map[int]bool{
-		core.RuleReadySecondary: true, core.RuleRecvSecondary: true, core.RuleFixNoG: true,
-	})
-	if !fine {
-		fmt.Printf("FAIL Lemma 5: infinite quiet execution from %v\n", from)
-		ok = false
-	} else if steps > 3*n {
-		fmt.Printf("FAIL Lemma 5: quiet execution of %d steps exceeds 3n = %d (from %v)\n", steps, 3*n, from)
-		ok = false
-	} else {
-		fmt.Printf("PASS Lemma 5: longest quiet execution %d ≤ 3n = %d  [%v]\n",
-			steps, 3*n, time.Since(start).Round(time.Millisecond))
-	}
-
-	start = time.Now()
-	conv := c.CheckConvergence(a.Legitimate)
-	if !conv.Converges {
-		fmt.Printf("FAIL Lemma 6 (convergence): cycle through %v\n", conv.Cycle)
-		ok = false
-	} else {
-		fmt.Printf("PASS Lemma 6/Theorem 2: worst-case stabilization = %d steps (from %v), |Γ∖Λ| = %d [%v]\n",
-			conv.WorstSteps, conv.WorstStart, conv.Illegitimate, time.Since(start).Round(time.Millisecond))
-	}
-	return ok
-}
-
-func checkSSTokenLegacy(n, k int, maxConf uint64) bool {
-	a := dijkstra.New(n, k)
-	c := check.New[dijkstra.State](a, maxConf)
-	fmt.Printf("== %s (legacy path): |Γ| = %d configurations ==\n", a.Name(), c.NumConfigs())
-	ok := true
-
-	if cex, fine := c.CheckNoDeadlock(); !fine {
-		fmt.Printf("FAIL no-deadlock: %v\n", cex)
-		ok = false
-	} else {
-		fmt.Println("PASS no-deadlock")
-	}
-	rep := c.CheckClosure(a.Legitimate)
-	if rep.Counterexample != nil {
-		fmt.Printf("FAIL closure: %v -> %v\n", rep.Counterexample, rep.Successor)
-		ok = false
-	} else {
-		fmt.Printf("PASS closure: |Λ| = %d, max enabled = %d\n", rep.Legitimate, rep.MaxEnabled)
-	}
-	conv := c.CheckConvergence(a.Legitimate)
-	if !conv.Converges {
-		fmt.Printf("FAIL convergence: cycle through %v\n", conv.Cycle)
-		ok = false
-	} else {
-		fmt.Printf("PASS convergence: worst case %d steps (bound 3n(n−1)/2 = %d)\n",
-			conv.WorstSteps, a.ConvergenceBound())
-	}
-	return ok
 }

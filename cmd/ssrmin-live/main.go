@@ -1,7 +1,8 @@
-// Command ssrmin-live runs a real goroutine/channel SSRmin ring and
-// animates the privilege positions in the terminal — the wall-clock
-// demonstration of the graceful handover. Compare with `-alg sstoken` to
-// watch the naive ring go dark between hops.
+// Command ssrmin-live runs an SSRmin ring on the live engine, paced
+// against the wall clock, and animates the privilege positions in the
+// terminal — the wall-clock demonstration of the graceful handover.
+// Compare with `-alg sstoken` to watch the naive ring go dark between
+// hops.
 //
 // Examples:
 //
@@ -38,7 +39,10 @@ func main() {
 	if cc.Seed == 0 {
 		cc.Seed = time.Now().UnixNano()
 	}
-	cc.ResolveK()
+	if err := cc.ResolveK(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var observer *obs.Observer
 	if *metrics != "" {
@@ -64,9 +68,6 @@ func main() {
 			ssrmin.WithSeed(cc.Seed),
 			ssrmin.WithWorkers(cc.Workers),
 		}
-		if cc.LegacyRuntime {
-			opts = append(opts, ssrmin.WithLegacyRuntime())
-		}
 		if observer != nil {
 			opts = append(opts, ssrmin.WithObserver(observer))
 		}
@@ -75,31 +76,20 @@ func main() {
 		holders, stop = ring.Holders, ring.Stop
 	case "sstoken":
 		alg := dijkstra.New(cc.N, cc.K)
-		ropts := runtime.Options[dijkstra.State]{
+		eng := runtime.NewEngine[dijkstra.State](alg, alg.InitialLegitimate(), runtime.Options[dijkstra.State]{
 			Delay:          2 * time.Millisecond,
 			Jitter:         500 * time.Microsecond,
 			Refresh:        8 * time.Millisecond,
 			Seed:           cc.Seed,
 			CoherentCaches: true,
 			Workers:        cc.Workers,
+		})
+		if observer != nil {
+			eng.SetObserver(observer, dijkstra.HasToken)
 		}
-		if cc.LegacyRuntime {
-			ring := runtime.NewRing[dijkstra.State](alg, alg.InitialLegitimate(), ropts)
-			if observer != nil {
-				ring.SetObserver(observer, dijkstra.HasToken)
-			}
-			ring.Start()
-			holders = func() []int { return ring.Holders(dijkstra.HasToken) }
-			stop = ring.Stop
-		} else {
-			eng := runtime.NewEngine[dijkstra.State](alg, alg.InitialLegitimate(), ropts)
-			if observer != nil {
-				eng.SetObserver(observer, dijkstra.HasToken)
-			}
-			eng.Start()
-			holders = func() []int { return eng.Holders(dijkstra.HasToken) }
-			stop = eng.Stop
-		}
+		eng.Start()
+		holders = func() []int { return eng.Holders(dijkstra.HasToken) }
+		stop = eng.Stop
 	default:
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algF)
 		os.Exit(2)

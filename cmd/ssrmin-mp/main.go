@@ -58,7 +58,10 @@ func main() {
 		runScenarioFile(*scenarioF)
 		return
 	}
-	cc.ResolveK()
+	if err := cc.ResolveK(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	switch *algF {
 	case "ssrmin":

@@ -16,9 +16,8 @@
 // counters on /metrics and /debug/vars.
 //
 // With -local the command instead deploys the WHOLE ring in one process
-// on the live runtime (the sharded event engine by default; see
-// -workers / -legacy-runtime) — useful for smoke-testing a deployment
-// size before spreading it across machines:
+// on the live runtime's sharded event engine (see -workers) — useful for
+// smoke-testing a deployment size before spreading it across machines:
 //
 //	ssrmin-node -local -n 100000 -seconds 5
 package main
@@ -60,11 +59,14 @@ func main() {
 		os.Exit(runLocal(&cc, *seconds, *metrics))
 	}
 
-	if *id < 0 || cc.N < 3 || *listen == "" || *pred == "" || *succ == "" {
+	if *id < 0 || *listen == "" || *pred == "" || *succ == "" {
 		fmt.Fprintln(os.Stderr, "required: -id -n -listen -pred -succ (see -h)")
 		os.Exit(2)
 	}
-	cc.ResolveK()
+	if err := cc.ResolveK(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -116,15 +118,13 @@ func main() {
 	logTransitions(node, *id, observer, start, stop, deadline)
 }
 
-// runLocal deploys the whole ring in-process through the unified Option
-// API — the sharded engine by default, the goroutine ring behind
-// -legacy-runtime — and reports the census band it sustained.
+// runLocal deploys the whole ring in-process on the live engine through
+// the unified Option API and reports the census band it sustained.
 func runLocal(cc *cliconf.Config, seconds float64, metrics string) int {
-	if cc.N < 3 {
-		fmt.Fprintln(os.Stderr, "required: -n ≥ 3 with -local (see -h)")
+	if err := cc.ResolveK(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	cc.ResolveK()
 	if seconds <= 0 {
 		seconds = 5
 	}
@@ -132,9 +132,6 @@ func runLocal(cc *cliconf.Config, seconds float64, metrics string) int {
 		ssrmin.WithK(cc.K),
 		ssrmin.WithSeed(cc.Seed),
 		ssrmin.WithWorkers(cc.Workers),
-	}
-	if cc.LegacyRuntime {
-		opts = append(opts, ssrmin.WithLegacyRuntime())
 	}
 	var observer *obs.Observer
 	if metrics != "" {
@@ -149,11 +146,7 @@ func runLocal(cc *cliconf.Config, seconds float64, metrics string) int {
 		opts = append(opts, ssrmin.WithObserver(observer))
 	}
 	ring := ssrmin.NewLiveRing(cc.N, opts...)
-	backend := "sharded engine"
-	if cc.LegacyRuntime {
-		backend = "goroutine ring"
-	}
-	fmt.Printf("local ring: n=%d on the %s for %.1fs\n", cc.N, backend, seconds)
+	fmt.Printf("local ring: n=%d on the sharded engine for %.1fs\n", cc.N, seconds)
 	ring.Start()
 	defer ring.Stop()
 	stats := ring.WatchCensus(time.Duration(seconds*float64(time.Second)), 5*time.Millisecond)

@@ -33,7 +33,10 @@ func main() {
 	)
 	flag.Parse()
 
-	cc.ResolveK()
+	if err := cc.ResolveK(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	d, err := cc.NewDaemon()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,7 +1,7 @@
 // Command ssrmin-soak is the differential chaos-soak driver: it sweeps a
 // range of seeds, runs each seeded scenario through the selected
 // execution tiers (state-reading simulator, discrete-event message
-// passing, live goroutine ring) via internal/crosscheck, and fails if any
+// passing, live sharded engine) via internal/crosscheck, and fails if any
 // tier ever breaks a paper invariant — the 1–2 privileged census after
 // settling, the O(n²) convergence bound, or the one-message-per-direction
 // link rule.
@@ -56,10 +56,8 @@ func run(args []string, out, errw *os.File) int {
 		incoherent  = fs.Bool("incoherent", false, "start with incoherent neighbor caches")
 		storm       = fs.Bool("storm", false, "inject a canned mid-run fault storm (states + caches)")
 		engines     = fs.String("engines", "state,msgnet,live", "comma-separated engine list")
-		liveScale   = fs.Float64("live-scale", 0.01, "wall seconds per simulated second in the legacy live backend")
 		liveWorkers = fs.Int("live-workers", 0, "sharded live engine worker loops (0: GOMAXPROCS)")
-		liveLegacy  = fs.Bool("live-legacy", false, "run the live tier on the goroutine-per-node backend")
-		workers     = fs.Int("workers", 0, "parallel trials (0: GOMAXPROCS; live engine timing prefers 1)")
+		workers     = fs.Int("workers", 0, "parallel trials (0: GOMAXPROCS)")
 		shrink      = fs.Bool("shrink", true, "shrink violating scenarios and write repro fixtures")
 		reproDir    = fs.String("repro-dir", "testdata/repros", "directory for repro fixtures")
 		verbose     = fs.Bool("v", false, "print one line per seed")
@@ -96,9 +94,7 @@ func run(args []string, out, errw *os.File) int {
 		RandomStart:      *random,
 		IncoherentCaches: *incoherent,
 		Settle:           *settle,
-		LiveScale:        *liveScale,
 		LiveWorkers:      *liveWorkers,
-		LiveLegacy:       *liveLegacy,
 	}
 	for _, e := range strings.Split(*engines, ",") {
 		if e = strings.TrimSpace(e); e != "" {

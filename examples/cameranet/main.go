@@ -1,6 +1,6 @@
 // Cameranet is the paper's motivating application: a self-organizing
 // multi-node security-camera system with continuous observation. Each
-// station runs one SSRmin process as a real goroutine; a station actively
+// station runs one SSRmin process on the live ring; a station actively
 // monitors exactly while it is privileged (holds a token), draining its
 // battery, and recharges while idle. Mutual inclusion guarantees that at
 // every instant at least one camera is watching — there is no coverage

@@ -1,8 +1,9 @@
 // Handover contrasts the graceful handover of SSRmin with the naive
-// handover of Dijkstra's token ring when both run in a real asynchronous
-// message-passing deployment (goroutines + channels + delays): the naive
-// ring goes dark between release and receipt of its token, SSRmin never
-// does. This is the live, wall-clock version of Figures 11 and 13.
+// handover of Dijkstra's token ring when both run on the live engine, an
+// asynchronous message-passing deployment paced against the wall clock
+// (link delays, one frame per direction): the naive ring goes dark
+// between release and receipt of its token, SSRmin never does. This is
+// the live, wall-clock version of Figures 11 and 13.
 //
 // Run: go run ./examples/handover [-ms 500]
 package main
@@ -27,7 +28,7 @@ func main() {
 
 	// --- naive: Dijkstra SSToken through the same transform ---
 	dalg := dijkstra.New(n, k)
-	dring := runtime.NewRing[dijkstra.State](dalg, dalg.InitialLegitimate(), runtime.Options[dijkstra.State]{
+	dring := runtime.NewEngine[dijkstra.State](dalg, dalg.InitialLegitimate(), runtime.Options[dijkstra.State]{
 		Delay:          time.Millisecond,
 		Jitter:         300 * time.Microsecond,
 		Refresh:        4 * time.Millisecond,

@@ -1,11 +1,9 @@
 package ssrmin_test
 
-// Golden pin of the public constructors' observable behavior across the
-// options redesign: the same inputs — whether spelled with the legacy
-// MPOptions/LiveOptions structs or the unified functional options — must
-// produce bit-identical executions. The golden files were generated from
-// the pre-redesign API (go test -run GoldenAPI -update) and must never
-// change without a deliberate semantic break.
+// Golden pin of the public constructors' observable behavior: seeded runs
+// configured through the functional options must produce bit-identical
+// executions. The golden files were generated with go test -run GoldenAPI
+// -update and must never change without a deliberate semantic break.
 
 import (
 	"flag"
@@ -15,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ssrmin"
 )
@@ -44,7 +43,7 @@ func golden(t *testing.T, name, got string) {
 
 // simTraceCSV runs a recorded 15-step default simulation and returns its
 // CSV trace — the Figure 4 execution through the public API.
-func simTraceCSV(t *testing.T, opts ...ssrmin.SimOption) string {
+func simTraceCSV(t *testing.T, opts ...ssrmin.Option) string {
 	t.Helper()
 	sim := ssrmin.NewSimulation(5, opts...)
 	sim.Run(15)
@@ -84,15 +83,15 @@ func mpSummary(m *ssrmin.MPSimulation) string {
 }
 
 func TestGoldenAPIMPSimulation(t *testing.T) {
-	golden(t, "api_mp_default.txt", mpSummary(ssrmin.NewMPSimulation(5, ssrmin.MPOptions{Seed: 1})))
+	golden(t, "api_mp_default.txt", mpSummary(ssrmin.NewMPSimulation(5, ssrmin.WithSeed(1))))
 
 	alg := ssrmin.New(5, 6)
 	init := ssrmin.RandomConfig(alg, rand.New(rand.NewSource(9)))
-	golden(t, "api_mp_random.txt", mpSummary(ssrmin.NewMPSimulation(5, ssrmin.MPOptions{
-		Seed:             4,
-		LossProb:         0.05,
-		Hold:             0.02,
-		Initial:          init,
-		IncoherentCaches: true,
-	})))
+	golden(t, "api_mp_random.txt", mpSummary(ssrmin.NewMPSimulation(5,
+		ssrmin.WithSeed(4),
+		ssrmin.WithLoss(0.05),
+		ssrmin.WithHold(20*time.Millisecond),
+		ssrmin.WithInitial(init),
+		ssrmin.WithIncoherentCaches(),
+	)))
 }

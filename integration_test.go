@@ -3,7 +3,7 @@ package ssrmin_test
 // Cross-layer integration tests: the same algorithm core driven through
 // every execution vehicle in one journey, checking that the guarantees
 // compose — state-reading convergence feeding the message-passing
-// simulation, the live goroutine ring, and the TCP deployment.
+// simulation, the live ring, and the TCP deployment.
 
 import (
 	"fmt"
@@ -41,7 +41,7 @@ func TestJourneyStateReadingToMessagePassing(t *testing.T) {
 }
 
 // TestJourneyMPToLive runs the MP simulation from garbage until settled,
-// then starts a live goroutine ring from the settled state vector and
+// then starts a live ring from the settled state vector and
 // samples it — the configuration crosses from simulated to wall-clock time
 // without losing the invariant.
 func TestJourneyMPToLive(t *testing.T) {

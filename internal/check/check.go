@@ -484,13 +484,6 @@ func (c *Checker[S]) CheckInvariantParallel(workers int, inv func(statemodel.Con
 	return counterexample, counterexample == nil
 }
 
-// CheckNoDeadlockParallel is CheckNoDeadlock over a worker pool.
-func (c *Checker[S]) CheckNoDeadlockParallel(workers int) (statemodel.Config[S], bool) {
-	return c.CheckInvariantParallel(workers, func(cfg statemodel.Config[S]) bool {
-		return len(statemodel.Enabled[S](c.alg, cfg)) > 0
-	})
-}
-
 // CheckClosureParallel verifies closure over a worker pool: every
 // distributed-daemon successor of every legitimate configuration must be
 // legitimate.

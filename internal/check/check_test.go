@@ -227,9 +227,6 @@ func TestSSRminN4(t *testing.T) {
 func TestParallelCheckersAgree(t *testing.T) {
 	a := core.New(3, 4)
 	c := New[core.State](a, 0)
-	if cex, ok := c.CheckNoDeadlockParallel(4); !ok {
-		t.Fatalf("parallel deadlock check failed at %v", cex)
-	}
 	if cex, ok := c.CheckClosureParallel(4, a.Legitimate); !ok {
 		t.Fatalf("parallel closure check failed at %v", cex)
 	}
@@ -241,7 +238,7 @@ func TestParallelCheckersAgree(t *testing.T) {
 		t.Fatalf("parallel invariant missed the counterexample: %v %v", cex, ok)
 	}
 	// Single worker fallback.
-	if _, ok := c.CheckNoDeadlockParallel(1); !ok {
+	if _, ok := c.CheckClosureParallel(1, a.Legitimate); !ok {
 		t.Fatal("single-worker check failed")
 	}
 }
@@ -252,9 +249,6 @@ func TestParallelMatchesSequentialTiming(t *testing.T) {
 	}
 	a := core.New(4, 5)
 	c := New[core.State](a, 0)
-	if cex, ok := c.CheckNoDeadlockParallel(0); !ok {
-		t.Fatalf("deadlock at %v", cex)
-	}
 	if cex, ok := c.CheckClosureParallel(0, a.Legitimate); !ok {
 		t.Fatalf("closure violated at %v", cex)
 	}

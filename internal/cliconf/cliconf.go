@@ -1,7 +1,8 @@
 // Package cliconf centralizes the flag vocabulary shared by the ssrmin
 // command-line tools (cmd/ssrmin-sim, cmd/ssrmin-mp, cmd/ssrmin-live,
-// cmd/ssrmin-node, cmd/experiments): ring shape (-n, -k), scheduling
-// (-daemon, -p), run length (-steps), and randomization (-seed, -random).
+// cmd/ssrmin-node, cmd/modelcheck, cmd/experiments): ring shape (-n, -k,
+// validated by ResolveK), scheduling (-daemon, -p), run length (-steps),
+// and randomization (-seed, -random).
 // It also owns the daemon registry behind the -daemon flag; the root
 // package's ParseDaemon delegates here so the CLI and the library accept
 // the same names.
@@ -96,8 +97,7 @@ type Config struct {
 	Seed   int64
 	Random bool
 
-	Workers       int
-	LegacyRuntime bool
+	Workers int
 }
 
 // BindRing registers -n (default defN) and -k.
@@ -131,22 +131,27 @@ func (c *Config) BindRandom(fs *flag.FlagSet, defSeed int64) {
 		"start from a random configuration instead of the legitimate one")
 }
 
-// BindRuntime registers -workers and -legacy-runtime, the live tier's
-// backend selection shared by ssrmin-live, ssrmin-node and the soak
-// harness.
+// BindRuntime registers -workers, the live engine's worker-loop count
+// shared by ssrmin-live and ssrmin-node.
 func (c *Config) BindRuntime(fs *flag.FlagSet) {
 	fs.IntVar(&c.Workers, "workers", 0,
 		"sharded engine worker loops (0 = GOMAXPROCS, clamped to ring size)")
-	fs.BoolVar(&c.LegacyRuntime, "legacy-runtime", false,
-		"use the goroutine-per-node live runtime instead of the sharded engine")
 }
 
-// ResolveK applies the K default (n+1) and returns the result.
-func (c *Config) ResolveK() int {
+// ResolveK applies the K default (n+1) and validates the ring shape:
+// every algorithm the tools run needs n ≥ 3 and K > n. The error is
+// ready to print as the tool's one-line usage failure.
+func (c *Config) ResolveK() error {
+	if c.N < 3 {
+		return fmt.Errorf("-n %d: ring size must be at least 3", c.N)
+	}
 	if c.K == 0 {
 		c.K = c.N + 1
 	}
-	return c.K
+	if c.K <= c.N {
+		return fmt.Errorf("-k %d: counter space must exceed n = %d", c.K, c.N)
+	}
+	return nil
 }
 
 // NewDaemon builds the scheduler selected by the bound -daemon, -seed and

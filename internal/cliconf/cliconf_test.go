@@ -47,8 +47,8 @@ func TestBindAndResolve(t *testing.T) {
 	if c.N != 7 || c.Steps != 15 || c.Daemon != "distributed" || c.P != 0.25 || c.Seed != 9 || !c.Random {
 		t.Errorf("parsed config = %+v", c)
 	}
-	if k := c.ResolveK(); k != 8 {
-		t.Errorf("ResolveK() = %d, want n+1 = 8", k)
+	if err := c.ResolveK(); err != nil || c.K != 8 {
+		t.Errorf("ResolveK() = %v, K = %d, want n+1 = 8", err, c.K)
 	}
 	d, err := c.NewDaemon()
 	if err != nil {
@@ -61,7 +61,41 @@ func TestBindAndResolve(t *testing.T) {
 
 func TestResolveKExplicit(t *testing.T) {
 	c := Config{N: 5, K: 9}
-	if k := c.ResolveK(); k != 9 {
-		t.Errorf("ResolveK() = %d, want explicit 9", k)
+	if err := c.ResolveK(); err != nil || c.K != 9 {
+		t.Errorf("ResolveK() = %v, K = %d, want explicit 9", err, c.K)
+	}
+}
+
+// TestResolveKValidates pins the shape every tool accepts: n ≥ 3 and
+// K > n, with K = 0 meaning the n+1 default. Invalid shapes are one-line
+// errors naming the offending flag, never a panic deeper down.
+func TestResolveKValidates(t *testing.T) {
+	cases := []struct {
+		n, k    int
+		wantK   int
+		wantErr string
+	}{
+		{n: 3, k: 0, wantK: 4},
+		{n: 5, k: 6, wantK: 6},
+		{n: 5, k: 100, wantK: 100},
+		{n: 2, k: 0, wantErr: "-n 2: ring size must be at least 3"},
+		{n: 0, k: 0, wantErr: "-n 0: ring size must be at least 3"},
+		{n: -4, k: 9, wantErr: "-n -4: ring size must be at least 3"},
+		{n: 5, k: 5, wantErr: "-k 5: counter space must exceed n = 5"},
+		{n: 4, k: 2, wantErr: "-k 2: counter space must exceed n = 4"},
+		{n: 4, k: -1, wantErr: "-k -1: counter space must exceed n = 4"},
+	}
+	for _, tc := range cases {
+		c := Config{N: tc.n, K: tc.k}
+		err := c.ResolveK()
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("n=%d k=%d: err = %v, want %q", tc.n, tc.k, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || c.K != tc.wantK {
+			t.Errorf("n=%d k=%d: err = %v, K = %d, want K = %d", tc.n, tc.k, err, c.K, tc.wantK)
+		}
 	}
 }

@@ -76,9 +76,14 @@ func FuzzConfigFlags(f *testing.F) {
 			return // rejected at the flag layer: fine
 		}
 		kBefore := c.K
-		got := c.ResolveK()
-		if got != c.K {
-			t.Fatalf("ResolveK returned %d but stored %d", got, c.K)
+		// n+1 overflows at the largest int, so the default K is then no
+		// larger than n and the shape is invalid.
+		valid := c.N >= 3 && (kBefore > c.N || kBefore == 0 && c.N+1 > c.N)
+		if err := c.ResolveK(); (err == nil) != valid {
+			t.Fatalf("ResolveK(n=%d, k=%d) = %v, want valid=%v", c.N, kBefore, err, valid)
+		}
+		if !valid {
+			return
 		}
 		if kBefore == 0 && c.K != c.N+1 {
 			t.Fatalf("ResolveK defaulted K to %d, want n+1 = %d", c.K, c.N+1)

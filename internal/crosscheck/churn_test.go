@@ -77,11 +77,6 @@ func TestValidateChurnRejections(t *testing.T) {
 		mut  func(*Scenario)
 		want string
 	}{
-		{"legacy live backend", func(s *Scenario) {
-			s.LiveLegacy = true
-			s.Engines = []string{EngineLive}
-			s.Faults = []scenario.Fault{{At: 1, Type: "join", Node: 0}}
-		}, "liveLegacy"},
 		{"K below churn max size", func(s *Scenario) {
 			s.K = 5
 			s.Faults = []scenario.Fault{{At: 1, Type: "join", Node: 0}}

@@ -2,7 +2,7 @@
 // one seeded scenario through every execution tier of the repository —
 // the state-reading simulator (internal/statemodel), the discrete-event
 // message-passing simulation (internal/cst over internal/msgnet), and the
-// live goroutine ring (internal/runtime) — and evaluates the paper's
+// live tier's sharded engine (internal/runtime) — and evaluates the paper's
 // invariants continuously in each:
 //
 //   - mutual inclusion: 1 ≤ #privileged ≤ 2 after convergence (Theorems
@@ -53,9 +53,9 @@ const (
 	// (internal/cst over internal/msgnet); its time axis is simulated
 	// seconds.
 	EngineMsgnet = "msgnet"
-	// EngineLive is the goroutine-per-node runtime (internal/runtime);
-	// its time axis is wall-clock seconds divided by LiveScale, i.e. the
-	// same simulated-seconds axis as EngineMsgnet.
+	// EngineLive is the live tier's sharded engine (internal/runtime) in
+	// fast virtual time; its time axis is virtual seconds, one per
+	// simulated second of EngineMsgnet.
 	EngineLive = "live"
 )
 
@@ -72,8 +72,7 @@ type Scenario struct {
 	K int `json:"k,omitempty"`
 	// Seed fixes all randomness in every engine.
 	Seed int64 `json:"seed"`
-	// Horizon is the simulated duration in seconds (msgnet and, scaled by
-	// LiveScale, live).
+	// Horizon is the simulated duration in seconds (msgnet and live).
 	Horizon float64 `json:"horizon"`
 	// Steps is the state-reading engine's transition budget; the default
 	// is twice the paper's convergence bound.
@@ -82,11 +81,12 @@ type Scenario struct {
 	// (default), "synchronous", or "distributed".
 	Daemon string `json:"daemon,omitempty"`
 	// Link configures every ring link of the message-passing engines.
-	// Dup and Corrupt apply to msgnet only (Go channels neither duplicate
-	// nor corrupt); Loss applies to msgnet and live. Every corrupted frame
-	// counts as a transient fault and opens a Settle window — under
-	// continuous corruption the census invariant is only required to hold
-	// in corruption-free stretches longer than Settle.
+	// Dup and Corrupt apply to msgnet only (the live engine's links
+	// neither duplicate nor corrupt); Loss applies to msgnet and live.
+	// Every corrupted frame counts as a transient fault and opens a
+	// Settle window — under continuous corruption the census invariant is
+	// only required to hold in corruption-free stretches longer than
+	// Settle.
 	Link scenario.Link `json:"link"`
 	// Refresh is the CST announcement period (default 5×delay).
 	Refresh float64 `json:"refresh,omitempty"`
@@ -107,24 +107,14 @@ type Scenario struct {
 	// Faults is the timed fault script (internal/scenario vocabulary).
 	// "states" applies to every engine; "caches", "cut", "heal",
 	// "loss-on", "loss-off" and the churn events "join"/"leave"/"splice"
-	// apply to the message-passing tiers (churn: msgnet and the sharded
-	// live engine; the state tier keeps its fixed ring and ignores them,
-	// and the legacy live backend rejects them).
+	// apply to the message-passing tiers (churn included; the state tier
+	// keeps its fixed ring and ignores them).
 	Faults []scenario.Fault `json:"faults,omitempty"`
 	// Engines selects the tiers to run (default all three).
 	Engines []string `json:"engines,omitempty"`
-	// LiveScale converts simulated seconds to wall-clock seconds for the
-	// live engine's legacy goroutine backend (default 0.01: a 10 s
-	// horizon runs for 100 ms). The default sharded engine backend runs
-	// in fast virtual time and ignores it.
-	LiveScale float64 `json:"liveScale,omitempty"`
 	// LiveWorkers is the sharded engine's worker-loop count (0 =
 	// GOMAXPROCS, clamped to [1, n]).
 	LiveWorkers int `json:"liveWorkers,omitempty"`
-	// LiveLegacy runs the live tier on the goroutine-per-node runtime
-	// (wall-clock, LiveScale-paced) instead of the sharded virtual-time
-	// engine.
-	LiveLegacy bool `json:"liveLegacy,omitempty"`
 }
 
 // Validate checks the scenario and fills defaults in place.
@@ -180,12 +170,6 @@ func (s *Scenario) Validate() error {
 	if s.MaxSeparation < 0 {
 		return fmt.Errorf("crosscheck %q: maxSeparation must be positive", s.Name)
 	}
-	if s.LiveScale == 0 {
-		s.LiveScale = 0.01
-	}
-	if s.LiveScale < 0 {
-		return fmt.Errorf("crosscheck %q: liveScale must be positive", s.Name)
-	}
 	if len(s.Engines) == 0 {
 		s.Engines = append([]string(nil), AllEngines...)
 	}
@@ -231,13 +215,6 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	if churn {
-		if s.LiveLegacy {
-			for _, e := range s.Engines {
-				if e == EngineLive {
-					return fmt.Errorf("crosscheck %q: churn faults need the sharded live backend (liveLegacy is set)", s.Name)
-				}
-			}
-		}
 		if _, maxSize, err := scenario.ChurnPlan(s.N, s.Faults); err != nil {
 			return fmt.Errorf("crosscheck %q: %w", s.Name, err)
 		} else if s.K <= maxSize {
@@ -398,7 +375,7 @@ func RunWithRes(sc Scenario, o *obs.Observer, res *Resources) (Report, error) {
 		case EngineMsgnet:
 			rep.Engines = append(rep.Engines, runMsgnet(sc, o, res))
 		case EngineLive:
-			rep.Engines = append(rep.Engines, runLive(sc, o))
+			rep.Engines = append(rep.Engines, runLiveEngine(sc, o))
 		}
 	}
 	return rep, nil
@@ -653,21 +630,12 @@ func setEdge(net *msgnet.Network[core.State], a, b int, up bool) {
 	}
 }
 
-// runLive executes the scenario on the live tier. The default backend is
-// the sharded event engine in fast virtual time: faults are pre-scheduled
-// at their exact simulated instants, the census is observed at every
-// epoch boundary (a true instantaneous cut), and wall-clock speed is
-// whatever the CPU delivers — which is what lets the harness crosscheck
-// rings of 100k+ nodes. Scenario.LiveLegacy selects the original
-// goroutine-per-node backend, wall-clock paced by LiveScale.
-func runLive(sc Scenario, o *obs.Observer) EngineResult {
-	if !sc.LiveLegacy {
-		return runLiveEngine(sc, o)
-	}
-	return runLiveLegacy(sc, o)
-}
-
-// runLiveEngine is the sharded-engine live run (virtual time, no scaling).
+// runLiveEngine executes the scenario on the live tier: the sharded event
+// engine in fast virtual time. Faults are pre-scheduled at their exact
+// simulated instants, the census is observed at every epoch boundary (a
+// true instantaneous cut), and wall-clock speed is whatever the CPU
+// delivers — which is what lets the harness crosscheck rings of 100k+
+// nodes.
 func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	alg := core.New(sc.N, sc.K)
 	init := initialConfig(sc)
@@ -697,10 +665,10 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	if sc.perturbedStart() {
 		chk.perturb(0)
 	}
-	// Pre-schedule the whole fault script at exact virtual instants; the
-	// draw order matches the legacy backend's (permutation, then states,
-	// per fault in time order). Churn is pre-scheduled the same way, with
-	// joiner states drawn in the same per-fault order the msgnet tier uses.
+	// Pre-schedule the whole fault script at exact virtual instants, drawing
+	// a permutation, then states, per fault in time order. Churn is
+	// pre-scheduled the same way, with joiner states drawn in the same
+	// per-fault order the msgnet tier uses.
 	faults := sc.sortedFaults()
 	inj := fault.NewInjector(sc.Seed + 1)
 	for _, f := range faults {
@@ -755,85 +723,8 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	return res
 }
 
-// runLiveLegacy executes the scenario on the goroutine-per-node runtime,
-// sampling the published census and injecting "states" faults at their
-// scaled wall-clock instants. Times in the result are reported on the
-// simulated-seconds axis (wall time ÷ LiveScale).
-func runLiveLegacy(sc Scenario, o *obs.Observer) EngineResult {
-	alg := core.New(sc.N, sc.K)
-	init := initialConfig(sc)
-	draw := func(r *rand.Rand) core.State { return drawState(r, sc.K) }
-	ring := runtime.NewRing[core.State](alg, init, runtime.Options[core.State]{
-		Delay:          scaled(sc.Link.Delay, sc.LiveScale),
-		Jitter:         scaled(sc.Link.Jitter, sc.LiveScale),
-		LossProb:       sc.Link.Loss,
-		Refresh:        scaled(sc.Refresh, sc.LiveScale),
-		Seed:           sc.Seed,
-		CoherentCaches: !sc.IncoherentCaches,
-		RandomState:    draw,
-	})
-	if o != nil {
-		ring.SetObserver(o, core.HasToken)
-	}
-
-	chk, sep := newMonitors(EngineLive, sc.Settle, sc.MaxSeparation)
-	members := make([]int, sc.N)
-	for i := range members {
-		members[i] = i
-	}
-	if sc.perturbedStart() {
-		chk.perturb(0)
-	}
-	faults := sc.sortedFaults()
-	inj := fault.NewInjector(sc.Seed + 1)
-
-	interval := scaled(sc.Link.Delay/4, sc.LiveScale)
-	if interval < 100*time.Microsecond {
-		interval = 100 * time.Microsecond
-	}
-	total := scaled(sc.Horizon, sc.LiveScale)
-
-	ring.Start()
-	start := time.Now()
-	for {
-		elapsed := time.Since(start)
-		simNow := elapsed.Seconds() / sc.LiveScale
-		for len(faults) > 0 && faults[0].At <= simNow {
-			f := faults[0]
-			faults = faults[1:]
-			if f.Type == "states" {
-				perm := inj.Rand().Perm(sc.N)
-				count := f.Count
-				if count > sc.N {
-					count = sc.N
-				}
-				for _, node := range perm[:count] {
-					ring.Inject(node, drawState(inj.Rand(), sc.K))
-				}
-			}
-			chk.perturb(f.At)
-		}
-		chk.observe(simNow, ring.Census(core.HasToken))
-		sep.Observe(simNow, members, ring.Holders(core.HasPrimary), ring.Holders(core.HasSecondary))
-		if elapsed >= total {
-			break
-		}
-		time.Sleep(interval)
-	}
-	ring.Stop()
-
-	res := EngineResult{Engine: EngineLive, RuleExecutions: ring.RuleExecutions()}
-	chk.finish(&res)
-	sep.finish(&res)
-	return res
-}
-
-func scaled(simSeconds, scale float64) time.Duration {
-	return time.Duration(simSeconds * scale * float64(time.Second))
-}
-
-// simDur converts simulated seconds to the engine's Duration options
-// unscaled — one virtual second per simulated second.
+// simDur converts simulated seconds to the engine's Duration options —
+// one virtual second per simulated second.
 func simDur(simSeconds float64) time.Duration {
 	return time.Duration(simSeconds * float64(time.Second))
 }

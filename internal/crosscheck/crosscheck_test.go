@@ -27,7 +27,7 @@ func TestValidateDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.K != 5 || s.Steps == 0 || s.Daemon != "central-random" ||
-		s.Refresh != 0.05 || s.Settle != 5 || s.LiveScale != 0.01 || len(s.Engines) != 3 {
+		s.Refresh != 0.05 || s.Settle != 5 || len(s.Engines) != 3 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 }
@@ -128,13 +128,12 @@ func TestFaultStormConverges(t *testing.T) {
 	}
 }
 
-// TestLiveEngineClean runs the goroutine tier briefly on a legitimate
-// coherent start; like runtime's own TestLiveMutualInclusion, the sampled
-// census must stay within [1,2] with zero tolerance.
+// TestLiveEngineClean runs the live tier on a legitimate coherent start;
+// like runtime's own TestLiveMutualInclusion, the census must stay within
+// [1,2] with zero tolerance.
 func TestLiveEngineClean(t *testing.T) {
 	s := clean(5, 1)
 	s.Horizon = 5
-	s.LiveScale = 0.02 // 100ms of wall clock
 	s.Engines = []string{EngineLive}
 	rep, err := Run(s)
 	if err != nil {

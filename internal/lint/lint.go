@@ -16,8 +16,6 @@
 //     loops do not busy-wait with bare time.Sleep.
 //   - hotpath: no any-typed fields or per-event allocations in the
 //     arena-backed engine packages (msgnet, cst, runtime).
-//   - deprecated: no new in-repo uses of the MPOptions/LiveOptions
-//     option-struct shims the functional-options API replaced.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis (Analyzer, Pass, Reportf, "// want" fixture tests) so the
@@ -88,7 +86,7 @@ func (a *Analyzer) AppliesTo(path string) bool {
 
 // All returns the analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Locality, Determinism, ObsGuard, LockDiscipline, Hotpath, Deprecated, RuleCheck, ShardSafety, AllocGate}
+	return []*Analyzer{Locality, Determinism, ObsGuard, LockDiscipline, Hotpath, RuleCheck, ShardSafety, AllocGate}
 }
 
 // Lookup resolves an analyzer by name.

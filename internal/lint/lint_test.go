@@ -94,7 +94,6 @@ func TestFixtures(t *testing.T) {
 		{"obsguard", ObsGuard},
 		{"lockdiscipline", LockDiscipline},
 		{"hotpath", Hotpath},
-		{"deprecated", Deprecated},
 		{"rulecheck", RuleCheck},
 		{"shardsafety", ShardSafety},
 		{"allocgate", AllocGate},
@@ -333,8 +332,8 @@ func TestDiagnosticJSONAndString(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(All()) != 9 {
-		t.Fatalf("All() = %d analyzers, want 9", len(All()))
+	if len(All()) != 8 {
+		t.Fatalf("All() = %d analyzers, want 8", len(All()))
 	}
 	seen := map[string]bool{}
 	for _, a := range All() {

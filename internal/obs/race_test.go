@@ -1,13 +1,17 @@
 package obs_test
 
 // Race coverage for the observer: every counter, histogram and the sink
-// must tolerate concurrent emitters. The live runtime ring is the real
-// producer — one goroutine per node plus two per link, all emitting into
-// one Observer — so the first test drives an actual ring under -race; the
+// must tolerate concurrent emitters. The live engine is the real
+// producer — with two or more workers its shard loops emit into one
+// Observer at once — so the first test drives a paced engine under -race
+// and checks that the emits really came from several goroutines; the
 // second hammers the full method surface from bare goroutines.
 
 import (
+	"bytes"
 	"io"
+	goruntime "runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -17,30 +21,54 @@ import (
 	"ssrmin/internal/runtime"
 )
 
+// goid parses the calling goroutine's id from its stack header
+// ("goroutine 42 [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	n := goruntime.Stack(buf[:], false)
+	id, _ := strconv.ParseUint(string(bytes.Fields(buf[:n])[1]), 10, 64)
+	return id
+}
+
 func TestObserverRaceLiveRing(t *testing.T) {
-	o := obs.New(obs.NewJSONL(io.Discard))
-	alg := core.New(5, 6)
-	r := runtime.NewRing[core.State](alg, alg.InitialLegitimate(), runtime.Options[core.State]{
+	jsonl := obs.NewJSONL(io.Discard)
+	var mu sync.Mutex
+	emitters := map[uint64]bool{}
+	o := obs.New(obs.Func(func(e obs.Event) {
+		jsonl.Emit(e)
+		if e.Kind == obs.KindRuleFired {
+			id := goid()
+			mu.Lock()
+			emitters[id] = true
+			mu.Unlock()
+		}
+	}))
+	alg := core.New(6, 7)
+	e := runtime.NewEngine[core.State](alg, alg.InitialLegitimate(), runtime.Options[core.State]{
 		Delay:          200 * time.Microsecond,
 		Jitter:         100 * time.Microsecond,
 		LossProb:       0.05,
 		Refresh:        time.Millisecond,
 		Seed:           1,
 		CoherentCaches: true,
+		Workers:        2,
 	})
-	r.SetObserver(o, core.HasToken)
-	r.Start()
+	e.SetObserver(o, core.HasToken)
+	e.Start()
 	time.Sleep(150 * time.Millisecond)
-	r.Stop()
+	e.Stop()
 
 	if o.C.MsgRecv.Load() == 0 {
-		t.Error("live ring emitted no MsgRecv")
+		t.Error("live engine emitted no MsgRecv")
 	}
 	if o.C.RuleFired.Load() == 0 {
-		t.Error("live ring emitted no RuleFired")
+		t.Error("live engine emitted no RuleFired")
 	}
 	if o.C.Handovers.Load() == 0 {
-		t.Error("live ring emitted no Handover")
+		t.Error("live engine emitted no Handover")
+	}
+	if len(emitters) < 2 {
+		t.Errorf("RuleFired emitted from %d goroutine(s), want ≥ 2 worker loops", len(emitters))
 	}
 }
 

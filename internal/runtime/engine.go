@@ -1,13 +1,18 @@
-package runtime
-
-// Engine is the sharded event-loop rebuild of the live tier: instead of
-// one goroutine per node and wall-clock channel links (Ring, kept as the
-// legacy deployment), it simulates the same Algorithm-4 semantics in
-// virtual time — nodes partitioned into contiguous ring arcs, one worker
-// loop per shard, arena-backed event queues, and lock-free SPSC rings for
-// the sends that cross a shard boundary. No allocation happens on the
-// hot path, which is what lets one process sustain rings of 100k+ nodes
-// (see BENCH_runtime.json).
+// Package runtime executes CST-transformed ring algorithms as a live
+// system: the sharded event-loop Engine simulates Algorithm 4 — neighbor
+// caches, state announcements on change and on a refresh timer, token
+// conditions evaluated on the node's own state and caches — over links
+// that carry one message per direction at a time, with delay, jitter and
+// probabilistic loss. It is the deployment the discrete-event simulation
+// (internal/cst over internal/msgnet) models, and what the paper's
+// motivating application — a self-organizing camera network with
+// continuous coverage — runs on.
+//
+// The engine simulates the nodes in virtual time: nodes partitioned into
+// contiguous ring arcs, one worker loop per shard, arena-backed event
+// queues, and lock-free SPSC rings for the sends that cross a shard
+// boundary. No allocation happens on the hot path, which is what lets one
+// process sustain rings of 100k+ nodes (see BENCH_runtime.json).
 //
 // # Determinism
 //
@@ -30,8 +35,8 @@ package runtime
 // RunUntil advances virtual time as fast as the CPU allows — the mode
 // benches, crosscheck and large-n experiments use. Start/Stop pace
 // virtual time 1:1 against the wall clock and accept live Inject and
-// census queries, which is how NewLiveRing deploys the engine as a
-// drop-in for the goroutine Ring.
+// census queries, which is how NewLiveRing deploys the engine.
+package runtime
 
 import (
 	"container/heap"
@@ -46,6 +51,54 @@ import (
 	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 )
+
+// Options configures an engine.
+type Options[S comparable] struct {
+	// Delay is the base link propagation delay. It must be positive: it
+	// is the epoch lookahead.
+	Delay time.Duration
+	// Jitter adds a uniform random extra delay in [0, Jitter).
+	Jitter time.Duration
+	// LossProb is the per-message loss probability.
+	LossProb float64
+	// Refresh is the periodic state-announcement interval.
+	Refresh time.Duration
+	// Seed drives all randomness (per-node and per-link PRNG streams are
+	// derived from it).
+	Seed int64
+	// CoherentCaches seeds caches with true neighbor states; otherwise
+	// RandomState (or the node's own state) seeds them.
+	CoherentCaches bool
+	// RandomState draws arbitrary states for incoherent cache seeding.
+	RandomState func(*rand.Rand) S
+	// Workers sets the worker loop count (0 means GOMAXPROCS, clamped to
+	// [1, n]).
+	Workers int
+	// Spare preallocates dormant extra nodes (ids n..n+Spare-1) for
+	// mid-run ScheduleJoin churn; an engine with spares or scheduled churn
+	// runs on one worker (the shard arcs assume a static ring).
+	Spare int
+}
+
+// Snapshot is one node's view: its own state and its neighbor caches.
+type Snapshot[S comparable] struct {
+	// State is the node's local state q_i.
+	State S
+	// CachePred is Z_i[v_{i-1}], CacheSucc is Z_i[v_{i+1}].
+	CachePred, CacheSucc S
+}
+
+// CensusStats summarizes a sampling run of WatchCensus.
+type CensusStats struct {
+	// Samples is the number of observations taken.
+	Samples int
+	// Min and Max are the extreme censuses observed.
+	Min, Max int
+	// At counts observations per census value.
+	At map[int]int
+	// DistinctHolders counts how many distinct nodes were ever privileged.
+	DistinctHolders int
+}
 
 // engNode is one simulated node: its state, neighbor caches, and the
 // word-sized PRNG and counters the determinism scheme needs. All fields
@@ -131,7 +184,7 @@ type Engine[S comparable] struct {
 	delay, jitter, refresh, loss float64
 
 	nodes   []engNode[S]
-	links   []engLink // 2i = i→succ, 2i+1 = i→pred (Ring's indexing)
+	links   []engLink // 2i = i→succ, 2i+1 = i→pred
 	shards  []engShard[S]
 	shardOf []int32
 	w       int
@@ -174,7 +227,7 @@ type Engine[S comparable] struct {
 // NewEngine builds an engine over init. Workers (Options.Workers)
 // defaults to GOMAXPROCS and is clamped to [1, n]; Delay and Refresh
 // must be positive (Delay is the conservative lookahead). Cache seeding
-// follows NewRing exactly: CoherentCaches, RandomState, or self-copies.
+// follows Options: CoherentCaches, RandomState, or self-copies.
 func NewEngine[S comparable](alg statemodel.Algorithm[S], init statemodel.Config[S], opts Options[S]) *Engine[S] {
 	n := alg.N()
 	if len(init) != n {
@@ -643,8 +696,7 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 	}
 }
 
-// step executes at most one rule and announces — the mirror of
-// liveNode.step.
+// step executes at most one rule and announces.
 //
 //rulecheck:step
 //shardsafety:worker owns=node
@@ -664,8 +716,7 @@ func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 	e.announce(sh, at, node)
 }
 
-// announce offers the state to both outgoing links, predecessor first —
-// the same order liveNode.announce uses.
+// announce offers the state to both outgoing links, predecessor first.
 //
 //shardsafety:worker owns=node
 //allocgate:hot
@@ -676,7 +727,7 @@ func (e *Engine[S]) announce(sh *engShard[S], at float64, node int32) {
 
 // send admits the node's state into one directed link, or drops it when
 // the link is busy (one message per direction) or the loss draw hits.
-// Jitter, then loss, drawn from the link's own PRNG — the relay's order.
+// Jitter, then loss, drawn from the link's own PRNG.
 //
 //shardsafety:worker owns=node
 //allocgate:hot
@@ -1008,13 +1059,6 @@ func (e *Engine[S]) Members() []int {
 // RuleExecutions sums rule executions across shards.
 func (e *Engine[S]) RuleExecutions() int64 { return e.Stats().Rules }
 
-// LinkStats aggregates carried and dropped frame counts — the Ring's
-// accessor, same meaning.
-func (e *Engine[S]) LinkStats() (carried, dropped int64) {
-	s := e.Stats()
-	return s.Carried, s.Dropped
-}
-
 // Stats sums the shard counters.
 func (e *Engine[S]) Stats() EngineStats {
 	var s EngineStats
@@ -1122,8 +1166,8 @@ func (e *Engine[S]) Stop() {
 }
 
 // Inject overwrites a node's state at the next epoch boundary — a live
-// transient fault. It always reports true (the engine has no queue to
-// overflow); the bool mirrors Ring.Inject.
+// transient fault. It always reports true: the engine has no fault queue
+// that could overflow.
 func (e *Engine[S]) Inject(node int, s S) bool {
 	if node < 0 || node >= e.n {
 		panic(fmt.Sprintf("runtime: node %d out of range", node))
@@ -1142,10 +1186,13 @@ func (e *Engine[S]) Inject(node int, s S) bool {
 
 // drive is the pacer loop: run epochs while virtual time lags the wall
 // clock, otherwise sleep on a timer — interruptible by control ops,
-// context cancellation and Stop.
+// context cancellation and Stop. Whichever ends it, the worker loops
+// exit with it, so cancelling the start context alone drains every
+// engine goroutine.
 func (e *Engine[S]) drive(ctx context.Context) {
 	defer e.driverWG.Done()
 	defer close(e.done)
+	defer e.stopWorkers()
 	start := time.Now()
 	base := e.now
 	timer := time.NewTimer(time.Hour)

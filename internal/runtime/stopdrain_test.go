@@ -1,12 +1,13 @@
 package runtime
 
-// Stop/drain regression tests for the live tier (ISSUE 7 bugfix
-// satellite): stopping a ring or engine mid-handover — with frames in
-// flight and injects landing — must drain every goroutine instead of
+// Stop/drain regression tests for the live tier: stopping the engine
+// mid-handover — with frames in flight and injects landing — or
+// cancelling its start context must drain every goroutine instead of
 // leaking them, and Stop must be safe to call concurrently. Run under
 // make test-race-core.
 
 import (
+	"context"
 	goruntime "runtime"
 	"sync"
 	"testing"
@@ -29,59 +30,6 @@ func waitGoroutines(t *testing.T, want int) {
 	buf := make([]byte, 1<<16)
 	n := goruntime.Stack(buf, true)
 	t.Fatalf("goroutines leaked: %d > %d\n%s", goruntime.NumGoroutine(), want, buf[:n])
-}
-
-// TestRingStopDrainsMidHandover starts the goroutine ring, lets frames
-// pile into every link, injects faults right up to the stop, and then
-// requires every node/relay goroutine to exit.
-func TestRingStopDrainsMidHandover(t *testing.T) {
-	before := goruntime.NumGoroutine()
-	for round := 0; round < 5; round++ {
-		a := core.New(7, 8)
-		r := NewRing[core.State](a, a.InitialLegitimate(), Options[core.State]{
-			Delay:          300 * time.Microsecond,
-			Jitter:         150 * time.Microsecond,
-			Refresh:        time.Millisecond,
-			Seed:           int64(round + 1),
-			CoherentCaches: true,
-		})
-		r.Start()
-		// Stop while handovers are in full swing: no settling sleep, just
-		// enough traffic that links are busy when the context cancels.
-		for i := 0; i < 7; i++ {
-			r.Inject(i, core.State{X: i, RTS: i%2 == 0, TRA: i%2 == 1})
-		}
-		time.Sleep(2 * time.Millisecond)
-		r.Stop()
-	}
-	waitGoroutines(t, before)
-}
-
-// TestRingStopConcurrent hammers Stop from many goroutines at once —
-// every caller must return, exactly one drain must happen, and the race
-// detector must stay quiet.
-func TestRingStopConcurrent(t *testing.T) {
-	before := goruntime.NumGoroutine()
-	a := core.New(5, 6)
-	r := NewRing[core.State](a, a.InitialLegitimate(), Options[core.State]{
-		Delay:          300 * time.Microsecond,
-		Jitter:         100 * time.Microsecond,
-		Refresh:        time.Millisecond,
-		Seed:           1,
-		CoherentCaches: true,
-	})
-	r.Start()
-	time.Sleep(5 * time.Millisecond)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Stop()
-		}()
-	}
-	wg.Wait()
-	waitGoroutines(t, before)
 }
 
 // TestEngineStopDrainsWorkers: the sharded engine's pacer and worker
@@ -128,20 +76,23 @@ func TestEngineStopDrainsWorkers(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestRingContextCancelDrains: cancelling the start context (rather than
-// calling Stop) must also wind the goroutines down; Stop afterwards
-// still returns.
-func TestRingContextCancelDrains(t *testing.T) {
+// TestContextCancelStopsRing: cancelling the start context, without
+// calling Stop, must wind down the pacer and every worker loop; Stop
+// afterwards still returns.
+func TestContextCancelStopsRing(t *testing.T) {
 	before := goruntime.NumGoroutine()
-	a := core.New(5, 6)
-	r := NewRing[core.State](a, a.InitialLegitimate(), Options[core.State]{
+	a := core.New(6, 7)
+	e := NewEngine[core.State](a, a.InitialLegitimate(), Options[core.State]{
 		Delay:          300 * time.Microsecond,
 		Refresh:        time.Millisecond,
 		Seed:           3,
 		CoherentCaches: true,
+		Workers:        3,
 	})
-	r.Start()
-	time.Sleep(2 * time.Millisecond)
-	r.Stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	e.StartContext(ctx)
+	time.Sleep(10 * time.Millisecond)
+	cancel()
 	waitGoroutines(t, before)
+	e.Stop()
 }

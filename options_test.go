@@ -54,7 +54,7 @@ func TestParseDaemonDrivesSimulation(t *testing.T) {
 }
 
 // TestWithKZeroKeepsDefault pins the zero-value contract: WithK(0) is a
-// no-op (K stays n+1), mirroring MPOptions{K: 0}.
+// no-op (K stays n+1).
 func TestWithKZeroKeepsDefault(t *testing.T) {
 	s := NewSimulation(5, WithK(0))
 	if got := s.Algorithm().K(); got != 6 {

@@ -18,9 +18,9 @@
 //     paper's proofs, under pluggable daemons (schedulers).
 //   - MPSimulation: a deterministic discrete-event simulation of the
 //     CST-transformed algorithm over lossy, delayed message links.
-//   - LiveRing: a real concurrent deployment — one goroutine per node,
-//     channels as links — for wall-clock applications such as the
-//     camera-network examples.
+//   - LiveRing: the live deployment — a sharded event-loop engine paced
+//     against the wall clock — for applications such as the camera-network
+//     examples.
 //   - TCPRing: the algorithm as real network services over TCP sockets
 //     (see also cmd/ssrmin-node for multi-process/multi-machine rings).
 //
@@ -43,42 +43,6 @@
 // execution in the message-passing simulation). WithObserver and WithSink
 // attach the instrumentation layer of internal/obs to any vehicle; see
 // Observer below.
-//
-// # Migration from MPOptions/LiveOptions
-//
-// Before this API, NewMPSimulation and NewLiveRing took dedicated option
-// structs. Those structs still compile — they implement Option, so
-// NewMPSimulation(n, MPOptions{Seed: 1}) keeps working — but they are
-// deprecated. Replace struct fields with the corresponding option:
-//
-//	MPOptions{K: 7}                 → WithK(7)
-//	MPOptions{Seed: 3}              → WithSeed(3)
-//	MPOptions{Delay: 0.02}          → WithDelay(20 * time.Millisecond)
-//	MPOptions{Jitter: 0.004}        → WithJitter(4 * time.Millisecond)
-//	MPOptions{LossProb: 0.1}        → WithLoss(0.1)
-//	MPOptions{Refresh: 0.05}        → WithRefresh(50 * time.Millisecond)
-//	MPOptions{Hold: 0.02}           → WithHold(20 * time.Millisecond)
-//	MPOptions{Initial: cfg}         → WithInitial(cfg)
-//	MPOptions{IncoherentCaches: _}  → WithIncoherentCaches()
-//	LiveOptions{Delay: d, ...}      → WithDelay(d), ... (same names)
-//
-// Two live-tier capabilities exist only as functional options — the
-// legacy structs never grew them:
-//
-//	(no struct equivalent)          → WithWorkers(4)
-//	(no struct equivalent)          → WithLegacyRuntime()
-//
-// WithWorkers sets the sharded event-loop engine's worker count;
-// WithLegacyRuntime selects the goroutine-per-node runtime NewLiveRing
-// used before the engine existed. Observer hookup is also unified now:
-// WithObserver and WithSink behave identically on NewLiveRing as on
-// NewSimulation/NewMPSimulation — an explicit observer wins, a bare sink
-// gets a fresh observer, neither means nil and every hook is nil-guarded
-// out of the hot path, on both live backends.
-//
-// The two vocabularies are bit-identical: a run configured through
-// options produces the same trace as the same run configured through the
-// legacy structs (asserted by the golden API tests).
 package ssrmin
 
 import (
@@ -186,19 +150,11 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONL(w) }
 // vehicle are ignored by it.
 type Option interface{ apply(*options) }
 
-// SimOption is the historical name of Option.
-//
-// Deprecated: use Option.
-type SimOption = Option
-
 type optionFunc func(*options)
 
 func (f optionFunc) apply(c *options) { f(c) }
 
-// options is the merged configuration of all three vehicles. Delays are
-// held both as float64 simulated seconds (the message-passing vehicle's
-// native unit, preserving the exact float arithmetic of the legacy
-// MPOptions defaults) and as time.Duration (the live ring's unit).
+// options is the merged configuration of all three vehicles.
 type options struct {
 	k       int
 	daemon  Daemon
@@ -208,13 +164,11 @@ type options struct {
 	seed    int64
 	seedSet bool
 
-	delaySec, jitterSec, refreshSec, holdSec float64
-	delayDur, jitterDur, refreshDur          time.Duration
-	lossProb                                 float64
-	incoherent                               bool
+	delay, jitter, refresh, hold time.Duration
+	lossProb                     float64
+	incoherent                   bool
 
-	workers       int
-	legacyRuntime bool
+	workers int
 
 	obsv *obs.Observer
 	sink obs.Sink
@@ -243,9 +197,8 @@ func (c *options) seedOr(def int64) int64 {
 }
 
 // WithK sets the counter space (default n+1). WithK(0) keeps the
-// default, mirroring the zero-field semantics of the legacy
-// MPOptions/LiveOptions structs; any other K ≤ n panics in the
-// constructor (the algorithm requires K > n).
+// default; any other K ≤ n panics in the constructor (the algorithm
+// requires K > n).
 func WithK(k int) Option {
 	return optionFunc(func(c *options) {
 		if k != 0 {
@@ -278,25 +231,25 @@ func WithSeed(seed int64) Option {
 // Defaults: 10ms simulated for NewMPSimulation, 1ms wall-clock for
 // NewLiveRing.
 func WithDelay(d time.Duration) Option {
-	return optionFunc(func(c *options) { c.delayDur = d; c.delaySec = d.Seconds() })
+	return optionFunc(func(c *options) { c.delay = d })
 }
 
 // WithJitter sets the uniform extra delay bound. Defaults: Delay/5
 // simulated for NewMPSimulation, 200µs wall-clock for NewLiveRing.
 func WithJitter(d time.Duration) Option {
-	return optionFunc(func(c *options) { c.jitterDur = d; c.jitterSec = d.Seconds() })
+	return optionFunc(func(c *options) { c.jitter = d })
 }
 
 // WithRefresh sets the periodic announcement interval. Defaults: 5×Delay
 // simulated for NewMPSimulation, 5ms wall-clock for NewLiveRing.
 func WithRefresh(d time.Duration) Option {
-	return optionFunc(func(c *options) { c.refreshDur = d; c.refreshSec = d.Seconds() })
+	return optionFunc(func(c *options) { c.refresh = d })
 }
 
 // WithHold sets the critical-section dwell before executing an enabled
 // rule (message-passing vehicle only).
 func WithHold(d time.Duration) Option {
-	return optionFunc(func(c *options) { c.holdSec = d.Seconds() })
+	return optionFunc(func(c *options) { c.hold = d })
 }
 
 // WithLoss sets the per-message loss probability.
@@ -311,18 +264,9 @@ func WithIncoherentCaches() Option {
 // WithWorkers sets the worker-loop count of the live tier's sharded
 // event engine (default GOMAXPROCS, clamped to [1, n]). The execution is
 // deterministic for a fixed seed regardless of the worker count. Ignored
-// by the other vehicles and by WithLegacyRuntime's goroutine ring.
+// by the other vehicles.
 func WithWorkers(w int) Option {
 	return optionFunc(func(c *options) { c.workers = w })
-}
-
-// WithLegacyRuntime makes NewLiveRing deploy the goroutine-per-node ring
-// (one goroutine per node, Go channels as links) instead of the sharded
-// event-loop engine. The engine is the default: it sustains rings of
-// 100k+ nodes and is deterministic per seed; the goroutine ring remains
-// available as the differential deployment reference.
-func WithLegacyRuntime() Option {
-	return optionFunc(func(c *options) { c.legacyRuntime = true })
 }
 
 // WithObserver installs o as the vehicle's instrumentation hub. The
@@ -525,67 +469,6 @@ func (s *Simulation) WriteCSV(w io.Writer) error {
 // Message-passing simulation (CST over a discrete-event network)
 // ---------------------------------------------------------------------------
 
-// MPOptions configures a message-passing simulation.
-//
-// Deprecated: pass functional options to NewMPSimulation instead; see the
-// migration table in the package documentation. MPOptions implements
-// Option, so existing call sites keep compiling and behave identically.
-type MPOptions struct {
-	// K is the counter space (default n+1).
-	K int
-	// Delay is the base link delay in simulated seconds (default 0.01).
-	Delay float64
-	// Jitter is the uniform extra delay bound (default Delay/5).
-	Jitter float64
-	// LossProb is the per-message loss probability.
-	LossProb float64
-	// Refresh is the periodic announcement interval (default 5×Delay).
-	Refresh float64
-	// Hold is the critical-section dwell before executing an enabled rule.
-	Hold float64
-	// Seed drives all randomness.
-	Seed int64
-	// Initial is the starting configuration (default: canonical
-	// legitimate).
-	Initial Config
-	// CoherentCaches seeds caches with true neighbor states (default
-	// true). Set false together with Initial for Theorem-4 style runs.
-	IncoherentCaches bool
-}
-
-// apply merges the non-zero fields, making the legacy struct a valid
-// Option. Zero fields mean "default", exactly as they always did.
-func (o MPOptions) apply(c *options) {
-	if o.K != 0 {
-		c.k = o.K
-	}
-	if o.Delay != 0 {
-		c.delaySec = o.Delay
-	}
-	if o.Jitter != 0 {
-		c.jitterSec = o.Jitter
-	}
-	if o.LossProb != 0 {
-		c.lossProb = o.LossProb
-	}
-	if o.Refresh != 0 {
-		c.refreshSec = o.Refresh
-	}
-	if o.Hold != 0 {
-		c.holdSec = o.Hold
-	}
-	if o.Seed != 0 {
-		c.seed = o.Seed
-		c.seedSet = true
-	}
-	if o.Initial != nil {
-		c.initial = o.Initial
-	}
-	if o.IncoherentCaches {
-		c.incoherent = true
-	}
-}
-
 // MPSimulation is a CST-transformed SSRmin ring over the discrete-event
 // network, with a token-census timeline attached.
 type MPSimulation struct {
@@ -602,17 +485,17 @@ func NewMPSimulation(n int, opts ...Option) *MPSimulation {
 	for _, o := range opts {
 		o.apply(&c)
 	}
-	// Defaults use the exact float arithmetic of the legacy MPOptions
-	// path so seeded runs stay bit-identical across the API change.
-	delay := c.delaySec
+	// The defaults are float arithmetic in simulated seconds; the golden
+	// API tests pin the seeded runs they produce bit for bit.
+	delay := c.delay.Seconds()
 	if delay == 0 {
 		delay = 0.01
 	}
-	jitter := c.jitterSec
+	jitter := c.jitter.Seconds()
 	if jitter == 0 {
 		jitter = delay / 5
 	}
-	refresh := c.refreshSec
+	refresh := c.refresh.Seconds()
 	if refresh == 0 {
 		refresh = 5 * delay
 	}
@@ -629,7 +512,7 @@ func NewMPSimulation(n int, opts ...Option) *MPSimulation {
 			LossProb: c.lossProb,
 		},
 		Refresh:        msgnet.Time(refresh),
-		Hold:           msgnet.Time(c.holdSec),
+		Hold:           msgnet.Time(c.hold.Seconds()),
 		Seed:           c.seedOr(0),
 		CoherentCaches: !c.incoherent,
 		RandomState: func(rng *rand.Rand) State {
@@ -714,69 +597,16 @@ func (m *MPSimulation) MessagesSent() int { return m.ring.Net.Stats().Sent }
 func (m *MPSimulation) Ring() *cst.Ring[core.State] { return m.ring }
 
 // ---------------------------------------------------------------------------
-// Live goroutine/channel deployment
+// Live deployment
 // ---------------------------------------------------------------------------
 
-// LiveOptions configures a live ring.
-//
-// Deprecated: pass functional options to NewLiveRing instead; see the
-// migration table in the package documentation. LiveOptions implements
-// Option, so existing call sites keep compiling and behave identically.
-type LiveOptions struct {
-	// K is the counter space (default n+1).
-	K int
-	// Delay, Jitter, LossProb and Refresh mirror MPOptions in wall-clock
-	// time. Defaults: 1ms delay, 200µs jitter, no loss, 5ms refresh.
-	Delay, Jitter, Refresh time.Duration
-	LossProb               float64
-	// Seed drives all randomness.
-	Seed int64
-	// Initial is the starting configuration (default canonical
-	// legitimate); IncoherentCaches seeds caches arbitrarily.
-	Initial          Config
-	IncoherentCaches bool
-}
-
-// apply merges the non-zero fields, making the legacy struct a valid
-// Option. Zero fields mean "default", exactly as they always did.
-func (o LiveOptions) apply(c *options) {
-	if o.K != 0 {
-		c.k = o.K
-	}
-	if o.Delay != 0 {
-		c.delayDur = o.Delay
-	}
-	if o.Jitter != 0 {
-		c.jitterDur = o.Jitter
-	}
-	if o.Refresh != 0 {
-		c.refreshDur = o.Refresh
-	}
-	if o.LossProb != 0 {
-		c.lossProb = o.LossProb
-	}
-	if o.Seed != 0 {
-		c.seed = o.Seed
-		c.seedSet = true
-	}
-	if o.Initial != nil {
-		c.initial = o.Initial
-	}
-	if o.IncoherentCaches {
-		c.incoherent = true
-	}
-}
-
-// LiveRing is a running SSRmin deployment. The default backend is the
-// sharded event-loop engine (runtime.Engine): worker loops over
-// contiguous ring arcs in wall-clock-paced virtual time, deterministic
-// per seed, sustaining 100k+ nodes. WithLegacyRuntime selects the
-// goroutine-per-node backend (runtime.Ring): one goroutine per node, Go
-// channels as one-message-per-direction links.
+// LiveRing is a running SSRmin deployment on the sharded event-loop
+// engine (runtime.Engine): worker loops over contiguous ring arcs in
+// wall-clock-paced virtual time, deterministic per seed, sustaining 100k+
+// nodes.
 type LiveRing struct {
 	alg  *Algorithm
-	ring *runtime.Ring[core.State]   // legacy backend, nil otherwise
-	eng  *runtime.Engine[core.State] // default backend, nil when legacy
+	eng  *runtime.Engine[core.State]
 	obsv *obs.Observer
 }
 
@@ -786,15 +616,15 @@ func NewLiveRing(n int, opts ...Option) *LiveRing {
 	for _, o := range opts {
 		o.apply(&c)
 	}
-	delay := c.delayDur
+	delay := c.delay
 	if delay == 0 {
 		delay = time.Millisecond
 	}
-	jitter := c.jitterDur
+	jitter := c.jitter
 	if jitter == 0 {
 		jitter = 200 * time.Microsecond
 	}
-	refresh := c.refreshDur
+	refresh := c.refresh
 	if refresh == 0 {
 		refresh = 5 * time.Millisecond
 	}
@@ -818,17 +648,9 @@ func NewLiveRing(n int, opts ...Option) *LiveRing {
 			return State{X: rng.Intn(k), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
 		}
 	}
-	l := &LiveRing{alg: alg, obsv: c.observer()}
-	if c.legacyRuntime {
-		l.ring = runtime.NewRing[core.State](alg, init, ropts)
-		if l.obsv != nil {
-			l.ring.SetObserver(l.obsv, core.HasToken)
-		}
-	} else {
-		l.eng = runtime.NewEngine[core.State](alg, init, ropts)
-		if l.obsv != nil {
-			l.eng.SetObserver(l.obsv, core.HasToken)
-		}
+	l := &LiveRing{alg: alg, eng: runtime.NewEngine[core.State](alg, init, ropts), obsv: c.observer()}
+	if l.obsv != nil {
+		l.eng.SetObserver(l.obsv, core.HasToken)
 	}
 	return l
 }
@@ -837,51 +659,27 @@ func NewLiveRing(n int, opts ...Option) *LiveRing {
 func (l *LiveRing) Observer() *Observer { return l.obsv }
 
 // OnPrivilege installs an application callback invoked (concurrently,
-// from node goroutines or engine workers) whenever a node's privilege
-// changes. Must be called before Start.
+// from the engine's worker loops) whenever a node's privilege changes.
+// Must be called before Start.
 func (l *LiveRing) OnPrivilege(cb func(node int, privileged bool)) {
-	if l.ring != nil {
-		l.ring.SetPrivilegeCallback(core.HasToken, cb)
-		return
-	}
 	l.eng.SetPrivilegeCallback(core.HasToken, cb)
 }
 
 // Start launches the ring.
-func (l *LiveRing) Start() {
-	if l.ring != nil {
-		l.ring.Start()
-		return
-	}
-	l.eng.Start()
-}
+func (l *LiveRing) Start() { l.eng.Start() }
 
-// Stop halts the backend and waits for its goroutines to drain.
-func (l *LiveRing) Stop() {
-	if l.ring != nil {
-		l.ring.Stop()
-		return
-	}
-	l.eng.Stop()
-}
+// Stop halts the engine and waits for its goroutines to drain.
+func (l *LiveRing) Stop() { l.eng.Stop() }
 
 // Inject overwrites a node's local state at runtime — a live transient
 // fault the ring must (and will) self-stabilize away from.
-func (l *LiveRing) Inject(node int, s State) bool {
-	if l.ring != nil {
-		return l.ring.Inject(node, s)
-	}
-	return l.eng.Inject(node, s)
-}
+func (l *LiveRing) Inject(node int, s State) bool { return l.eng.Inject(node, s) }
 
-// Census returns the current number of privileged nodes. On the sharded
-// engine with an observer or privilege callback installed this reads the
-// shard-local census accumulators (O(workers)); otherwise it falls back
-// to the O(n) node scan.
+// Census returns the current number of privileged nodes. With an
+// observer or privilege callback installed this reads the shard-local
+// census accumulators (O(workers)); otherwise it falls back to the O(n)
+// node scan.
 func (l *LiveRing) Census() int {
-	if l.ring != nil {
-		return l.ring.Census(core.HasToken)
-	}
 	if c, ok := l.eng.TrackedCensus(); ok {
 		return c
 	}
@@ -889,38 +687,19 @@ func (l *LiveRing) Census() int {
 }
 
 // Holders returns the ids of currently privileged nodes.
-func (l *LiveRing) Holders() []int {
-	if l.ring != nil {
-		return l.ring.Holders(core.HasToken)
-	}
-	return l.eng.Holders(core.HasToken)
-}
+func (l *LiveRing) Holders() []int { return l.eng.Holders(core.HasToken) }
 
 // RuleExecutions returns total rule executions so far.
-func (l *LiveRing) RuleExecutions() int64 {
-	if l.ring != nil {
-		return l.ring.RuleExecutions()
-	}
-	return l.eng.RuleExecutions()
-}
+func (l *LiveRing) RuleExecutions() int64 { return l.eng.RuleExecutions() }
 
 // WatchCensus samples the census every interval for duration d and
 // returns the observed distribution.
 func (l *LiveRing) WatchCensus(d, interval time.Duration) runtime.CensusStats {
-	if l.ring != nil {
-		return l.ring.WatchCensus(core.HasToken, d, interval)
-	}
 	return l.eng.WatchCensus(core.HasToken, d, interval)
 }
 
-// Runtime exposes the underlying goroutine ring for advanced use. It is
-// nil unless the ring was built with WithLegacyRuntime; the default
-// backend is exposed by Engine.
-func (l *LiveRing) Runtime() *runtime.Ring[core.State] { return l.ring }
-
 // Engine exposes the underlying sharded event engine for advanced use
-// (RunUntil fast-virtual execution, taps, snapshots). It is nil when the
-// ring was built with WithLegacyRuntime.
+// (RunUntil fast-virtual execution, taps, snapshots).
 func (l *LiveRing) Engine() *runtime.Engine[core.State] { return l.eng }
 
 // ---------------------------------------------------------------------------

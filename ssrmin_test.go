@@ -219,8 +219,8 @@ func TestMultiSimulationHoldersOfValidation(t *testing.T) {
 	sim.HoldersOf(9)
 }
 
-func TestMPOptionsHoldAndDefaults(t *testing.T) {
-	m := NewMPSimulation(5, MPOptions{Seed: 1, Hold: 0.02})
+func TestMPHoldAndDefaults(t *testing.T) {
+	m := NewMPSimulation(5, WithSeed(1), WithHold(20*time.Millisecond))
 	m.Run(5)
 	tl := m.Timeline()
 	if tl.MinCount() < 1 || tl.MaxCount() > 2 {
@@ -236,16 +236,16 @@ func TestMPOptionsHoldAndDefaults(t *testing.T) {
 	}
 }
 
-func TestLiveOptionsIncoherentCaches(t *testing.T) {
+func TestLiveIncoherentCaches(t *testing.T) {
 	alg := New(5, 6)
 	rng := rand.New(rand.NewSource(12))
-	l := NewLiveRing(5, LiveOptions{
-		Delay:            300 * time.Microsecond,
-		Refresh:          2 * time.Millisecond,
-		Seed:             13,
-		Initial:          RandomConfig(alg, rng),
-		IncoherentCaches: true,
-	})
+	l := NewLiveRing(5,
+		WithDelay(300*time.Microsecond),
+		WithRefresh(2*time.Millisecond),
+		WithSeed(13),
+		WithInitial(RandomConfig(alg, rng)),
+		WithIncoherentCaches(),
+	)
 	l.Start()
 	defer l.Stop()
 	time.Sleep(400 * time.Millisecond) // settle
