@@ -113,8 +113,9 @@ modelcheck:
 	$(GO) run ./cmd/modelcheck -n 3
 	$(GO) run ./cmd/modelcheck -n 4
 
-# The big instance: 24^5 ≈ 7.96M configurations, ~1 GiB bookkeeping,
-# minutes of CPU (scales with cores via -workers).
+# The big instance: 24^5 ≈ 7.96M configurations, ~32 MiB bookkeeping
+# (a 4-byte distance memo per configuration), seconds of CPU (-workers
+# sets the worker count).
 modelcheck-n5:
 	$(GO) run ./cmd/modelcheck -n 5 -k 6
 

@@ -15,6 +15,11 @@
 //
 // fails (exit 1) if any benchmark present in old.json is missing from
 // new.json or got more than 10% slower in ns/op.
+//
+// Records store the bare benchmark name: the `-N` suffix that `go test`
+// appends when GOMAXPROCS = N > 1 goes into the procs field, so records
+// taken at different GOMAXPROCS still match by name. -compare notes a
+// GOMAXPROCS difference but does not fail on it.
 package main
 
 import (
@@ -30,7 +35,10 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name        string  `json:"name"`
+	// Name is the benchmark name without the GOMAXPROCS suffix.
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at.
+	Procs       int     `json:"procs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
@@ -123,6 +131,8 @@ func main() {
 // parse decodes one `go test -bench` result line, e.g.
 //
 //	BenchmarkModelCheck/engine/n=4,K=5-8  22  50729155 ns/op  5056 B/op  24 allocs/op
+//
+// which yields the name "BenchmarkModelCheck/engine/n=4,K=5" at procs 8.
 func parse(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -132,7 +142,8 @@ func parse(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: fields[0], Iterations: iters}
+	r := Result{Iterations: iters}
+	r.Name, r.Procs = splitProcs(fields[0])
 	for i := 2; i+1 < len(fields); i++ {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -165,23 +176,39 @@ func parse(line string) (Result, bool) {
 	return r, true
 }
 
+// splitProcs splits the `-N` suffix that `go test` appends to a benchmark
+// name when it runs at GOMAXPROCS = N > 1; a name without one ran at 1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil && p > 1 {
+			return name[:i], p
+		}
+	}
+	return name, 1
+}
+
 // mergeRuns collapses repeated runs of the same benchmark (`go test
 // -count N`) into one record each: the run with the median ns/op, so
 // the record stays internally coherent (its B/op, allocs/op and custom
 // metrics all come from the same run) while a single outlier run cannot
 // skew the committed baseline. First-occurrence order is preserved.
 func mergeRuns(results []Result) []Result {
-	runs := make(map[string][]Result, len(results))
-	order := make([]string, 0, len(results))
+	type key struct {
+		name  string
+		procs int
+	}
+	runs := make(map[key][]Result, len(results))
+	order := make([]key, 0, len(results))
 	for _, r := range results {
-		if _, seen := runs[r.Name]; !seen {
-			order = append(order, r.Name)
+		k := key{r.Name, r.Procs}
+		if _, seen := runs[k]; !seen {
+			order = append(order, k)
 		}
-		runs[r.Name] = append(runs[r.Name], r)
+		runs[k] = append(runs[k], r)
 	}
 	merged := make([]Result, 0, len(order))
-	for _, name := range order {
-		rs := runs[name]
+	for _, k := range order {
+		rs := runs[k]
 		sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
 		merged = append(merged, rs[(len(rs)-1)/2])
 	}
@@ -191,7 +218,9 @@ func mergeRuns(results []Result) []Result {
 // compareFiles diffs two record files written by benchjson. Every
 // benchmark in oldPath must exist in newPath (a vanished benchmark is a
 // regression in coverage) and must not have slowed down in ns/op by more
-// than maxRegress percent. It returns a human-readable report and
+// than maxRegress percent. Names match without their GOMAXPROCS suffix;
+// where new.json holds the name at several GOMAXPROCS, the run at old's
+// GOMAXPROCS is compared. It returns a human-readable report and
 // whether the comparison failed; err covers unreadable inputs only.
 func compareFiles(oldPath, newPath string, maxRegress float64) (report string, fail bool, err error) {
 	oldResults, err := loadResults(oldPath)
@@ -202,17 +231,23 @@ func compareFiles(oldPath, newPath string, maxRegress float64) (report string, f
 	if err != nil {
 		return "", false, err
 	}
-	byName := make(map[string]Result, len(newResults))
+	byName := make(map[string][]Result, len(newResults))
 	for _, r := range newResults {
-		byName[r.Name] = r
+		byName[r.Name] = append(byName[r.Name], r)
 	}
 	var b strings.Builder
 	for _, o := range oldResults {
-		n, ok := byName[o.Name]
-		if !ok {
+		cands := byName[o.Name]
+		if len(cands) == 0 {
 			fmt.Fprintf(&b, "FAIL %-60s missing from %s\n", o.Name, newPath)
 			fail = true
 			continue
+		}
+		n := cands[0]
+		for _, c := range cands {
+			if c.Procs == o.Procs {
+				n = c
+			}
 		}
 		if o.NsPerOp <= 0 {
 			// A zero or negative baseline makes the percentage meaningless
@@ -228,8 +263,12 @@ func compareFiles(oldPath, newPath string, maxRegress float64) (report string, f
 			verdict = "FAIL"
 			fail = true
 		}
-		fmt.Fprintf(&b, "%s %-60s %12.0f -> %12.0f ns/op  %+7.1f%% (max +%.1f%%)\n",
-			verdict, o.Name, o.NsPerOp, n.NsPerOp, pct, maxRegress)
+		procs := ""
+		if n.Procs != o.Procs {
+			procs = fmt.Sprintf("  GOMAXPROCS %d -> %d", o.Procs, n.Procs)
+		}
+		fmt.Fprintf(&b, "%s %-60s %12.0f -> %12.0f ns/op  %+7.1f%% (max +%.1f%%)%s\n",
+			verdict, o.Name, o.NsPerOp, n.NsPerOp, pct, maxRegress, procs)
 		if mfail := compareMetrics(&b, o, n, oldPath, newPath); mfail {
 			fail = true
 		}
@@ -288,6 +327,13 @@ func loadResults(path string) ([]Result, error) {
 	}
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results", path)
+	}
+	for i := range rs {
+		if rs[i].Procs == 0 {
+			// Written before records carried procs: the name holds the
+			// suffix, or it ran at GOMAXPROCS 1.
+			rs[i].Name, rs[i].Procs = splitProcs(rs[i].Name)
+		}
 	}
 	return rs, nil
 }

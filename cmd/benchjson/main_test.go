@@ -12,7 +12,7 @@ func TestParseStandardUnits(t *testing.T) {
 	if !ok {
 		t.Fatal("line not parsed")
 	}
-	if r.Name != "BenchmarkModelCheck/engine/n=4,K=5-8" || r.Iterations != 22 {
+	if r.Name != "BenchmarkModelCheck/engine/n=4,K=5" || r.Procs != 8 || r.Iterations != 22 {
 		t.Fatalf("header: %+v", r)
 	}
 	if r.NsPerOp != 50729155 || r.BytesPerOp != 5056 || r.AllocsPerOp != 24 {
@@ -208,5 +208,47 @@ func TestCompareUnreadableInput(t *testing.T) {
 	emptyP := writeRecords(t, dir, "empty.json", `[]`)
 	if _, _, err := compareFiles(okP, emptyP, 10); err == nil {
 		t.Fatal("empty record file not reported")
+	}
+}
+
+// TestCompareIgnoresProcsSuffix is the multi-core host case: a run at
+// GOMAXPROCS = 2 names every benchmark with a "-2" suffix, which a record
+// taken at GOMAXPROCS = 1 lacks. The names must still match, also against
+// records written before they carried procs (BenchmarkA's baseline).
+func TestCompareIgnoresProcsSuffix(t *testing.T) {
+	r, ok := parse("BenchmarkModelCheck/engine/n=4,K=5  12  97830925 ns/op")
+	if !ok || r.Name != "BenchmarkModelCheck/engine/n=4,K=5" || r.Procs != 1 {
+		t.Fatalf("GOMAXPROCS=1 line: %+v", r)
+	}
+	r, ok = parse("BenchmarkParallelSweepContention/workers=16-2  5949  203557 ns/op")
+	if !ok || r.Name != "BenchmarkParallelSweepContention/workers=16" || r.Procs != 2 {
+		t.Fatalf("GOMAXPROCS=2 line: %+v", r)
+	}
+
+	dir := t.TempDir()
+	oldP := writeRecords(t, dir, "old.json",
+		`[{"name":"BenchmarkA/n=8","iterations":10,"ns_per_op":1000},
+		  {"name":"BenchmarkB","procs":1,"iterations":10,"ns_per_op":1000}]`)
+	newP := writeRecords(t, dir, "new.json",
+		`[{"name":"BenchmarkA/n=8","procs":2,"iterations":10,"ns_per_op":1100},
+		  {"name":"BenchmarkB","procs":1,"iterations":10,"ns_per_op":900},
+		  {"name":"BenchmarkB","procs":2,"iterations":10,"ns_per_op":5000}]`)
+	report, fail, err := compareFiles(oldP, newP, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fail || strings.Contains(report, "missing") {
+		t.Fatalf("suffixed names did not match the bare records:\n%s", report)
+	}
+	if !strings.Contains(report, "ok   BenchmarkA/n=8") || !strings.Contains(report, "ok   BenchmarkB") {
+		t.Fatalf("report omits a matched benchmark:\n%s", report)
+	}
+	if !strings.Contains(report, "GOMAXPROCS 1 -> 2") {
+		t.Fatalf("GOMAXPROCS difference not noted:\n%s", report)
+	}
+	// Of BenchmarkB's two runs, the one at the baseline's GOMAXPROCS is
+	// the one compared.
+	if !strings.Contains(report, " 900 ns/op") {
+		t.Fatalf("BenchmarkB not compared at GOMAXPROCS 1:\n%s", report)
 	}
 }

@@ -169,7 +169,7 @@ func checkSSRmin(n, k int, maxConf uint64, workers int) bool {
 	if !conv.Converges {
 		fmt.Printf("     cycle through %v\n", conv.Cycle)
 	} else {
-		fmt.Printf("     |Γ∖Λ| = %d, worst start %v, graph edges %d, %d Kahn layers, bookkeeping %.1f MiB\n",
+		fmt.Printf("     |Γ∖Λ| = %d, worst start %v, graph edges %d, peak DFS depth %d, bookkeeping %.1f MiB\n",
 			conv.Illegitimate, conv.WorstStart, stats.Edges, stats.Layers,
 			float64(stats.BookkeepingBytes)/(1<<20))
 	}
@@ -214,7 +214,7 @@ func checkSSToken(n, k int, maxConf uint64, workers int) bool {
 	if !conv.Converges {
 		fmt.Printf("     cycle through %v\n", conv.Cycle)
 	} else {
-		fmt.Printf("     |Γ∖Λ| = %d, edges %d, %d layers, bookkeeping %.1f MiB\n",
+		fmt.Printf("     |Γ∖Λ| = %d, edges %d, peak DFS depth %d, bookkeeping %.1f MiB\n",
 			conv.Illegitimate, stats.Edges, stats.Layers, float64(stats.BookkeepingBytes)/(1<<20))
 	}
 	return ok && convOK

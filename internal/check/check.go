@@ -23,10 +23,7 @@ package check
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
@@ -430,78 +427,6 @@ func (c *Checker[S]) CheckInvariantOnLegitimate(legit, inv func(statemodel.Confi
 		return true
 	})
 	return counterexample, ok
-}
-
-// CheckInvariantParallel verifies inv on every configuration using a
-// worker pool (workers ≤ 0 selects GOMAXPROCS). The configuration space is
-// split into contiguous index ranges; each worker decodes and checks its
-// own range, with an early-exit flag shared across workers. Returns the
-// first counterexample found (any one, if several exist).
-func (c *Checker[S]) CheckInvariantParallel(workers int, inv func(statemodel.Config[S]) bool) (counterexample statemodel.Config[S], ok bool) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	total := c.NumConfigs()
-	if uint64(workers) > total {
-		workers = int(total)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-		mu   sync.Mutex
-	)
-	chunk := total / uint64(workers)
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * chunk
-		hi := lo + chunk
-		if w == workers-1 {
-			hi = total
-		}
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			for id := lo; id < hi; id++ {
-				if stop.Load() {
-					return
-				}
-				cfg := c.Decode(id)
-				if !inv(cfg) {
-					mu.Lock()
-					if counterexample == nil {
-						counterexample = cfg
-					}
-					mu.Unlock()
-					stop.Store(true)
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return counterexample, counterexample == nil
-}
-
-// CheckClosureParallel verifies closure over a worker pool: every
-// distributed-daemon successor of every legitimate configuration must be
-// legitimate.
-func (c *Checker[S]) CheckClosureParallel(workers int, legit func(statemodel.Config[S]) bool) (statemodel.Config[S], bool) {
-	return c.CheckInvariantParallel(workers, func(cfg statemodel.Config[S]) bool {
-		if !legit(cfg) {
-			return true
-		}
-		okAll := true
-		c.Successors(cfg, nil, func(next statemodel.Config[S]) bool {
-			if !legit(next) {
-				okAll = false
-				return false
-			}
-			return true
-		})
-		return okAll
-	})
 }
 
 // WorstPath extracts one exact worst-case execution: starting from the

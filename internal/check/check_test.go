@@ -224,36 +224,6 @@ func TestSSRminN4(t *testing.T) {
 	t.Logf("SSRmin n=4 K=5: worst-case stabilization = %d steps", conv.WorstSteps)
 }
 
-func TestParallelCheckersAgree(t *testing.T) {
-	a := core.New(3, 4)
-	c := New[core.State](a, 0)
-	if cex, ok := c.CheckClosureParallel(4, a.Legitimate); !ok {
-		t.Fatalf("parallel closure check failed at %v", cex)
-	}
-	// A deliberately false invariant must produce a counterexample.
-	cex, ok := c.CheckInvariantParallel(4, func(cfg statemodel.Config[core.State]) bool {
-		return cfg[0].X != 2
-	})
-	if ok || cex == nil || cex[0].X != 2 {
-		t.Fatalf("parallel invariant missed the counterexample: %v %v", cex, ok)
-	}
-	// Single worker fallback.
-	if _, ok := c.CheckClosureParallel(1, a.Legitimate); !ok {
-		t.Fatal("single-worker check failed")
-	}
-}
-
-func TestParallelMatchesSequentialTiming(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=4 parallel check skipped in short mode")
-	}
-	a := core.New(4, 5)
-	c := New[core.State](a, 0)
-	if cex, ok := c.CheckClosureParallel(0, a.Legitimate); !ok {
-		t.Fatalf("closure violated at %v", cex)
-	}
-}
-
 func TestWorstPath(t *testing.T) {
 	a := core.New(3, 4)
 	c := New[core.State](a, 0)

@@ -14,7 +14,8 @@ import (
 // diffOne runs the legacy and the table-compiled engine side by side on
 // one instance and asserts bit-identical reports: ClosureReport,
 // ConvergenceReport (including WorstStart, thanks to the shared
-// smallest-ID tie-break), the full Distances map, and |Λ|.
+// smallest-ID tie-break), the full Distances map, |Λ|, and the
+// convergence pass's edge count.
 func diffOne[S comparable](t *testing.T, alg Space[S], legit func(statemodel.Config[S]) bool, workers int) {
 	t.Helper()
 	c := New[S](alg, 0)
@@ -53,6 +54,27 @@ func diffOne[S comparable](t *testing.T, alg Space[S], legit func(statemodel.Con
 	}
 	if !reflect.DeepEqual(ldist, edist) {
 		t.Fatalf("Distances maps differ: legacy %d entries, engine %d entries", len(ldist), len(edist))
+	}
+
+	// Edge-count oracle: Σ over Γ∖Λ of the distinct illegitimate
+	// successors, enumerated by the legacy Successors.
+	var wantEdges uint64
+	c.ForAll(func(cfg statemodel.Config[S]) bool {
+		if legit(cfg) {
+			return true
+		}
+		seen := map[uint64]bool{}
+		c.Successors(cfg, nil, func(next statemodel.Config[S]) bool {
+			if !legit(next) {
+				seen[c.Encode(next)] = true
+			}
+			return true
+		})
+		wantEdges += uint64(len(seen))
+		return true
+	})
+	if _, stats := e.CheckConvergence(lam); stats.Edges != wantEdges {
+		t.Fatalf("edges: engine %d, Successors oracle %d", stats.Edges, wantEdges)
 	}
 }
 

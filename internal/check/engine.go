@@ -5,13 +5,15 @@
 // across a worker pool. Reports are bit-identical to the legacy
 // Checker passes (differential_test.go pins this on every seed instance);
 // the speedup comes from eliminating Decode/Encode, View construction and
-// per-node map allocation from the hot path, and from near-linear scaling
-// of the scans with cores.
+// per-node map allocation from the hot path, from generating successors
+// by table lookups instead of storing the transition graph, and from
+// near-linear scaling of the scans with cores.
 package check
 
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"ssrmin/internal/parsweep"
 	"ssrmin/internal/statemodel"
@@ -161,26 +163,24 @@ func (e *Engine[S]) CheckClosure(lam *IDSet) ClosureReport[S] {
 // ConvStats reports the bookkeeping cost of one convergence analysis.
 type ConvStats struct {
 	// Edges is the number of illegitimate→illegitimate transition-graph
-	// edges materialized in the reverse-adjacency CSR.
+	// edges, each counted once however many workers expanded its source.
 	Edges uint64
-	// Layers is the number of synchronized Kahn frontiers processed.
+	// Layers is the peak depth of the memoized DFS stack over all workers
+	// (at most the longest path plus one when the analysis converges).
 	Layers int
-	// BookkeepingBytes is the peak size of the engine's dense arrays
-	// (out-degrees, CSR offsets+edges, distance/best arrays, bitmaps).
+	// BookkeepingBytes is the peak size of the analysis' arrays: the
+	// 4-byte distance memo per configuration plus every worker's gray
+	// bitmap, frame stack and successor slab.
 	BookkeepingBytes uint64
 }
 
 // CheckConvergence verifies convergence under the unfair distributed
 // daemon — the transition relation restricted to Γ∖lam must be acyclic —
 // and computes the exact worst-case stabilization time, exactly like the
-// legacy Checker.CheckConvergence but as a two-phase parallel analysis:
-//
-//  1. Two parallel sweeps over the ID space build, per illegitimate
-//     configuration, its out-degree into Γ∖Λ and the reverse adjacency
-//     (predecessor lists) in CSR form.
-//  2. A layered Kahn pass peels nodes whose successors are all finalized,
-//     propagating longest distances to predecessors with atomic max/
-//     decrement counters. Unprocessed residue ⇔ a cycle.
+// legacy Checker.CheckConvergence but as a parallel memoized DFS: workers
+// take chunks of root IDs and run explicit-stack depth-first searches
+// that generate successors from the compiled tables on the fly and share
+// one distance memo, so no transition graph is ever materialized.
 func (e *Engine[S]) CheckConvergence(lam *IDSet) (ConvergenceReport[S], ConvStats) {
 	rep, _, stats := e.convergence(lam, e.allRules)
 	if rep.Converges {
@@ -195,11 +195,11 @@ func (e *Engine[S]) CheckConvergence(lam *IDSet) (ConvergenceReport[S], ConvStat
 // every configuration, keyed by ID (only nonzero distances are present),
 // with the same semantics as Checker.Distances.
 func (e *Engine[S]) Distances(lam *IDSet) (map[uint64]int, ConvergenceReport[S]) {
-	rep, dist, _ := e.convergence(lam, e.allRules)
+	rep, memo, _ := e.convergence(lam, e.allRules)
 	out := make(map[uint64]int)
-	for id, d := range dist {
-		if d != 0 {
-			out[uint64(id)] = int(d)
+	for id, m := range memo {
+		if m > 1 {
+			out[uint64(id)] = int(m - 1)
 		}
 	}
 	return out, rep
@@ -222,216 +222,191 @@ func (e *Engine[S]) LongestRestricted(rules map[int]bool) (steps int, start stat
 	return rep.WorstSteps, rep.WorstStart, true
 }
 
-func atomicMaxInt32(p *int32, v int32) {
-	for {
-		old := atomic.LoadInt32(p)
-		if v <= old || atomic.CompareAndSwapInt32(p, old, v) {
-			return
+// dfsFrame is one configuration on a worker's DFS stack: its illegitimate
+// successors occupy slab[lo:hi], slab[next] is the next one to visit, and
+// best is the largest distance seen among the visited ones (-1 for a
+// configuration without any permitted move, which is terminal).
+type dfsFrame struct {
+	id           uint64
+	lo, hi, next int
+	best         int32
+}
+
+// dfsWorker is one worker's private DFS state over the shared memo.
+type dfsWorker[S comparable] struct {
+	e        *Engine[S]
+	lam      *IDSet
+	ruleMask uint32
+	memo     []int32      // shared: dist+1 once final, 0 until then
+	stop     *atomic.Bool // shared: set once any worker closes a cycle
+
+	gray   *IDSet // the configurations on this worker's stack
+	stack  []dfsFrame
+	slab   []uint64
+	movers []mover
+	sums   []int64
+	digits []int
+
+	edges uint64 // out-degrees of the configurations this worker finalized
+	peak  int    // peak stack depth
+}
+
+// push expands id, whose digits are given, onto the stack. Legitimate
+// successors are dropped from the slab: they contribute distance 0 and no
+// edge.
+func (w *dfsWorker[S]) push(id uint64, digits []int) {
+	w.movers = w.e.enabledMoves(digits, w.ruleMask, w.movers[:0])
+	lo := len(w.slab)
+	w.slab, w.sums = distinctSuccessors(id, w.movers, w.slab, w.sums)
+	f := dfsFrame{id: id, lo: lo, next: lo}
+	if len(w.slab) == lo {
+		f.best = -1
+	}
+	k := lo
+	for _, v := range w.slab[lo:] {
+		if !w.lam.Contains(v) {
+			w.slab[k] = v
+			k++
 		}
+	}
+	w.slab = w.slab[:k]
+	f.hi = k
+	w.stack = append(w.stack, f)
+	w.gray.set(id)
+	if len(w.stack) > w.peak {
+		w.peak = len(w.stack)
 	}
 }
 
-func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[S], []int32, ConvStats) {
-	var rep ConvergenceReport[S]
-	rep.Converges = true
-	total := e.total
-	ch := e.chunks()
-
-	// Phase 1a: out-degrees into Γ∖Λ and predecessor counts. hasSucc
-	// records whether a node has any successor at all (legitimate ones
-	// included): a node without one is terminal with distance 0, matching
-	// the legacy rule-restriction semantics.
-	outdeg := make([]int32, total)
-	predCnt := make([]uint32, total)
-	hasSucc := newIDSet(total)
-	type sweepTotals struct{ illegit, edges uint64 }
-	totals := parsweep.Map(len(ch), e.workers, func(ci int) sweepTotals {
-		var t sweepTotals
-		movers := make([]mover, 0, e.n)
-		succs := make([]uint64, 0, 64)
-		sums := make([]int64, 1<<uint(e.n))
-		e.scanRange(ch[ci].lo, ch[ci].hi, func(id uint64, digits []int) {
-			if lam.Contains(id) {
-				return
-			}
-			t.illegit++
-			movers = e.enabledMoves(digits, ruleMask, movers[:0])
-			succs, sums = distinctSuccessors(id, movers, succs[:0], sums)
-			if len(succs) > 0 {
-				hasSucc.set(id)
-			}
-			var od int32
-			for _, v := range succs {
-				if lam.Contains(v) {
-					continue
+// run finalizes the distance of the illegitimate root and of everything it
+// reaches. It returns the first configuration it meets again while still
+// on its own stack — one that lies on a cycle — and found = true; a run
+// abandoned because another worker found a cycle returns found = false.
+//
+// Two workers may expand the same configuration at once. Both compute the
+// same deterministic distance; the compare-and-swap admits one value and
+// only its winner counts the configuration's edges.
+func (w *dfsWorker[S]) run(root uint64, digits []int) (cycle uint64, found bool) {
+	w.push(root, digits)
+	for len(w.stack) > 0 {
+		f := &w.stack[len(w.stack)-1]
+		if f.next < f.hi {
+			v := w.slab[f.next]
+			f.next++
+			if m := atomic.LoadInt32(&w.memo[v]); m != 0 {
+				if m-1 > f.best {
+					f.best = m - 1
 				}
-				od++
-				atomic.AddUint32(&predCnt[v], 1)
-			}
-			outdeg[id] = od
-			t.edges += uint64(od)
-		})
-		return t
-	})
-	var illegit, edges uint64
-	for _, t := range totals {
-		illegit += t.illegit
-		edges += t.edges
-	}
-	rep.Illegitimate = illegit
-
-	// Phase 1b: CSR reverse adjacency. offsets is the usual prefix sum;
-	// cur is the per-node fill cursor, advanced atomically in the second
-	// parallel sweep.
-	offsets := make([]uint64, total+1)
-	for id := uint64(0); id < total; id++ {
-		offsets[id+1] = offsets[id] + uint64(predCnt[id])
-	}
-	preds := make([]uint32, edges)
-	cur := make([]uint64, total)
-	copy(cur, offsets[:total])
-	predCnt = nil
-	parsweep.Map(len(ch), e.workers, func(ci int) struct{} {
-		movers := make([]mover, 0, e.n)
-		succs := make([]uint64, 0, 64)
-		sums := make([]int64, 1<<uint(e.n))
-		e.scanRange(ch[ci].lo, ch[ci].hi, func(id uint64, digits []int) {
-			if lam.Contains(id) {
-				return
-			}
-			movers = e.enabledMoves(digits, ruleMask, movers[:0])
-			succs, sums = distinctSuccessors(id, movers, succs[:0], sums)
-			for _, v := range succs {
-				if lam.Contains(v) {
-					continue
-				}
-				slot := atomic.AddUint64(&cur[v], 1) - 1
-				preds[slot] = uint32(id)
-			}
-		})
-		return struct{}{}
-	})
-	cur = nil
-
-	stats := ConvStats{
-		Edges: edges,
-		BookkeepingBytes: 4*total + 4*total + 8*(total+1) + 8*total +
-			4*edges + 4*total + 4*total + 3*(total+7)/8,
-	}
-
-	// Phase 2: layered Kahn over the reverse graph. best[u] accumulates
-	// the max distance over u's finalized illegitimate successors
-	// (legitimate successors contribute 0); when u's out-degree counter
-	// hits zero its distance is final: best+1, or 0 for terminals.
-	best := make([]int32, total)
-	dist := make([]int32, total)
-	finalized := newIDSet(total)
-	var frontier []uint32
-	fronts := parsweep.Map(len(ch), e.workers, func(ci int) []uint32 {
-		var out []uint32
-		for id := ch[ci].lo; id < ch[ci].hi; id++ {
-			if lam.Contains(id) || outdeg[id] != 0 {
 				continue
 			}
-			if hasSucc.Contains(id) {
-				dist[id] = 1
+			if w.gray.Contains(v) {
+				return v, true
 			}
-			finalized.set(id)
-			out = append(out, uint32(id))
+			if w.stop.Load() {
+				return 0, false
+			}
+			w.e.digitsOf(v, w.digits)
+			w.push(v, w.digits)
+			continue
 		}
-		return out
-	})
-	var finalCnt uint64
-	for _, f := range fronts {
-		finalCnt += uint64(len(f))
-		frontier = append(frontier, f...)
+		d := f.best + 1
+		if atomic.CompareAndSwapInt32(&w.memo[f.id], 0, d+1) {
+			w.edges += uint64(f.hi - f.lo)
+		}
+		w.gray.clear(f.id)
+		w.slab = w.slab[:f.lo]
+		w.stack = w.stack[:len(w.stack)-1]
+		if top := len(w.stack) - 1; top >= 0 && d > w.stack[top].best {
+			w.stack[top].best = d
+		}
 	}
+	return 0, false
+}
 
-	for len(frontier) > 0 {
-		stats.Layers++
-		parts := splitFrontier(frontier, e.workers*4)
-		results := parsweep.Map(len(parts), e.workers, func(pi int) []uint32 {
-			var next []uint32
-			for _, v32 := range parts[pi] {
-				v := uint64(v32)
-				dv := dist[v]
-				for _, u32 := range preds[offsets[v]:offsets[v+1]] {
-					u := uint64(u32)
-					atomicMaxInt32(&best[u], dv)
-					if atomic.AddInt32(&outdeg[u], -1) == 0 {
-						// Last successor finalized; every competing max
-						// happened before its decrement, so best[u] is
-						// complete.
-						dist[u] = atomic.LoadInt32(&best[u]) + 1
-						finalized.setAtomic(u)
-						next = append(next, u32)
-					}
-				}
+// bytes is the worker's private bookkeeping footprint.
+func (w *dfsWorker[S]) bytes() uint64 {
+	return 8*uint64(len(w.gray.words)) + uint64(cap(w.stack))*uint64(unsafe.Sizeof(dfsFrame{})) +
+		8*uint64(cap(w.slab))
+}
+
+// convergence runs the memoized DFS over Γ∖lam under ruleMask and returns
+// the report, the memo (dist+1 per illegitimate configuration, 0 for
+// legitimate ones) and the bookkeeping stats.
+func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[S], []int32, ConvStats) {
+	rep := ConvergenceReport[S]{Converges: true, Illegitimate: e.total - lam.Count()}
+	memo := make([]int32, e.total)
+	var stop atomic.Bool
+	newWorker := func() *dfsWorker[S] {
+		return &dfsWorker[S]{
+			e: e, lam: lam, ruleMask: ruleMask, memo: memo, stop: &stop,
+			gray:   newIDSet(e.total),
+			sums:   make([]int64, 1<<uint(e.n)),
+			digits: make([]int, e.n),
+		}
+	}
+	// roots walks [lo, hi) and runs w from every illegitimate
+	// configuration not yet finalized, until a cycle is found.
+	roots := func(w *dfsWorker[S], lo, hi uint64) (cycle uint64, found bool) {
+		e.scanRange(lo, hi, func(id uint64, digits []int) {
+			if found || stop.Load() || lam.Contains(id) || atomic.LoadInt32(&memo[id]) != 0 {
+				return
 			}
-			return next
+			if cycle, found = w.run(id, digits); found {
+				stop.Store(true)
+			}
 		})
-		frontier = frontier[:0]
-		for _, r := range results {
-			finalCnt += uint64(len(r))
-			frontier = append(frontier, r...)
-		}
+		return cycle, found
 	}
 
-	if finalCnt < illegit {
-		// Residue ⇔ a cycle through every unprocessed node.
+	ch := e.chunks()
+	pool := parsweep.NewPool(newWorker)
+	parsweep.MapWith(len(ch), e.workers, pool, func(ci int, w *dfsWorker[S]) struct{} {
+		roots(w, ch[ci].lo, ch[ci].hi)
+		return struct{}{}
+	})
+	stats := ConvStats{BookkeepingBytes: 4 * e.total}
+	for i := pool.Idle(); i > 0; i-- {
+		w := pool.Get()
+		stats.Edges += w.edges
+		stats.Layers = max(stats.Layers, w.peak)
+		stats.BookkeepingBytes += w.bytes()
+	}
+
+	if stop.Load() {
+		// Which worker closed a cycle first depends on scheduling. Re-run
+		// one worker in ID order over the surviving memo instead: memoized
+		// configurations reach no cycle, so its first re-encounter — and
+		// hence the witness — depends on the transition relation alone.
+		stop.Store(false)
 		rep.Converges = false
-		for id := uint64(0); id < total; id++ {
-			if !lam.Contains(id) && !finalized.Contains(id) {
-				rep.Cycle = e.c.Decode(id)
-				break
-			}
-		}
-		return rep, dist, stats
+		cycle, _ := roots(newWorker(), 0, e.total)
+		rep.Cycle = e.c.Decode(cycle)
+		return rep, memo, stats
 	}
 
 	// Max distance with smallest-ID tie-break, reduced per chunk.
 	type worst struct {
-		d  int32
+		m  int32
 		id uint64
 	}
 	ws := parsweep.Map(len(ch), e.workers, func(ci int) worst {
-		w := worst{0, ^uint64(0)}
+		w := worst{1, ^uint64(0)}
 		for id := ch[ci].lo; id < ch[ci].hi; id++ {
-			if d := dist[id]; d > w.d {
-				w = worst{d, id}
+			if m := memo[id]; m > w.m {
+				w = worst{m, id}
 			}
 		}
 		return w
 	})
-	w := worst{0, ^uint64(0)}
+	w := worst{1, ^uint64(0)}
 	for _, c := range ws {
-		if c.d > w.d || (c.d == w.d && c.id < w.id) {
+		if c.m > w.m || (c.m == w.m && c.id < w.id) {
 			w = c
 		}
 	}
-	rep.WorstSteps = int(w.d)
-	if w.d > 0 {
+	rep.WorstSteps = int(w.m - 1)
+	if w.m > 1 {
 		rep.WorstStart = e.c.Decode(w.id)
 	}
-	return rep, dist, stats
-}
-
-// splitFrontier partitions f into at most parts contiguous slices.
-func splitFrontier(f []uint32, parts int) [][]uint32 {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(f) {
-		parts = len(f)
-	}
-	out := make([][]uint32, 0, parts)
-	step := (len(f) + parts - 1) / parts
-	for lo := 0; lo < len(f); lo += step {
-		hi := lo + step
-		if hi > len(f) {
-			hi = len(f)
-		}
-		out = append(out, f[lo:hi])
-	}
-	return out
+	return rep, memo, stats
 }

@@ -1,7 +1,9 @@
 package check
 
 import (
+	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -117,32 +119,108 @@ func TestEngineDetectsCycle(t *testing.T) {
 	}
 }
 
+// TestEngineCycleWitness pins the cycle witness: with Λ empty, token
+// circulation never stops, and whatever the worker count the engine must
+// report the same configuration, one that reaches itself again. On
+// SSRmin the smallest unfinished ID only leads to a cycle, so a witness
+// picked that way fails here.
+func TestEngineCycleWitness(t *testing.T) {
+	t.Run("sstoken", func(t *testing.T) { cycleWitness[dijkstra.State](t, dijkstra.New(3, 4)) })
+	t.Run("ssrmin", func(t *testing.T) { cycleWitness[core.State](t, core.New(3, 4)) })
+}
+
+func cycleWitness[S comparable](t *testing.T, a Space[S]) {
+	c := New[S](a, 0)
+	var first statemodel.Config[S]
+	for _, w := range []int{1, 2, 7} {
+		e, err := c.Compile(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _ := e.CheckConvergence(newIDSet(e.NumConfigs()))
+		if rep.Converges || rep.Cycle == nil {
+			t.Fatalf("workers=%d: no cycle witness", w)
+		}
+		if first == nil {
+			first = rep.Cycle
+		} else if !rep.Cycle.Equal(first) {
+			t.Fatalf("workers=%d: cycle witness %v, workers=1 gave %v", w, rep.Cycle, first)
+		}
+	}
+	// Breadth-first search from the witness over all successors (every
+	// configuration is illegitimate here) must return to it.
+	start := c.Encode(first)
+	seen := map[uint64]bool{}
+	queue := []uint64{start}
+	for len(queue) > 0 {
+		cfg := c.Decode(queue[0])
+		queue = queue[1:]
+		back := false
+		c.Successors(cfg, nil, func(next statemodel.Config[S]) bool {
+			id := c.Encode(next)
+			if id == start {
+				back = true
+				return false
+			}
+			if !seen[id] {
+				seen[id] = true
+				queue = append(queue, id)
+			}
+			return true
+		})
+		if back {
+			return
+		}
+	}
+	t.Fatalf("cycle witness %v does not lie on a cycle", first)
+}
+
 func TestEngineWorkerCounts(t *testing.T) {
-	// The analysis must be worker-count invariant.
-	a := core.New(3, 4)
+	// The analysis must be worker-count invariant: workers that expand the
+	// same configuration concurrently must neither change a distance nor
+	// count its edges twice.
+	a := core.New(4, 5)
 	c := New[core.State](a, 0)
-	var worst []int
+	type result struct {
+		dist  map[uint64]int
+		rep   ConvergenceReport[core.State]
+		edges uint64
+	}
+	var results []result
 	for _, w := range []int{1, 2, 7} {
 		e, err := c.Compile(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lam := e.LegitSet(a.Legitimate)
-		rep, _ := e.CheckConvergence(lam)
+		rep, stats := e.CheckConvergence(lam)
 		if !rep.Converges {
 			t.Fatalf("workers=%d: no convergence", w)
 		}
-		worst = append(worst, rep.WorstSteps)
+		dist, _ := e.Distances(lam)
+		results = append(results, result{dist, rep, stats.Edges})
 	}
-	if worst[0] != 16 || worst[1] != 16 || worst[2] != 16 {
-		t.Fatalf("worst steps varied with workers: %v", worst)
+	want := results[0]
+	if want.rep.WorstSteps != 43 || want.edges != 1_922_580 {
+		t.Fatalf("workers=1: worst %d, edges %d; want 43, 1922580", want.rep.WorstSteps, want.edges)
+	}
+	for i, got := range results[1:] {
+		if got.edges != want.edges || got.rep.Illegitimate != want.rep.Illegitimate ||
+			got.rep.WorstSteps != want.rep.WorstSteps || !got.rep.WorstStart.Equal(want.rep.WorstStart) {
+			t.Fatalf("run %d differs from workers=1: edges %d vs %d, |Γ∖Λ| %d vs %d, worst %d@%v vs %d@%v",
+				i+1, got.edges, want.edges, got.rep.Illegitimate, want.rep.Illegitimate,
+				got.rep.WorstSteps, got.rep.WorstStart, want.rep.WorstSteps, want.rep.WorstStart)
+		}
+		if !reflect.DeepEqual(got.dist, want.dist) {
+			t.Fatalf("run %d: Distances map differs from workers=1", i+1)
+		}
 	}
 }
 
-// TestSSRminN5K6Engine is the headline new instance: the exhaustive
-// n=5, K=6 run (24⁵ ≈ 7.96M configurations) enabled by the compiled
-// engine. It takes on the order of a minute single-threaded, so it only
-// runs when SSRMIN_EXHAUSTIVE_N5 is set (make modelcheck-n5 / CI soak).
+// TestSSRminN5K6Engine is the headline instance: the exhaustive n=5, K=6
+// run (24⁵ ≈ 7.96M configurations) pinned to its exact values. It takes a
+// few seconds on two cores, so it only runs when SSRMIN_EXHAUSTIVE_N5 is
+// set (make modelcheck-n5 / CI soak).
 func TestSSRminN5K6Engine(t *testing.T) {
 	if os.Getenv("SSRMIN_EXHAUSTIVE_N5") == "" {
 		t.Skip("set SSRMIN_EXHAUSTIVE_N5=1 to run the 7.96M-configuration exhaustive check")
@@ -154,8 +232,8 @@ func TestSSRminN5K6Engine(t *testing.T) {
 		t.Fatal(err)
 	}
 	lam := e.LegitSet(a.Legitimate)
-	if want := uint64(3 * 5 * 6); lam.Count() != want {
-		t.Fatalf("|Λ| = %d, want %d", lam.Count(), want)
+	if lam.Count() != 90 {
+		t.Fatalf("|Λ| = %d, want 90", lam.Count())
 	}
 	if cex, ok := e.CheckNoDeadlock(); !ok {
 		t.Fatalf("deadlock at %v", cex)
@@ -164,14 +242,27 @@ func TestSSRminN5K6Engine(t *testing.T) {
 	if rep.Counterexample != nil || rep.MaxEnabled != 1 {
 		t.Fatalf("closure: %+v", rep)
 	}
+	quiet, _, ok := e.LongestRestricted(map[int]bool{
+		core.RuleReadySecondary: true, core.RuleRecvSecondary: true, core.RuleFixNoG: true,
+	})
+	if !ok || quiet != 9 {
+		t.Fatalf("quiet run: %d (finite %v), want 9", quiet, ok)
+	}
 	conv, stats := e.CheckConvergence(lam)
 	if !conv.Converges {
 		t.Fatalf("cycle at %v", conv.Cycle)
 	}
+	if conv.Illegitimate != 7_962_534 || conv.WorstSteps != 77 || stats.Edges != 196_273_032 {
+		t.Fatalf("|Γ∖Λ| = %d, worst = %d, edges = %d; want 7962534, 77, 196273032",
+			conv.Illegitimate, conv.WorstSteps, stats.Edges)
+	}
+	if got := fmt.Sprint(conv.WorstStart); got != "[0.0.0 3.0.0 2.0.0 1.0.0 0.0.0]" {
+		t.Fatalf("worst start %s, want [0.0.0 3.0.0 2.0.0 1.0.0 0.0.0]", got)
+	}
 	if conv.WorstSteps > a.ConvergenceStepBound() {
 		t.Fatalf("worst %d exceeds budget %d", conv.WorstSteps, a.ConvergenceStepBound())
 	}
-	t.Logf("n=5 K=6: worst=%d steps, |Γ∖Λ|=%d, edges=%d, layers=%d, bookkeeping=%.1f MiB",
+	t.Logf("n=5 K=6: worst=%d steps, |Γ∖Λ|=%d, edges=%d, peak DFS depth=%d, bookkeeping=%.1f MiB",
 		conv.WorstSteps, conv.Illegitimate, stats.Edges, stats.Layers,
 		float64(stats.BookkeepingBytes)/(1<<20))
 }

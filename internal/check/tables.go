@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"ssrmin/internal/statemodel"
 )
@@ -261,16 +260,9 @@ func (s *IDSet) set(id uint64) {
 	s.words[id>>6] |= 1 << (id & 63)
 }
 
-// setAtomic marks id with an atomic OR, for writers racing on a word.
-func (s *IDSet) setAtomic(id uint64) {
-	addr := &s.words[id>>6]
-	bit := uint64(1) << (id & 63)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&bit != 0 || atomic.CompareAndSwapUint64(addr, old, old|bit) {
-			return
-		}
-	}
+// clear unmarks id, under the same ownership rule as set.
+func (s *IDSet) clear(id uint64) {
+	s.words[id>>6] &^= 1 << (id & 63)
 }
 
 // Count returns the number of members.
