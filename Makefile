@@ -72,16 +72,22 @@ bench-runtime:
 
 # Record the bit-sliced batch simulator: 64-lane SSRmin convergence
 # sweeps (the fig12 workload) against the scalar statemodel oracle, in
-# BENCH_batch.json with seeds/s and steps/s custom metrics. The
-# acceptance bar is >= 20x the scalar seeds/s at every ring size.
+# BENCH_batch.json with seeds/s and steps/s custom metrics, plus one
+# micro-benchmark per bitslice layer (RNG, transpose, seeding, step
+# kernel, legitimacy test). The acceptance bar is >= 20x the scalar
+# seeds/s at every ring size.
+BITSLICE_LAYERS = RNG64|Transpose64|SeedLanes|Step|LegitMask
+
 bench-batch:
-	$(GO) test -run '^$$' -bench 'BitsliceBatch' -benchmem -count 3 \
-	  ./internal/bitslice \
+	$(GO) test -run '^$$' -bench 'BitsliceBatch|$(BITSLICE_LAYERS)' \
+	  -benchmem -count 3 ./internal/bitslice \
 	  | $(GO) run ./cmd/benchjson -o BENCH_batch.json
 
 # CI guard against silent perf rot: re-run the tracked benchmarks
 # briefly (-benchtime 20x keeps the whole sweep under a second) and
-# compare ns/op against the committed records. Shared-runner noise is
+# compare ns/op against the committed records (the bitslice layer
+# micro-benchmarks run for 20ms each instead: a handful of sub-microsecond
+# iterations would time the timer). Shared-runner noise is
 # huge at this length, so the threshold is deliberately generous — this
 # catches order-of-magnitude rot (a debug print, an accidental O(n^2)),
 # not percent drift.
@@ -94,8 +100,10 @@ bench-smoke:
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_runtime_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_runtime.json /tmp/bench_runtime_smoke.json
-	$(GO) test -run '^$$' -bench 'BitsliceBatch' -benchmem -benchtime 5x \
-	  ./internal/bitslice \
+	{ $(GO) test -run '^$$' -bench 'BitsliceBatch' -benchmem -benchtime 5x \
+	    ./internal/bitslice; \
+	  $(GO) test -run '^$$' -bench '$(BITSLICE_LAYERS)' -benchmem \
+	    -benchtime 20ms ./internal/bitslice; } \
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_batch_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_batch.json /tmp/bench_batch_smoke.json

@@ -12,10 +12,20 @@
 // FuzzBitsliceStep target hold the two paths to exact equality; the
 // scalar runners in scalar.go are the oracle.
 //
+// Seeding is node-major: SeedLanes advances the 64 lane streams
+// together, one draw per lane per node, and turns each node's 64 draws
+// into its planes with one 64×64 bit transpose (transpose64, the same
+// routine that turns the subset daemon's per-lane draws into
+// per-process coins). Every lane still consumes its draws in node
+// order, so the scalar oracle's per-lane sampling is unchanged.
+//
 // Lane-masked convergence detection retires lanes individually: a done
 // mask freezes converged (or exhausted) lanes while the batch keeps
 // stepping the rest, and per-lane step counts come back ready for
-// internal/stats summaries.
+// internal/stats summaries. Run checks legitimacy before every step, and
+// legitMask already computes every node's Dijkstra guard on the
+// configuration the step reads, so Run's steps take those guards instead
+// of recomputing them; the public Step computes its own.
 package bitslice
 
 import (
@@ -104,20 +114,55 @@ func SampleSSToken(r *RNG, k int) dijkstra.State {
 
 // transpose64 transposes the 64×64 bit matrix in (the classic recursive
 // block swap): out[i] bit L = in[L] bit i. It converts 64 per-lane
-// daemon draws into 64 per-process lane masks.
+// daemon draws into 64 per-process lane masks, and 64 per-lane seeding
+// draws into per-node digit planes and flag words.
+//
+// Stage j (32, 16, …, 1) swaps the upper j-bit blocks of row r with the
+// lower j-bit blocks of row r+j, for every row r whose bit j is clear.
+// The six stages run as three passes of two: each pass loads four rows
+// closed under both of its stages' pairings, swaps them in registers and
+// stores them once. Shifts and masks are constants and every row index
+// is provably in 0..63, so the compiler emits no bounds checks. The
+// first pass reads in and writes out, so in and out may be one array.
 //
 //allocgate:hot
 func transpose64(in, out *[Lanes]uint64) {
-	*out = *in
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := ((out[k] >> uint(j)) ^ out[k+j]) & m
-			out[k] ^= t << uint(j)
-			out[k+j] ^= t
-		}
-		m ^= m << uint(j>>1)
+	for i := 0; i < 16; i++ {
+		a, b, c, d := in[i], in[i+16], in[i+32], in[i+48]
+		a, c = blockSwap(a, c, 32, 0x00000000FFFFFFFF)
+		b, d = blockSwap(b, d, 32, 0x00000000FFFFFFFF)
+		a, b = blockSwap(a, b, 16, 0x0000FFFF0000FFFF)
+		c, d = blockSwap(c, d, 16, 0x0000FFFF0000FFFF)
+		out[i], out[i+16], out[i+32], out[i+48] = a, b, c, d
 	}
+	for i := 0; i < 16; i++ {
+		r := (i&^3<<2 | i&3) & 63
+		a, b, c, d := out[r], out[r|4], out[r|8], out[r|12]
+		a, c = blockSwap(a, c, 8, 0x00FF00FF00FF00FF)
+		b, d = blockSwap(b, d, 8, 0x00FF00FF00FF00FF)
+		a, b = blockSwap(a, b, 4, 0x0F0F0F0F0F0F0F0F)
+		c, d = blockSwap(c, d, 4, 0x0F0F0F0F0F0F0F0F)
+		out[r], out[r|4], out[r|8], out[r|12] = a, b, c, d
+	}
+	for i := 0; i < 16; i++ {
+		r := i << 2 & 63
+		a, b, c, d := out[r], out[r|1], out[r|2], out[r|3]
+		a, c = blockSwap(a, c, 2, 0x3333333333333333)
+		b, d = blockSwap(b, d, 2, 0x3333333333333333)
+		a, b = blockSwap(a, b, 1, 0x5555555555555555)
+		c, d = blockSwap(c, d, 1, 0x5555555555555555)
+		out[r], out[r|1], out[r|2], out[r|3] = a, b, c, d
+	}
+}
+
+// blockSwap exchanges the j-bit blocks of lo selected by m<<j with the
+// blocks of hi selected by m: one step of the transpose's block swap.
+// It inlines into transpose64, where j and m are constants.
+//
+//allocgate:hot
+func blockSwap(lo, hi uint64, j uint, m uint64) (uint64, uint64) {
+	t := (lo>>j ^ hi) & m
+	return lo ^ t<<j, hi ^ t
 }
 
 // planesFor returns the number of bit planes needed to store digits in
@@ -139,6 +184,21 @@ func eqDigit(a, b []uint64) uint64 {
 		m &= ^(a[p] ^ b[p])
 	}
 	return m
+}
+
+// fillGuards writes into g, one word per node, the lane mask of each
+// node's Dijkstra guard over the digit planes x (planes words per node,
+// len(g) nodes): node 0 is enabled where its digit equals its
+// predecessor's, every other node where the two differ. Both kernels'
+// legitMask and step read their guards from here.
+//
+//allocgate:hot
+func fillGuards(g, x []uint64, planes int) {
+	n := len(g)
+	g[0] = eqDigit(x[:planes], x[(n-1)*planes:n*planes])
+	for i := 1; i < n; i++ {
+		g[i] = ^eqDigit(x[i*planes:(i+1)*planes], x[(i-1)*planes:i*planes])
+	}
 }
 
 // incModK writes (src+1) mod K into dst, where kc holds the broadcast

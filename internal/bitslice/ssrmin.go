@@ -29,6 +29,9 @@ type SSRmin struct {
 	g, en, r1, r3, cmd []uint64
 
 	lanes [Lanes]RNG
+	// transpose64 scratch: draws holds one word per lane, coins the
+	// transposed rows (a step's per-process coins, or in SeedLanes one
+	// node's planes and flags).
 	draws [Lanes]uint64
 	coins [Lanes]uint64
 }
@@ -42,6 +45,10 @@ func NewSSRmin(n, k int, d DaemonKind) *SSRmin {
 	}
 	if k <= n {
 		panic(fmt.Sprintf("bitslice: need K > n, got K=%d n=%d", k, n))
+	}
+	if uint64(k) > 1<<62 {
+		// SeedLanes packs the digit below the RTS/TRA bits 62 and 63.
+		panic(fmt.Sprintf("bitslice: need K ≤ 2^62, got K=%d", k))
 	}
 	planes := planesFor(k)
 	b := &SSRmin{
@@ -75,13 +82,28 @@ func (b *SSRmin) digit(i int) []uint64 { return b.x[i*b.planes : (i+1)*b.planes]
 // SeedStream(seed, L) with one SampleSSRmin draw per node — exactly the
 // draws the scalar oracle makes — and leaves each lane's stream
 // positioned for the daemon coins of step one.
+//
+// Seeding is node-major: the 64 streams advance together, one draw per
+// lane per node, so each lane still sees its draws in node order. Each
+// draw is packed as d mod K in the low bits plus its RTS and TRA bits
+// (62 and 63) in place, and one transpose64 per node turns the 64
+// packed draws into the node's digit planes (rows 0..planes-1) and its
+// rts and tra words (rows 62 and 63).
+//
+//allocgate:hot
 func (b *SSRmin) SeedLanes(seed int64) {
-	for lane := 0; lane < Lanes; lane++ {
-		r := SeedStream(seed, lane)
-		for i := 0; i < b.n; i++ {
-			b.SetLaneState(lane, i, SampleSSRmin(&r, b.k))
+	for lane := range b.lanes {
+		b.lanes[lane] = SeedStream(seed, lane)
+	}
+	k := uint64(b.k)
+	for i := 0; i < b.n; i++ {
+		for lane := range b.lanes {
+			d := b.lanes[lane].Next()
+			b.draws[lane] = d%k | d&(3<<62)
 		}
-		b.lanes[lane] = r
+		transpose64(&b.draws, &b.coins)
+		copy(b.digit(i), b.coins[:b.planes])
+		b.rts[i], b.tra[i] = b.coins[62], b.coins[63]
 	}
 }
 
@@ -107,7 +129,7 @@ func (b *SSRmin) LaneConfig(lane int) statemodel.Config[core.State] {
 
 // Step advances every lane by one daemon step and returns the mask of
 // lanes that had no enabled process (deadlocked lanes, untouched).
-func (b *SSRmin) Step() uint64 { return b.step(allLanes) }
+func (b *SSRmin) Step() uint64 { return b.step(allLanes, false) }
 
 // LegitMask returns the mask of lanes currently in a legitimate
 // configuration (the exact predicate of core.Algorithm.Legitimate).
@@ -133,7 +155,7 @@ func (b *SSRmin) Run(maxSteps int) (steps [Lanes]int, converged uint64) {
 			forEachLane(^done, func(lane int) { steps[lane] = maxSteps })
 			return steps, converged
 		}
-		stuck := b.step(^done) &^ done
+		stuck := b.step(^done, true) &^ done
 		forEachLane(stuck, func(lane int) { steps[lane] = t })
 		done |= stuck
 		if done == allLanes {
@@ -149,8 +171,14 @@ func (b *SSRmin) Run(maxSteps int) (steps [Lanes]int, converged uint64) {
 // every command still reads pre-step neighbor digits in place. Returns
 // the active lanes with no enabled process.
 //
+// Pass 1 reads each node's Dijkstra guard from b.g. Without
+// guardsReady, step fills b.g first. With it, step trusts b.g as
+// legitMask left it: set it only when legitMask ran last on the current
+// configuration, as in Run, because any step or SetLaneState in between
+// leaves b.g stale.
+//
 //allocgate:hot
-func (b *SSRmin) step(active uint64) (stuck uint64) {
+func (b *SSRmin) step(active uint64, guardsReady bool) (stuck uint64) {
 	n := b.n
 	subset := b.daemon == Subset
 	if subset {
@@ -158,6 +186,9 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 			b.draws[lane] = b.lanes[lane].Next()
 		}
 		transpose64(&b.draws, &b.coins)
+	}
+	if !guardsReady {
+		fillGuards(b.g, b.x, b.planes)
 	}
 
 	var anyEn, anySel uint64
@@ -169,10 +200,7 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 		if succ == n {
 			succ = 0
 		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
+		g := b.g[i]
 		sR, sT := b.rts[i], b.tra[i]
 		pR, pT := b.rts[pred], b.tra[pred]
 		nR, nT := b.rts[succ], b.tra[succ]
@@ -190,7 +218,7 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 		r5 := ^g &^ r3 &^ self00 &^ (pred10 & self01)
 
 		en := (r1 | r2 | r3 | r4 | r5) & active
-		b.g[i], b.en[i] = g, en
+		b.en[i] = en
 		b.r1[i], b.r3[i] = r1, r3
 		b.cmd[i] = r2 | r4
 		anyEn |= en
@@ -236,17 +264,9 @@ func (b *SSRmin) step(active uint64) (stuck uint64) {
 //allocgate:hot
 func (b *SSRmin) legitMask() uint64 {
 	n := b.n
+	fillGuards(b.g, b.x, b.planes)
 	var seen, two uint64
-	for i := 0; i < n; i++ {
-		pred := i - 1
-		if i == 0 {
-			pred = n - 1
-		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
-		b.g[i] = g
+	for _, g := range b.g {
 		two |= seen & g
 		seen |= g
 	}

@@ -21,6 +21,9 @@ type SSToken struct {
 	g, en []uint64
 
 	lanes [Lanes]RNG
+	// transpose64 scratch: draws holds one word per lane, coins the
+	// transposed rows (a step's per-process coins, or in SeedLanes one
+	// node's planes).
 	draws [Lanes]uint64
 	coins [Lanes]uint64
 }
@@ -57,14 +60,22 @@ func (b *SSToken) K() int { return b.k }
 func (b *SSToken) digit(i int) []uint64 { return b.x[i*b.planes : (i+1)*b.planes] }
 
 // SeedLanes samples all 64 lanes, lane L from SeedStream(seed, L) with
-// one SampleSSToken draw per node, mirroring the scalar oracle.
+// one SampleSSToken draw per node, mirroring the scalar oracle. Like
+// SSRmin.SeedLanes it is node-major: one draw per lane per node, then
+// one transpose64 of the 64 digits d mod K into the node's planes.
+//
+//allocgate:hot
 func (b *SSToken) SeedLanes(seed int64) {
-	for lane := 0; lane < Lanes; lane++ {
-		r := SeedStream(seed, lane)
-		for i := 0; i < b.n; i++ {
-			b.SetLaneState(lane, i, SampleSSToken(&r, b.k))
+	for lane := range b.lanes {
+		b.lanes[lane] = SeedStream(seed, lane)
+	}
+	k := uint64(b.k)
+	for i := 0; i < b.n; i++ {
+		for lane := range b.lanes {
+			b.draws[lane] = b.lanes[lane].Next() % k
 		}
-		b.lanes[lane] = r
+		transpose64(&b.draws, &b.coins)
+		copy(b.digit(i), b.coins[:b.planes])
 	}
 }
 
@@ -85,7 +96,7 @@ func (b *SSToken) LaneConfig(lane int) statemodel.Config[dijkstra.State] {
 // Step advances every lane by one daemon step and returns the mask of
 // deadlocked lanes (always zero for this algorithm: some guard is
 // always up on a ring with K ≥ n).
-func (b *SSToken) Step() uint64 { return b.step(allLanes) }
+func (b *SSToken) Step() uint64 { return b.step(allLanes, false) }
 
 // LegitMask returns the mask of lanes currently in a legitimate
 // (single-token strict-form) configuration.
@@ -110,7 +121,7 @@ func (b *SSToken) Run(maxSteps int) (steps [Lanes]int, converged uint64) {
 			forEachLane(^done, func(lane int) { steps[lane] = maxSteps })
 			return steps, converged
 		}
-		stuck := b.step(^done) &^ done
+		stuck := b.step(^done, true) &^ done
 		forEachLane(stuck, func(lane int) { steps[lane] = t })
 		done |= stuck
 		if done == allLanes {
@@ -120,10 +131,12 @@ func (b *SSToken) Run(maxSteps int) (steps [Lanes]int, converged uint64) {
 }
 
 // step performs one composite-atomicity daemon step on the lanes in
-// active; see SSRmin.step for the two-pass shape.
+// active; see SSRmin.step for the two-pass shape. As there, guardsReady
+// trusts the guards legitMask left in b.g and may be set only when
+// legitMask ran last on the current configuration.
 //
 //allocgate:hot
-func (b *SSToken) step(active uint64) (stuck uint64) {
+func (b *SSToken) step(active uint64, guardsReady bool) (stuck uint64) {
 	n := b.n
 	subset := b.daemon == Subset
 	if subset {
@@ -132,19 +145,14 @@ func (b *SSToken) step(active uint64) (stuck uint64) {
 		}
 		transpose64(&b.draws, &b.coins)
 	}
+	if !guardsReady {
+		fillGuards(b.g, b.x, b.planes)
+	}
 
 	var anyEn, anySel uint64
 	for i := 0; i < n; i++ {
-		pred := i - 1
-		if i == 0 {
-			pred = n - 1
-		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
-		en := g & active
-		b.g[i], b.en[i] = g, en
+		en := b.g[i] & active
+		b.en[i] = en
 		anyEn |= en
 		if subset {
 			anySel |= en & b.coins[i]
@@ -183,18 +191,9 @@ func (b *SSToken) step(active uint64) (stuck uint64) {
 //
 //allocgate:hot
 func (b *SSToken) legitMask() uint64 {
-	n := b.n
+	fillGuards(b.g, b.x, b.planes)
 	var seen, two uint64
-	for i := 0; i < n; i++ {
-		pred := i - 1
-		if i == 0 {
-			pred = n - 1
-		}
-		g := eqDigit(b.digit(i), b.digit(pred))
-		if i != 0 {
-			g = ^g
-		}
-		b.g[i] = g
+	for _, g := range b.g {
 		two |= seen & g
 		seen |= g
 	}
@@ -202,7 +201,7 @@ func (b *SSToken) legitMask() uint64 {
 	if exactly == 0 {
 		return 0
 	}
-	incModK(b.inc, b.digit(n-1), b.kc)
+	incModK(b.inc, b.digit(b.n-1), b.kc)
 	xok := b.g[0] | eqDigit(b.digit(0), b.inc)
 	return exactly & xok
 }
