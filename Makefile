@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build test test-race test-race-core test-short cover bench \
         bench-test bench-check bench-obs bench-msgnet bench-runtime bench-batch \
         bench-smoke experiments \
-        experiments-quick modelcheck modelcheck-n5 examples fmt vet lint \
+        experiments-quick modelcheck modelcheck-n5 modelcheck-n6 examples fmt vet lint \
         fuzz-short soak-short clean
 
 all: build vet lint test bench-test test-race-core soak-short
@@ -121,11 +121,19 @@ modelcheck:
 	$(GO) run ./cmd/modelcheck -n 3
 	$(GO) run ./cmd/modelcheck -n 4
 
-# The big instance: 24^5 ≈ 7.96M configurations, ~32 MiB bookkeeping
-# (a 4-byte distance memo per configuration), seconds of CPU (-workers
-# sets the worker count).
+# The big instance: 24^5 ≈ 7.96M configurations, explored as 1.33M
+# digit-shift representatives: ~5 MiB bookkeeping (a 4-byte distance memo
+# per representative), about a second of CPU (-workers sets the worker
+# count).
 modelcheck-n5:
 	$(GO) run ./cmd/modelcheck -n 5 -k 6
+
+# E8's fourth exact point, kept out of `all`: 28^6 ≈ 482M configurations,
+# 68.8M representatives, ~280 MiB of bookkeeping and about a minute on two
+# cores. SSRMIN_EXHAUSTIVE_N6=1 go test -run TestSSRminN6K7Engine
+# ./internal/check pins its values.
+modelcheck-n6:
+	$(GO) run ./cmd/modelcheck -n 6 -k 7 -max-configs 500000000
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -167,8 +167,9 @@ func BenchmarkMPSSToken(b *testing.B) {
 // BenchmarkModelCheck measures exhaustive verification (closure +
 // convergence longest-path) on the legacy Decode/Encode checker vs. the
 // table-compiled single-threaded engine, per instance. The engine's
-// speedup comes from the compiled transition tables alone here (workers =
-// 1); parallel scaling is on top.
+// speedup comes from the compiled transition tables and from visiting one
+// configuration per digit-shift orbit (K fewer) here (workers = 1);
+// parallel scaling is on top.
 func BenchmarkModelCheck(b *testing.B) {
 	cases := []struct{ n, k, worst int }{{3, 4, 16}, {4, 5, 43}}
 	for _, tc := range cases {

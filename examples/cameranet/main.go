@@ -27,6 +27,10 @@ func main() {
 		seconds  = flag.Float64("seconds", 3, "wall-clock seconds to run")
 	)
 	flag.Parse()
+	if *stations < 3 {
+		fmt.Fprintf(os.Stderr, "-stations %d: SSRmin needs at least 3 stations\n", *stations)
+		os.Exit(2)
+	}
 
 	fmt.Printf("deploying %d camera stations on a bidirectional ring...\n", *stations)
 

@@ -25,6 +25,14 @@ func main() {
 		steps = flag.Int("steps", 60, "transitions to trace")
 	)
 	flag.Parse()
+	if *n < 3 {
+		fmt.Fprintf(os.Stderr, "-n %d: ring size must be at least 3\n", *n)
+		os.Exit(2)
+	}
+	if *m < 1 || *m > ssrmin.MaxInstances {
+		fmt.Fprintf(os.Stderr, "-m %d: instance count must be in [1, %d]\n", *m, ssrmin.MaxInstances)
+		os.Exit(2)
+	}
 
 	sim := ssrmin.NewMultiSimulation(*n, *m, ssrmin.DistributedDaemon(1, 0.5))
 	fmt.Printf("(%d,%d)-critical section: %d SSRmin instances on %d processes\n\n",

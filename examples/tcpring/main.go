@@ -23,6 +23,10 @@ func main() {
 		seconds = flag.Float64("seconds", 3, "observation window")
 	)
 	flag.Parse()
+	if *n < 3 {
+		fmt.Fprintf(os.Stderr, "-n %d: ring size must be at least 3\n", *n)
+		os.Exit(2)
+	}
 
 	ring, err := ssrmin.StartTCPRing(*n, 10*time.Millisecond)
 	if err != nil {

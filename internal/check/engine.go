@@ -7,10 +7,14 @@
 // the speedup comes from eliminating Decode/Encode, View construction and
 // per-node map allocation from the hot path, from generating successors
 // by table lookups instead of storing the transition graph, and from
-// near-linear scaling of the scans with cores.
+// near-linear scaling of the scans with cores. An algorithm declaring
+// statemodel.DigitShift is explored one configuration per orbit
+// (shift.go): every scan, bitmap and memo covers only the representative
+// prefix of the ID space, while reports keep their full-Γ meaning.
 package check
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"unsafe"
@@ -24,23 +28,24 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // chunkRange is one contiguous, 64-aligned shard of the ID space.
 type chunkRange struct{ lo, hi uint64 }
 
-// chunks shards [0, total) into 64-aligned ranges, several per worker for
-// load balance.
+// chunks shards the representatives [0, span) into 64-aligned ranges,
+// several per worker for load balance.
 func (e *Engine[S]) chunks() []chunkRange {
+	span := e.sym.span
 	target := uint64(e.workers * 4)
 	if target < 1 {
 		target = 1
 	}
-	step := (e.total + target - 1) / target
+	step := (span + target - 1) / target
 	step = (step + 63) &^ 63 // keep shard boundaries word-aligned
 	if step == 0 {
 		step = 64
 	}
 	var out []chunkRange
-	for lo := uint64(0); lo < e.total; lo += step {
+	for lo := uint64(0); lo < span; lo += step {
 		hi := lo + step
-		if hi > e.total {
-			hi = e.total
+		if hi > span {
+			hi = span
 		}
 		out = append(out, chunkRange{lo, hi})
 	}
@@ -64,13 +69,16 @@ func (e *Engine[S]) scanRange(lo, hi uint64, fn func(id uint64, digits []int)) {
 	}
 }
 
-// LegitSet evaluates the legitimacy predicate over the full space in
+// LegitSet evaluates the legitimacy predicate over the representatives in
 // parallel and returns Λ as a bitmap. This is the only pass that decodes
 // configurations (once each, into a per-worker buffer); every other engine
 // pass tests Λ-membership by a single bit probe. The predicate must be
-// safe for concurrent use and must not retain its argument.
+// safe for concurrent use, must not retain its argument and must be
+// invariant under the algorithm's digit shift: LegitSet panics if a shift
+// of a legitimate representative is illegitimate (the converse would
+// cost a scan of Γ).
 func (e *Engine[S]) LegitSet(legit func(statemodel.Config[S]) bool) *IDSet {
-	set := newIDSet(e.total)
+	set := &IDSet{words: make([]uint64, (e.sym.span+63)/64), sym: &e.sym}
 	ch := e.chunks()
 	counts := parsweep.Map(len(ch), e.workers, func(ci int) uint64 {
 		cfg := make(statemodel.Config[S], e.n)
@@ -89,11 +97,20 @@ func (e *Engine[S]) LegitSet(legit func(statemodel.Config[S]) bool) *IDSet {
 	for _, c := range counts {
 		set.count += c
 	}
+	if e.sym.k > 1 {
+		set.ForEach(func(id uint64) bool {
+			if cfg := e.c.Decode(id); !legit(cfg) {
+				panic(fmt.Sprintf("check: legitimacy predicate is not invariant under the digit shift of %s: %v is a shift of a legitimate configuration", e.c.alg.Name(), cfg))
+			}
+			return true
+		})
+	}
 	return set
 }
 
 // CheckNoDeadlock verifies in parallel that every configuration has an
-// enabled process; it returns a deadlocked configuration otherwise.
+// enabled process; it returns a deadlocked configuration otherwise. An
+// orbit deadlocks as a whole, so the representatives suffice.
 func (e *Engine[S]) CheckNoDeadlock() (counterexample statemodel.Config[S], ok bool) {
 	var found atomic.Uint64 // id+1 of a counterexample; 0 = none
 	ch := e.chunks()
@@ -125,15 +142,17 @@ func (e *Engine[S]) CheckNoDeadlock() (counterexample statemodel.Config[S], ok b
 
 // CheckClosure verifies that every distributed-daemon successor of every
 // configuration in lam stays in lam, and reports |Λ| and the maximum
-// number of simultaneously enabled processes over Λ. Λ is tiny compared to
-// Γ (3nK for SSRmin), so the walk over its bitmap is sequential; each
-// member costs a handful of table probes and subset additions.
+// number of simultaneously enabled processes over Λ. Steps commute with
+// the digit shift, so only lam's representatives are expanded. Λ is tiny
+// compared to Γ (3nK for SSRmin), so the walk over its bitmap is
+// sequential; each member costs a handful of table probes and subset
+// additions.
 func (e *Engine[S]) CheckClosure(lam *IDSet) ClosureReport[S] {
 	var rep ClosureReport[S]
 	rep.Legitimate = lam.Count()
 	digits := make([]int, e.n)
 	movers := make([]mover, 0, e.n)
-	lam.ForEach(func(id uint64) bool {
+	lam.forEachBit(func(id uint64) bool {
 		e.digitsOf(id, digits)
 		movers = e.enabledMoves(digits, e.allRules, movers[:0])
 		if len(movers) > rep.MaxEnabled {
@@ -162,14 +181,16 @@ func (e *Engine[S]) CheckClosure(lam *IDSet) ClosureReport[S] {
 
 // ConvStats reports the bookkeeping cost of one convergence analysis.
 type ConvStats struct {
-	// Edges is the number of illegitimate→illegitimate transition-graph
-	// edges, each counted once however many workers expanded its source.
+	// Edges is the number of illegitimate→illegitimate edges of the full
+	// transition graph, each counted once however many workers expanded
+	// its source: a representative's distinct successors are counted
+	// before canonicalisation and the sum is multiplied by the orbit size.
 	Edges uint64
 	// Layers is the peak depth of the memoized DFS stack over all workers
 	// (at most the longest path plus one when the analysis converges).
 	Layers int
 	// BookkeepingBytes is the peak size of the analysis' arrays: the
-	// 4-byte distance memo per configuration plus every worker's gray
+	// 4-byte distance memo per representative plus every worker's gray
 	// bitmap, frame stack and successor slab.
 	BookkeepingBytes uint64
 }
@@ -193,13 +214,16 @@ func (e *Engine[S]) CheckConvergence(lam *IDSet) (ConvergenceReport[S], ConvStat
 
 // Distances is CheckConvergence plus the exact worst-case steps-to-Λ of
 // every configuration, keyed by ID (only nonzero distances are present),
-// with the same semantics as Checker.Distances.
+// with the same semantics as Checker.Distances: each representative's
+// distance is copied to every member of its orbit.
 func (e *Engine[S]) Distances(lam *IDSet) (map[uint64]int, ConvergenceReport[S]) {
 	rep, memo, _ := e.convergence(lam, e.allRules)
 	out := make(map[uint64]int)
 	for id, m := range memo {
 		if m > 1 {
-			out[uint64(id)] = int(m - 1)
+			for c := 0; c < e.sym.k; c++ {
+				out[e.sym.rotate(uint64(id), c*e.sym.b)] = int(m - 1)
+			}
 		}
 	}
 	return out, rep
@@ -215,7 +239,7 @@ func (e *Engine[S]) LongestRestricted(rules map[int]bool) (steps int, start stat
 			mask |= 1 << uint(r)
 		}
 	}
-	rep, _, _ := e.convergence(newIDSet(e.total), mask)
+	rep, _, _ := e.convergence(newIDSet(e.sym.span), mask)
 	if !rep.Converges {
 		return 0, rep.Cycle, false
 	}
@@ -251,9 +275,9 @@ type dfsWorker[S comparable] struct {
 	peak  int    // peak stack depth
 }
 
-// push expands id, whose digits are given, onto the stack. Legitimate
-// successors are dropped from the slab: they contribute distance 0 and no
-// edge.
+// push expands the representative id, whose digits are given, onto the
+// stack. Successors are canonicalised, and legitimate ones are dropped
+// from the slab: they contribute distance 0 and no edge.
 func (w *dfsWorker[S]) push(id uint64, digits []int) {
 	w.movers = w.e.enabledMoves(digits, w.ruleMask, w.movers[:0])
 	lo := len(w.slab)
@@ -264,7 +288,7 @@ func (w *dfsWorker[S]) push(id uint64, digits []int) {
 	}
 	k := lo
 	for _, v := range w.slab[lo:] {
-		if !w.lam.Contains(v) {
+		if v = w.e.sym.canon(v); !w.lam.has(v) {
 			w.slab[k] = v
 			k++
 		}
@@ -329,26 +353,33 @@ func (w *dfsWorker[S]) bytes() uint64 {
 		8*uint64(cap(w.slab))
 }
 
-// convergence runs the memoized DFS over Γ∖lam under ruleMask and returns
-// the report, the memo (dist+1 per illegitimate configuration, 0 for
-// legitimate ones) and the bookkeeping stats.
+// convergence runs the memoized DFS over the representatives of Γ∖lam
+// under ruleMask and returns the report, the memo (dist+1 per illegitimate
+// representative, 0 for legitimate ones) and the bookkeeping stats.
+//
+// Steps commute with the digit shift, so a representative's distance is
+// its whole orbit's. A cycle through representatives is a path from some
+// configuration to one of its shifts; repeating it returns to the start,
+// so the quotient graph is acyclic iff the full graph is, and the cycle
+// witness lies on a cycle of Γ.
 func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[S], []int32, ConvStats) {
+	span := e.sym.span
 	rep := ConvergenceReport[S]{Converges: true, Illegitimate: e.total - lam.Count()}
-	memo := make([]int32, e.total)
+	memo := make([]int32, span)
 	var stop atomic.Bool
 	newWorker := func() *dfsWorker[S] {
 		return &dfsWorker[S]{
 			e: e, lam: lam, ruleMask: ruleMask, memo: memo, stop: &stop,
-			gray:   newIDSet(e.total),
+			gray:   newIDSet(span),
 			sums:   make([]int64, 1<<uint(e.n)),
 			digits: make([]int, e.n),
 		}
 	}
 	// roots walks [lo, hi) and runs w from every illegitimate
-	// configuration not yet finalized, until a cycle is found.
+	// representative not yet finalized, until a cycle is found.
 	roots := func(w *dfsWorker[S], lo, hi uint64) (cycle uint64, found bool) {
 		e.scanRange(lo, hi, func(id uint64, digits []int) {
-			if found || stop.Load() || lam.Contains(id) || atomic.LoadInt32(&memo[id]) != 0 {
+			if found || stop.Load() || lam.has(id) || atomic.LoadInt32(&memo[id]) != 0 {
 				return
 			}
 			if cycle, found = w.run(id, digits); found {
@@ -364,13 +395,14 @@ func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[
 		roots(w, ch[ci].lo, ch[ci].hi)
 		return struct{}{}
 	})
-	stats := ConvStats{BookkeepingBytes: 4 * e.total}
+	stats := ConvStats{BookkeepingBytes: 4 * span}
 	for i := pool.Idle(); i > 0; i-- {
 		w := pool.Get()
 		stats.Edges += w.edges
 		stats.Layers = max(stats.Layers, w.peak)
 		stats.BookkeepingBytes += w.bytes()
 	}
+	stats.Edges *= uint64(e.sym.k)
 
 	if stop.Load() {
 		// Which worker closed a cycle first depends on scheduling. Re-run
@@ -379,12 +411,13 @@ func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[
 		// hence the witness — depends on the transition relation alone.
 		stop.Store(false)
 		rep.Converges = false
-		cycle, _ := roots(newWorker(), 0, e.total)
+		cycle, _ := roots(newWorker(), 0, span)
 		rep.Cycle = e.c.Decode(cycle)
 		return rep, memo, stats
 	}
 
-	// Max distance with smallest-ID tie-break, reduced per chunk.
+	// Max distance with smallest-ID tie-break, reduced per chunk. An
+	// orbit's smallest ID is its representative, so this is Γ's.
 	type worst struct {
 		m  int32
 		id uint64

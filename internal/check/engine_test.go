@@ -33,6 +33,90 @@ func (p plainSpace) Apply(v statemodel.View[dijkstra.State], r int) dijkstra.Sta
 }
 func (p plainSpace) AllStates() []dijkstra.State { return p.inner.AllStates() }
 
+// wrongShift is SSToken whose bottom command writes 0 instead of
+// x_{n-1}+1: it reads the counter's value, so the digit shift it still
+// declares through the embedded ShiftOrbit is not a symmetry.
+type wrongShift struct{ *dijkstra.Algorithm }
+
+func (w wrongShift) Apply(v statemodel.View[dijkstra.State], r int) dijkstra.State {
+	if v.Bottom() {
+		return dijkstra.State{}
+	}
+	return w.Algorithm.Apply(v, r)
+}
+
+// badOrbit declares an orbit that does not divide the state count.
+type badOrbit struct{ *dijkstra.Algorithm }
+
+func (badOrbit) ShiftOrbit() int { return 3 }
+
+func TestCompileRejectsWrongShift(t *testing.T) {
+	for name, a := range map[string]Space[dijkstra.State]{
+		"rules": wrongShift{dijkstra.New(3, 4)},
+		"orbit": badOrbit{dijkstra.New(3, 4)},
+	} {
+		if _, err := New[dijkstra.State](a, 0).Compile(1); err == nil {
+			t.Errorf("%s: Compile accepted a digit shift the algorithm breaks", name)
+		}
+	}
+	// Without the declaration the same rules compile, with orbit 1.
+	e, err := New[dijkstra.State](plainUniform{plainSpace{wrongShift{dijkstra.New(3, 4)}}}, 0).Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Orbit() != 1 || e.Representatives() != e.NumConfigs() {
+		t.Fatalf("orbit %d, %d representatives of %d", e.Orbit(), e.Representatives(), e.NumConfigs())
+	}
+}
+
+// plainUniform keeps only PositionUniform of a Space's optional interfaces.
+type plainUniform struct{ plainSpace }
+
+func (plainUniform) UniformViews() {}
+
+// TestLegitSetCountsOrbits: Λ's bitmap holds one bit per orbit, so its
+// representative count times K is the serial checker's |Λ|.
+func TestLegitSetCountsOrbits(t *testing.T) {
+	for _, nk := range [][2]int{{3, 4}, {3, 5}, {4, 5}} {
+		n, k := nk[0], nk[1]
+		s := core.New(n, k)
+		t.Run(s.Name(), func(t *testing.T) { countOrbits[core.State](t, s, s.Legitimate, k) })
+		d := dijkstra.New(n, k)
+		t.Run(d.Name(), func(t *testing.T) { countOrbits[dijkstra.State](t, d, d.Legitimate, k) })
+	}
+}
+
+func countOrbits[S comparable](t *testing.T, a Space[S], legit func(statemodel.Config[S]) bool, k int) {
+	c := New[S](a, 0)
+	e, err := c.Compile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Orbit() != k || e.Representatives()*uint64(k) != c.NumConfigs() {
+		t.Fatalf("orbit %d, %d representatives of %d; want orbit %d", e.Orbit(), e.Representatives(), c.NumConfigs(), k)
+	}
+	lam := e.LegitSet(legit)
+	if got, want := lam.count*uint64(k), c.CountLegitimate(legit); got != want || lam.Count() != want {
+		t.Fatalf("%d representatives × %d = %d, Count %d; serial |Λ| = %d", lam.count, k, got, lam.Count(), want)
+	}
+}
+
+// TestLegitSetRejectsAsymmetricPredicate: a predicate that holds on a
+// representative but not on its shifts cannot stand for its orbits.
+func TestLegitSetRejectsAsymmetricPredicate(t *testing.T) {
+	a := core.New(3, 4)
+	e, err := New[core.State](a, 0).Compile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LegitSet accepted a predicate that is not shift invariant")
+		}
+	}()
+	e.LegitSet(func(cfg statemodel.Config[core.State]) bool { return cfg[0].X == 0 && a.Legitimate(cfg) })
+}
+
 func TestEngineLegitSetMatchesPredicate(t *testing.T) {
 	a := core.New(3, 4)
 	c := New[core.State](a, 0)
@@ -217,23 +301,55 @@ func TestEngineWorkerCounts(t *testing.T) {
 	}
 }
 
+// exhaustive pins one large SSRmin instance's exact values.
+type exhaustive struct {
+	n, k        int
+	maxConfigs  uint64
+	legit       uint64
+	illegit     uint64
+	quiet       int
+	worst       int
+	edges       uint64
+	worstStart  string
+	environment string // the variable that enables the run
+}
+
 // TestSSRminN5K6Engine is the headline instance: the exhaustive n=5, K=6
-// run (24⁵ ≈ 7.96M configurations) pinned to its exact values. It takes a
-// few seconds on two cores, so it only runs when SSRMIN_EXHAUSTIVE_N5 is
-// set (make modelcheck-n5 / CI soak).
+// run (24⁵ ≈ 7.96M configurations, 1.33M representatives) pinned to its
+// exact values. It takes about a second on two cores, so it only runs
+// when SSRMIN_EXHAUSTIVE_N5 is set (make modelcheck-n5 / CI soak).
 func TestSSRminN5K6Engine(t *testing.T) {
-	if os.Getenv("SSRMIN_EXHAUSTIVE_N5") == "" {
-		t.Skip("set SSRMIN_EXHAUSTIVE_N5=1 to run the 7.96M-configuration exhaustive check")
+	exhaustiveSSRmin(t, exhaustive{
+		n: 5, k: 6, legit: 90, illegit: 7_962_534, quiet: 9, worst: 77, edges: 196_273_032,
+		worstStart: "[0.0.0 3.0.0 2.0.0 1.0.0 0.0.0]", environment: "SSRMIN_EXHAUSTIVE_N5",
+	})
+}
+
+// TestSSRminN6K7Engine is E8's fourth exact point: n=6, K=7 (28⁶ ≈ 482M
+// configurations, 68.8M representatives, a ~275 MB distance memo). It
+// takes about a minute on two cores, so it only runs when
+// SSRMIN_EXHAUSTIVE_N6 is set (make modelcheck-n6).
+func TestSSRminN6K7Engine(t *testing.T) {
+	exhaustiveSSRmin(t, exhaustive{
+		n: 6, k: 7, maxConfigs: 500_000_000, legit: 126, illegit: 481_890_178, quiet: 11, worst: 120,
+		edges: 23_848_724_732, worstStart: "[0.0.0 4.0.0 3.0.0 2.0.0 1.0.0 0.0.0]",
+		environment: "SSRMIN_EXHAUSTIVE_N6",
+	})
+}
+
+func exhaustiveSSRmin(t *testing.T, want exhaustive) {
+	if os.Getenv(want.environment) == "" {
+		t.Skipf("set %s=1 to run the exhaustive n=%d, K=%d check", want.environment, want.n, want.k)
 	}
-	a := core.New(5, 6)
-	c := New[core.State](a, 0)
+	a := core.New(want.n, want.k)
+	c := New[core.State](a, want.maxConfigs)
 	e, err := c.Compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lam := e.LegitSet(a.Legitimate)
-	if lam.Count() != 90 {
-		t.Fatalf("|Λ| = %d, want 90", lam.Count())
+	if lam.Count() != want.legit {
+		t.Fatalf("|Λ| = %d, want %d", lam.Count(), want.legit)
 	}
 	if cex, ok := e.CheckNoDeadlock(); !ok {
 		t.Fatalf("deadlock at %v", cex)
@@ -245,24 +361,24 @@ func TestSSRminN5K6Engine(t *testing.T) {
 	quiet, _, ok := e.LongestRestricted(map[int]bool{
 		core.RuleReadySecondary: true, core.RuleRecvSecondary: true, core.RuleFixNoG: true,
 	})
-	if !ok || quiet != 9 {
-		t.Fatalf("quiet run: %d (finite %v), want 9", quiet, ok)
+	if !ok || quiet != want.quiet || quiet > 3*want.n {
+		t.Fatalf("quiet run: %d (finite %v), want %d ≤ 3n", quiet, ok, want.quiet)
 	}
 	conv, stats := e.CheckConvergence(lam)
 	if !conv.Converges {
 		t.Fatalf("cycle at %v", conv.Cycle)
 	}
-	if conv.Illegitimate != 7_962_534 || conv.WorstSteps != 77 || stats.Edges != 196_273_032 {
-		t.Fatalf("|Γ∖Λ| = %d, worst = %d, edges = %d; want 7962534, 77, 196273032",
-			conv.Illegitimate, conv.WorstSteps, stats.Edges)
+	if conv.Illegitimate != want.illegit || conv.WorstSteps != want.worst || stats.Edges != want.edges {
+		t.Fatalf("|Γ∖Λ| = %d, worst = %d, edges = %d; want %d, %d, %d",
+			conv.Illegitimate, conv.WorstSteps, stats.Edges, want.illegit, want.worst, want.edges)
 	}
-	if got := fmt.Sprint(conv.WorstStart); got != "[0.0.0 3.0.0 2.0.0 1.0.0 0.0.0]" {
-		t.Fatalf("worst start %s, want [0.0.0 3.0.0 2.0.0 1.0.0 0.0.0]", got)
+	if got := fmt.Sprint(conv.WorstStart); got != want.worstStart {
+		t.Fatalf("worst start %s, want %s", got, want.worstStart)
 	}
 	if conv.WorstSteps > a.ConvergenceStepBound() {
 		t.Fatalf("worst %d exceeds budget %d", conv.WorstSteps, a.ConvergenceStepBound())
 	}
-	t.Logf("n=5 K=6: worst=%d steps, |Γ∖Λ|=%d, edges=%d, peak DFS depth=%d, bookkeeping=%.1f MiB",
-		conv.WorstSteps, conv.Illegitimate, stats.Edges, stats.Layers,
+	t.Logf("n=%d K=%d: worst=%d steps, |Γ∖Λ|=%d, edges=%d, peak DFS depth=%d, bookkeeping=%.1f MiB",
+		want.n, want.k, conv.WorstSteps, conv.Illegitimate, stats.Edges, stats.Layers,
 		float64(stats.BookkeepingBytes)/(1<<20))
 }

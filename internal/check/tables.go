@@ -5,12 +5,17 @@
 // of |Q|³ entries. The engine built on top (engine.go) then expands
 // successors by pure digit arithmetic on uint64 configuration IDs — no
 // Decode/Encode, no View construction, no per-node allocation.
+//
+// An algorithm that also declares statemodel.DigitShift is explored one
+// configuration per orbit of its digit shift (shift.go); Compile checks
+// the declaration against the tables.
 package check
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"ssrmin/internal/statemodel"
 )
@@ -26,6 +31,10 @@ type Engine[S comparable] struct {
 	total   uint64   // |Γ| = q^n
 	pow     []uint64 // pow[i] = q^i, the place value of position i
 	workers int
+
+	// sym is the declared digit shift (orbit 1 without one). Every scan,
+	// bitmap and memo covers only the representatives [0, sym.span).
+	sym shift
 
 	// rule[class][triple] is the enabled rule (0 = none) for a process of
 	// the given position class (0 = bottom, 1 = other) observing the
@@ -43,8 +52,10 @@ type Engine[S comparable] struct {
 const maxSubsetMoves = 25
 
 // Compile builds the table-compiled engine for this checker's instance.
-// It fails unless the algorithm declares statemodel.PositionUniform. The
-// worker count applies to all parallel scans; ≤ 0 selects GOMAXPROCS.
+// It fails unless the algorithm declares statemodel.PositionUniform, and
+// when the algorithm declares statemodel.DigitShift it fails unless that
+// shift commutes with both compiled tables. The worker count applies to
+// all parallel scans; ≤ 0 selects GOMAXPROCS.
 func (c *Checker[S]) Compile(workers int) (*Engine[S], error) {
 	if _, ok := any(c.alg).(statemodel.PositionUniform); !ok {
 		return nil, fmt.Errorf("check: %s does not declare statemodel.PositionUniform; cannot compile transition tables", c.alg.Name())
@@ -92,11 +103,53 @@ func (c *Checker[S]) Compile(workers int) (*Engine[S], error) {
 		e.rule[class] = rt
 		e.next[class] = nt
 	}
+	orbit := 1
+	if d, ok := any(c.alg).(statemodel.DigitShift); ok {
+		orbit = d.ShiftOrbit()
+	}
+	if err := e.verifyShift(orbit); err != nil {
+		return nil, fmt.Errorf("check: %s: %w", c.alg.Name(), err)
+	}
+	e.sym = newShift(e.q, e.n, orbit, e.pow)
 	return e, nil
+}
+
+// verifyShift checks that adding b = q/orbit to every state index of a
+// triple (mod q) commutes with both tables: the shifted triple enables
+// the same rule and moves to the shifted state. One shift generates the
+// whole orbit, so this makes the transition relation invariant.
+func (e *Engine[S]) verifyShift(orbit int) error {
+	if orbit < 1 || e.q%orbit != 0 {
+		return fmt.Errorf("declared digit-shift orbit %d does not divide |Q| = %d", orbit, e.q)
+	}
+	q, b := e.q, e.q/orbit
+	for class := 0; class < statemodel.ViewClasses; class++ {
+		for p := 0; p < q; p++ {
+			for s := 0; s < q; s++ {
+				for u := 0; u < q; u++ {
+					t := statemodel.TripleIndex(q, p, s, u)
+					st := statemodel.TripleIndex(q, (p+b)%q, (s+b)%q, (u+b)%q)
+					if e.rule[class][st] != e.rule[class][t] || int(e.next[class][st]) != (int(e.next[class][t])+b)%q {
+						v := statemodel.ClassView(class, e.n, e.c.states[p], e.c.states[s], e.c.states[u])
+						return fmt.Errorf("declared digit shift (orbit %d) does not commute with the rules at %+v", orbit, v)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // NumConfigs returns |Γ|.
 func (e *Engine[S]) NumConfigs() uint64 { return e.total }
+
+// Orbit returns the size of every digit-shift orbit the engine explores
+// modulo: the algorithm's statemodel.DigitShift K, or 1 without one.
+func (e *Engine[S]) Orbit() int { return e.sym.k }
+
+// Representatives returns the number of configurations the engine
+// actually visits, one per orbit: |Γ| / Orbit().
+func (e *Engine[S]) Representatives() uint64 { return e.sym.span }
 
 // Tables is the exported copy of an engine's compiled transition
 // relation: for each position class (0 = bottom, 1 = other) and each
@@ -238,19 +291,30 @@ func distinctSuccessors(id uint64, movers []mover, buf []uint64, sums []int64) (
 	return buf, sums
 }
 
-// IDSet is a dense bitmap over the configuration ID space — the engine's
-// representation of Λ and of other per-configuration flags.
+// IDSet is a set of configurations of Γ — the engine's representation of
+// Λ and of other per-configuration flags. An engine-built set is shift
+// invariant and stores one bit per digit-shift representative; a
+// configuration is a member iff its orbit's representative is.
 type IDSet struct {
 	words []uint64
-	count uint64
+	count uint64 // member bits
+	sym   *shift // the engine's symmetry; nil: the bits index Γ directly
 }
 
 func newIDSet(total uint64) *IDSet {
 	return &IDSet{words: make([]uint64, (total+63)/64)}
 }
 
-// Contains reports membership of id.
+// Contains reports membership of the configuration id ∈ Γ.
 func (s *IDSet) Contains(id uint64) bool {
+	if s.sym != nil {
+		id = s.sym.canon(id)
+	}
+	return s.has(id)
+}
+
+// has probes the bit of id, which must be a representative.
+func (s *IDSet) has(id uint64) bool {
 	return s.words[id>>6]>>(id&63)&1 == 1
 }
 
@@ -265,19 +329,49 @@ func (s *IDSet) clear(id uint64) {
 	s.words[id>>6] &^= 1 << (id & 63)
 }
 
-// Count returns the number of members.
-func (s *IDSet) Count() uint64 { return s.count }
+// Count returns the number of member configurations of Γ.
+func (s *IDSet) Count() uint64 {
+	if s.sym == nil {
+		return s.count
+	}
+	return s.count * uint64(s.sym.k)
+}
 
-// ForEach visits every member in increasing ID order until visit returns
-// false.
+// ForEach visits every member configuration in increasing ID order until
+// visit returns false. Shifting c times lifts a representative's top digit
+// from [0, b) into [c·b, (c+1)·b), so the c-th images of the members form
+// the c-th of K consecutive ID blocks; each block is sorted on its own.
 func (s *IDSet) ForEach(visit func(id uint64) bool) {
+	if !s.forEachBit(visit) || s.sym == nil {
+		return
+	}
+	var block []uint64
+	for c := 1; c < s.sym.k; c++ {
+		block = block[:0]
+		s.forEachBit(func(r uint64) bool {
+			block = append(block, s.sym.rotate(r, c*s.sym.b))
+			return true
+		})
+		slices.Sort(block)
+		for _, id := range block {
+			if !visit(id) {
+				return
+			}
+		}
+	}
+}
+
+// forEachBit visits the set bits in increasing order until visit returns
+// false, and reports whether it visited them all.
+func (s *IDSet) forEachBit(visit func(id uint64) bool) bool {
 	for wi, w := range s.words {
 		for w != 0 {
 			id := uint64(wi)<<6 | uint64(bits.TrailingZeros64(w))
 			if !visit(id) {
-				return
+				return false
 			}
 			w &= w - 1
 		}
 	}
+	return true
 }

@@ -125,6 +125,12 @@ func (a *Algorithm) Name() string { return fmt.Sprintf("ssrmin(n=%d,K=%d)", a.n,
 // per-class transition tables.
 func (a *Algorithm) UniformViews() {}
 
+// ShiftOrbit implements statemodel.DigitShift: AllStates is x-major
+// (index x·4 + flags), the rules read x only through the embedded
+// Dijkstra guard and command, and Definition 1 holds for some x, so
+// adding c mod K to every counter is a symmetry of order K.
+func (a *Algorithm) ShiftOrbit() int { return a.k }
+
 // N implements statemodel.Algorithm.
 func (a *Algorithm) N() int { return a.n }
 

@@ -60,6 +60,12 @@ func (a *Algorithm) Name() string { return fmt.Sprintf("sstoken(n=%d,K=%d)", a.n
 // everyone else D2, and neither reads I or N beyond Bottom().
 func (a *Algorithm) UniformViews() {}
 
+// ShiftOrbit implements statemodel.DigitShift: the state index is x,
+// the guards compare counters for equality and the command copies or
+// increments one, so adding c mod K to every counter is a symmetry of
+// order K.
+func (a *Algorithm) ShiftOrbit() int { return a.k }
+
 // N implements statemodel.Algorithm.
 func (a *Algorithm) N() int { return a.n }
 

@@ -80,6 +80,29 @@ type PositionUniform interface {
 	UniformViews()
 }
 
+// DigitShift is the opt-in contract for the compiled checker's symmetry
+// reduction. An algorithm may declare it when
+//
+//   - its AllStates is digit-major: the q states form K equal blocks
+//     ordered by a digit x ∈ {0, …, K−1}, so state index s has digit
+//     s / (q/K), and adding q/K to an index (mod q) adds 1 (mod K) to
+//     its digit and leaves the rest of the state alone; and
+//   - adding the same c mod K to every process's digit maps every step
+//     to a step and every legitimate configuration to a legitimate one
+//     (for SSRmin and SSToken: the rules read the digit only through
+//     x_i = x_{i-1} and x_{n-1}+1 mod K, and Definition 1 holds "for
+//     some x").
+//
+// internal/check then explores one configuration per orbit of the
+// shift. Compile verifies the declaration against the compiled tables
+// and rejects a wrong one; LegitSet verifies that the orbit of every
+// legitimate representative is legitimate.
+type DigitShift interface {
+	// ShiftOrbit returns K, the number of digit values and hence the
+	// size of every orbit.
+	ShiftOrbit() int
+}
+
 // ViewClasses is the number of position classes a PositionUniform
 // algorithm distinguishes: the bottom process (class 0) and everyone else
 // (class 1).
