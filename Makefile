@@ -151,7 +151,8 @@ vet:
 
 # Domain analyzers (internal/lint): locality of guards/commands,
 # determinism of golden packages, observer nil-guard discipline, lock
-# hygiene. Exits non-zero on any finding; see docs/LINT.md.
+# hygiene, the step shape of the execution tiers. Exits non-zero on any
+# finding; see docs/LINT.md.
 lint:
 	$(GO) run ./cmd/ssrmin-lint ./...
 
@@ -186,6 +187,9 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzWaiverParse -fuzztime 5s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzBitsliceStep -fuzztime 5s ./internal/bitslice
 	$(GO) test -run '^$$' -fuzz FuzzLoadRepros -fuzztime 5s ./internal/crosscheck
+	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzArenaInvariants -fuzztime 5s ./internal/msgnet
+	$(GO) test -run '^$$' -fuzz FuzzEnabledRule -fuzztime 5s ./internal/core
 
 clean:
 	$(GO) clean ./...

@@ -18,8 +18,10 @@
 //
 // Records store the bare benchmark name: the `-N` suffix that `go test`
 // appends when GOMAXPROCS = N > 1 goes into the procs field, so records
-// taken at different GOMAXPROCS still match by name. -compare notes a
-// GOMAXPROCS difference but does not fail on it.
+// taken at different GOMAXPROCS still match by name. Each record also
+// carries the goos/goarch/cpu header lines `go test -bench` printed above
+// it and the machine's logical CPU count. -compare notes a GOMAXPROCS or
+// CPU difference but does not fail on it.
 package main
 
 import (
@@ -27,7 +29,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,6 +50,16 @@ type Result struct {
 	// Metrics holds custom b.ReportMetric units, e.g. "events/s" or
 	// "cfg/s" — anything on the line beyond the three standard units.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Hardware
+}
+
+// Hardware names the machine a benchmark ran on: the goos, goarch and cpu
+// header lines of `go test -bench` output, and runtime.NumCPU.
+type Hardware struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	NumCPU int    `json:"num_cpu,omitempty"`
 }
 
 func main() {
@@ -96,17 +110,8 @@ func main() {
 		return
 	}
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		if r, ok := parse(line); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	results, err := readResults(os.Stdin, os.Stdout, runtime.NumCPU())
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
@@ -126,6 +131,31 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(results), *out)
+}
+
+// readResults parses `go test -bench` output from r, echoing every line
+// to echo. Each result is stamped with the most recent goos/goarch/cpu
+// header lines and numCPU.
+func readResults(r io.Reader, echo io.Writer, numCPU int) ([]Result, error) {
+	hw := Hardware{NumCPU: numCPU}
+	var results []Result
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if v, ok := strings.CutPrefix(line, "goos: "); ok {
+			hw.GOOS = v
+		} else if v, ok := strings.CutPrefix(line, "goarch: "); ok {
+			hw.GOARCH = v
+		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
+			hw.CPU = v
+		} else if res, ok := parse(line); ok {
+			res.Hardware = hw
+			results = append(results, res)
+		}
+	}
+	return results, sc.Err()
 }
 
 // parse decodes one `go test -bench` result line, e.g.
@@ -263,12 +293,15 @@ func compareFiles(oldPath, newPath string, maxRegress float64) (report string, f
 			verdict = "FAIL"
 			fail = true
 		}
-		procs := ""
+		note := ""
 		if n.Procs != o.Procs {
-			procs = fmt.Sprintf("  GOMAXPROCS %d -> %d", o.Procs, n.Procs)
+			note = fmt.Sprintf("  GOMAXPROCS %d -> %d", o.Procs, n.Procs)
+		}
+		if o.CPU != "" && n.CPU != "" && n.CPU != o.CPU {
+			note += fmt.Sprintf("  cpu %s -> %s", o.CPU, n.CPU)
 		}
 		fmt.Fprintf(&b, "%s %-60s %12.0f -> %12.0f ns/op  %+7.1f%% (max +%.1f%%)%s\n",
-			verdict, o.Name, o.NsPerOp, n.NsPerOp, pct, maxRegress, procs)
+			verdict, o.Name, o.NsPerOp, n.NsPerOp, pct, maxRegress, note)
 		if mfail := compareMetrics(&b, o, n, oldPath, newPath); mfail {
 			fail = true
 		}

@@ -252,3 +252,70 @@ func TestCompareIgnoresProcsSuffix(t *testing.T) {
 		t.Fatalf("BenchmarkB not compared at GOMAXPROCS 1:\n%s", report)
 	}
 }
+
+// TestReadResultsStampsHardware: every record carries the goos, goarch
+// and cpu header lines printed above it and the CPU count, and the input
+// is echoed unchanged.
+func TestReadResultsStampsHardware(t *testing.T) {
+	in := "goos: linux\ngoarch: amd64\npkg: ssrmin\ncpu: Test CPU @ 2.00GHz\n" +
+		"BenchmarkA-2  10  1000 ns/op\n" +
+		"cpu: Other CPU\n" +
+		"BenchmarkB  10  2000 ns/op\nPASS\n"
+	var echo strings.Builder
+	rs, err := readResults(strings.NewReader(in), &echo, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if echo.String() != in {
+		t.Fatalf("echo = %q, want the input unchanged", echo.String())
+	}
+	want := []Hardware{
+		{GOOS: "linux", GOARCH: "amd64", CPU: "Test CPU @ 2.00GHz", NumCPU: 4},
+		{GOOS: "linux", GOARCH: "amd64", CPU: "Other CPU", NumCPU: 4},
+	}
+	if len(rs) != len(want) {
+		t.Fatalf("parsed %d results, want %d: %+v", len(rs), len(want), rs)
+	}
+	for i, r := range rs {
+		if r.Hardware != want[i] {
+			t.Errorf("%s hardware = %+v, want %+v", r.Name, r.Hardware, want[i])
+		}
+	}
+}
+
+// TestCompareNotesCPU: a CPU difference is noted on the row, like a
+// GOMAXPROCS difference, and is not a failure; a record without a cpu
+// (written before records carried one) notes nothing.
+func TestCompareNotesCPU(t *testing.T) {
+	dir := t.TempDir()
+	oldP := writeRecords(t, dir, "old.json",
+		`[{"name":"BenchmarkA","iterations":10,"ns_per_op":1000,"cpu":"CPU A","num_cpu":2},
+		  {"name":"BenchmarkB","iterations":10,"ns_per_op":1000}]`)
+	newP := writeRecords(t, dir, "new.json",
+		`[{"name":"BenchmarkA","iterations":10,"ns_per_op":1000,"cpu":"CPU B","num_cpu":8},
+		  {"name":"BenchmarkB","iterations":10,"ns_per_op":1000,"cpu":"CPU B"}]`)
+	report, fail, err := compareFiles(oldP, newP, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fail {
+		t.Fatalf("a CPU difference failed the comparison:\n%s", report)
+	}
+	if strings.Count(report, "cpu CPU A -> CPU B") != 1 {
+		t.Fatalf("CPU difference not noted exactly once:\n%s", report)
+	}
+}
+
+// TestCommittedRecordsLoad: the committed BENCH_*.json files, written
+// before records carried a hardware stamp, still load.
+func TestCommittedRecordsLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed records found: %v", err)
+	}
+	for _, p := range paths {
+		if _, err := loadResults(p); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+}

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -51,11 +52,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// runSSRmin/runScenarioFile exit directly on errors; flush the
-	// profiles first so a failed run still leaves readable output.
+	// runSSRmin exits directly on errors; flush the profiles first so a
+	// failed run still leaves readable output.
 	defer stopProfile(&prof)
 	if *scenarioF != "" {
-		runScenarioFile(*scenarioF)
+		if code := runScenarioFile(*scenarioF, os.Stdout, os.Stderr); code != 0 {
+			stopProfile(&prof)
+			os.Exit(code)
+		}
 		return
 	}
 	if err := cc.ResolveK(); err != nil {
@@ -156,29 +160,42 @@ func printTimeline(tl *verify.Timeline, stats msgnet.Stats, execs int) {
 	}
 }
 
-// runScenarioFile executes every scenario in a JSON document and prints
-// the results as JSON.
-func runScenarioFile(path string) {
+// runScenarioFile loads and validates every scenario in a JSON document,
+// then runs them in order and prints each result as JSON. An unreadable,
+// malformed or invalid document prints one stderr line and returns 2
+// before any scenario runs; a run or write failure returns 1.
+func runScenarioFile(path string, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer f.Close()
 	ss, err := scenario.Load(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%s: %v\n", path, err)
+		return 2
+	}
+	if len(ss) == 0 {
+		fmt.Fprintf(stderr, "%s: no scenarios\n", path)
+		return 2
+	}
+	for i := range ss {
+		if err := ss[i].Validate(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", path, err)
+			return 2
+		}
 	}
 	for _, s := range ss {
 		res, err := s.Run()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		if err := scenario.WriteResult(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := scenario.WriteResult(stdout, res); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }

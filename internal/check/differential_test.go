@@ -124,14 +124,40 @@ func TestDifferentialLongestRestricted(t *testing.T) {
 }
 
 // TestTablesMatchDirect checks every entry of the compiled tables — each
-// (class, pred, self, succ) view of SSRmin (4,5), 2·20³ = 16,000 entries,
-// and of SSToken (4,5) — against the direct EnabledRule/Apply.
+// (class, pred, self, succ) view, 2·20³ = 16,000 entries for SSRmin
+// (4,5) — against the direct EnabledRule/Apply, on the smallest instance
+// (3,4) and on (4,5) of both algorithms. On the same views it checks that
+// each algorithm's guard helpers are one predicate: SSToken's Guard,
+// GuardX and HasToken agree with the table's rule ≠ 0, and SSRmin's G and
+// HasPrimary agree with dijkstra.GuardX.
 func TestTablesMatchDirect(t *testing.T) {
-	t.Run("ssrmin", func(t *testing.T) { tablesMatchDirect[core.State](t, core.New(4, 5)) })
-	t.Run("sstoken", func(t *testing.T) { tablesMatchDirect[dijkstra.State](t, dijkstra.New(4, 5)) })
+	instances := []struct{ n, k int }{{3, 4}, {4, 5}}
+	t.Run("ssrmin", func(t *testing.T) {
+		for _, in := range instances {
+			a := core.New(in.n, in.k)
+			t.Run(a.Name(), func(t *testing.T) {
+				tablesMatchDirect(t, a, func(v statemodel.View[core.State], _ int) []bool {
+					return []bool{core.G(v), core.HasPrimary(v), dijkstra.GuardX(v.I, v.Self.X, v.Pred.X)}
+				})
+			})
+		}
+	})
+	t.Run("sstoken", func(t *testing.T) {
+		for _, in := range instances {
+			a := dijkstra.New(in.n, in.k)
+			t.Run(a.Name(), func(t *testing.T) {
+				tablesMatchDirect(t, a, func(v statemodel.View[dijkstra.State], rule int) []bool {
+					return []bool{rule != 0, dijkstra.Guard(v), dijkstra.GuardX(v.I, v.Self.X, v.Pred.X), dijkstra.HasToken(v)}
+				})
+			})
+		}
+	})
 }
 
-func tablesMatchDirect[S comparable](t *testing.T, a Space[S]) {
+// tablesMatchDirect compares the compiled tables with the direct rules on
+// every view, and asserts that the predicates guards returns for a view
+// (given the table's rule there) are all equal.
+func tablesMatchDirect[S comparable](t *testing.T, a Space[S], guards func(v statemodel.View[S], rule int) []bool) {
 	c := New[S](a, 0)
 	e, err := c.Compile(1)
 	if err != nil {
@@ -153,6 +179,12 @@ func tablesMatchDirect[S comparable](t *testing.T, a Space[S]) {
 					if int(e.rule[class][tr]) != r || states[e.next[class][tr]] != want {
 						t.Fatalf("class %d view %+v: table rule %d → %v, direct rule %d → %v",
 							class, v, e.rule[class][tr], states[e.next[class][tr]], r, want)
+					}
+					g := guards(v, int(e.rule[class][tr]))
+					for i := range g {
+						if g[i] != g[0] {
+							t.Fatalf("class %d view %+v: guard group not pointwise equal: %v", class, v, g)
+						}
 					}
 				}
 			}

@@ -151,37 +151,6 @@ func (e *Engine[S]) Orbit() int { return e.sym.k }
 // actually visits, one per orbit: |Γ| / Orbit().
 func (e *Engine[S]) Representatives() uint64 { return e.sym.span }
 
-// Tables is the exported copy of an engine's compiled transition
-// relation: for each position class (0 = bottom, 1 = other) and each
-// encoded (pred, self, succ) triple (statemodel.TripleIndex layout over
-// Q states), the enabled rule (0 = none) and the state index after
-// applying it (the self index unchanged when no rule is enabled).
-//
-// This is the ground truth the rulecheck analyzer (internal/lint) diffs
-// its symbolic source extraction against: the tables are synthesized by
-// *executing* the algorithm's compiled EnabledRule/Apply, while
-// rulecheck re-derives the same relation from the typed AST, so any
-// divergence between the source a reviewer reads and the behavior the
-// binary has becomes a lint finding with a concrete view witness.
-type Tables struct {
-	// Q is the number of local states (the digit alphabet size).
-	Q int
-	// Rule[class][triple] is the enabled rule number, 0 when disabled.
-	Rule [statemodel.ViewClasses][]uint8
-	// Next[class][triple] is the state index after the enabled rule.
-	Next [statemodel.ViewClasses][]int32
-}
-
-// Tables returns a deep copy of the engine's compiled transition tables.
-func (e *Engine[S]) Tables() Tables {
-	t := Tables{Q: e.q}
-	for class := 0; class < statemodel.ViewClasses; class++ {
-		t.Rule[class] = append([]uint8(nil), e.rule[class]...)
-		t.Next[class] = append([]int32(nil), e.next[class]...)
-	}
-	return t
-}
-
 // Workers returns the configured worker-pool size.
 func (e *Engine[S]) Workers() int { return e.workers }
 

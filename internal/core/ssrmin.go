@@ -152,14 +152,10 @@ func dview(v statemodel.View[State]) statemodel.View[dijkstra.State] {
 }
 
 // G evaluates the Dijkstra guard G_i — the primary-token condition — on v.
-//
-//rulecheck:guard ssrmin primary
 func G(v statemodel.View[State]) bool { return dijkstra.GuardX(v.I, v.Self.X, v.Pred.X) }
 
 // EnabledRule implements statemodel.Algorithm: it returns the smallest rule
 // of Algorithm 3 whose guard holds, or 0.
-//
-//rulecheck:relation ssrmin
 func (a *Algorithm) EnabledRule(v statemodel.View[State]) int {
 	g := G(v)
 	sR, sT := v.Self.Flags()
@@ -201,8 +197,6 @@ func (a *Algorithm) EnabledRule(v statemodel.View[State]) int {
 }
 
 // Apply implements statemodel.Algorithm.
-//
-//rulecheck:relation ssrmin
 func (a *Algorithm) Apply(v statemodel.View[State], rule int) State {
 	next := v.Self
 	switch rule {
@@ -226,8 +220,6 @@ func (a *Algorithm) Apply(v statemodel.View[State], rule int) State {
 
 // HasPrimary reports whether the process with view v holds the primary
 // token: the condition is G_i (Algorithm 3, line 37).
-//
-//rulecheck:guard ssrmin primary
 func HasPrimary(v statemodel.View[State]) bool { return G(v) }
 
 // HasSecondary reports whether the process with view v holds the secondary

@@ -78,8 +78,6 @@ func (a *Algorithm) Rules() int { return 1 }
 
 // Guard evaluates G_i of the paper: the token condition of process v.I.
 // For the bottom process it is x_i = x_{i-1}; for the others x_i ≠ x_{i-1}.
-//
-//rulecheck:guard dijkstra token
 func Guard(v statemodel.View[State]) bool {
 	return GuardX(v.I, v.Self.X, v.Pred.X)
 }
@@ -87,8 +85,6 @@ func Guard(v statemodel.View[State]) bool {
 // GuardX is Guard on bare counters: the token condition of process i with
 // counter selfX whose predecessor shows predX. Embedding algorithms (core,
 // compose) evaluate it on every guard check, so it skips the view struct.
-//
-//rulecheck:guard dijkstra token args=I,Self.X,Pred.X
 func GuardX(i, selfX, predX int) bool {
 	if i == 0 {
 		return selfX == predX
@@ -106,8 +102,6 @@ func Command(v statemodel.View[State], k int) State {
 }
 
 // EnabledRule implements statemodel.Algorithm.
-//
-//rulecheck:relation dijkstra
 func (a *Algorithm) EnabledRule(v statemodel.View[State]) int {
 	if Guard(v) {
 		return 1
@@ -116,8 +110,6 @@ func (a *Algorithm) EnabledRule(v statemodel.View[State]) int {
 }
 
 // Apply implements statemodel.Algorithm.
-//
-//rulecheck:relation dijkstra
 func (a *Algorithm) Apply(v statemodel.View[State], rule int) State {
 	if rule != 1 {
 		panic(fmt.Sprintf("dijkstra: unknown rule %d", rule))
@@ -127,8 +119,6 @@ func (a *Algorithm) Apply(v statemodel.View[State], rule int) State {
 
 // HasToken reports whether the process with view v holds the (unique, in
 // legitimate configurations) token: it is exactly the guard G_i.
-//
-//rulecheck:guard dijkstra token
 func HasToken(v statemodel.View[State]) bool { return Guard(v) }
 
 // TokenHolders returns the indices of all token-holding processes of c.

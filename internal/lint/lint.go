@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -116,21 +115,6 @@ type Package struct {
 
 	loader  *Loader
 	parents map[ast.Node]ast.Node
-}
-
-// Dep returns the fully loaded package (AST + type info) of a
-// module-local import path this package depends on, or nil when the
-// path was never loaded through the same loader. Cross-package
-// analyses (rulecheck's symbolic inlining) resolve callee bodies
-// through it.
-func (p *Package) Dep(path string) *Package {
-	if p.loader == nil {
-		return nil
-	}
-	if path == p.Path {
-		return p
-	}
-	return p.loader.pkgs[path]
 }
 
 // Pass is one (analyzer, package) run.
@@ -283,10 +267,9 @@ type Loader struct {
 
 	std   types.ImporterFrom
 	cache map[string]*types.Package
-	// pkgs retains the full Package (AST, type info, parent links) of
+	// pkgs caches the full Package (AST, type info, parent links) of
 	// every module-local package loaded through this loader — both
-	// analysis targets and their module-local imports — so analyzers
-	// can resolve cross-package function bodies (Package.Dep).
+	// analysis targets and their module-local imports.
 	pkgs map[string]*Package
 }
 
@@ -437,8 +420,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom implements types.ImporterFrom: module-local paths load as
-// full packages (AST and type info retained for Package.Dep); everything
-// else goes to the stdlib source importer.
+// full packages through Load; everything else goes to the stdlib source
+// importer.
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if p, ok := l.cache[path]; ok {
 		return p, nil
@@ -573,14 +556,4 @@ func enclosingFunc(parents map[ast.Node]ast.Node, n ast.Node) *ast.BlockStmt {
 		}
 	}
 	return nil
-}
-
-// unquote strips Go quoting from a string literal, returning the raw text
-// on failure.
-func unquote(s string) string {
-	u, err := strconv.Unquote(s)
-	if err != nil {
-		return s
-	}
-	return u
 }

@@ -132,31 +132,26 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestRuleCheckLiveAnnotations guards rulecheck against silently
-// becoming a no-op: the real dijkstra package must expose exactly the
-// annotations the equivalence proof is built on (two relation halves,
-// three token-guard group members). A refactor that detaches a doc
-// comment would otherwise skip the sweep without any finding.
+// becoming a no-op: each execution tier (the CST node and the sharded
+// engine) must carry exactly one //rulecheck:step function, and both must
+// lint clean. A refactor that detaches the doc comment would otherwise
+// skip the check without any finding.
 func TestRuleCheckLiveAnnotations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads a real package; skipping in -short")
+		t.Skip("loads real packages; skipping in -short")
 	}
 	l := testLoader(t)
-	dir := filepath.Join(l.Root, "internal", "dijkstra")
-	pkg, err := l.Load(dir, "ssrmin/internal/dijkstra")
-	if err != nil {
-		t.Fatalf("load dijkstra: %v", err)
-	}
-	pass := &Pass{Analyzer: RuleCheck, Pkg: pkg}
-	counts := map[string]int{}
-	for _, a := range ruleCheckAnnotations(pass) {
-		counts[a.kind]++
-	}
-	if counts["relation"] != 2 || counts["guard"] != 3 {
-		t.Errorf("dijkstra annotations = %v, want 2 relation halves and 3 guard members", counts)
-	}
-	if diags := RunAnalyzers(pkg, RuleCheck); len(diags) != 0 {
-		for _, d := range diags {
-			t.Errorf("unexpected diagnostic: %s", d)
+	for _, path := range []string{"ssrmin/internal/cst", "ssrmin/internal/runtime"} {
+		dir := filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(path, l.Module+"/")))
+		pkg, err := l.Load(dir, path)
+		if err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
+		if steps := stepFuncs(pkg); len(steps) != 1 {
+			t.Errorf("%s has %d //rulecheck:step functions, want exactly 1", path, len(steps))
+		}
+		for _, d := range RunAnalyzers(pkg, RuleCheck) {
+			t.Errorf("%s: unexpected diagnostic: %s", path, d)
 		}
 	}
 }

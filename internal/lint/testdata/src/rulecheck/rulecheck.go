@@ -1,11 +1,8 @@
-// Fixture for the rulecheck analyzer: local copies of the SSToken
-// guard/command pair, deliberately perturbed, annotated against the
-// registered "dijkstra" reference. The sweep diffs this source against
-// the tables compiled from the real internal/dijkstra package, so each
-// perturbation surfaces as a concrete (view → transition) witness.
+// Fixture for the rulecheck analyzer: //rulecheck:step functions that
+// keep and that break the composite-atomicity shape of Algorithm 4.
 package rulecheck
 
-// State mirrors dijkstra.State's layout (one counter field).
+// State is one process's local state.
 type State struct{ X int }
 
 // View mirrors statemodel.View's canonical field order.
@@ -17,70 +14,18 @@ type View struct {
 	Succ State
 }
 
-func (v View) Bottom() bool { return v.I == 0 }
+// Alg is a one-rule algorithm: the guard and command bodies are
+// irrelevant to the step shape.
+type Alg struct{}
 
-// Alg mirrors dijkstra.Algorithm's configuration fields.
-type Alg struct {
-	n, k int
-}
-
-// EnabledRule has the bottom guard inverted: real SSToken enables the
-// bottom process on counter equality, this copy on inequality.
-//
-//rulecheck:relation dijkstra
-func (a *Alg) EnabledRule(v View) int { // want `source EnabledRule disagrees with the compiled rule table .*64 of 128 valuations differ`
-	if v.Bottom() {
-		if v.Self.X != v.Pred.X {
-			return 1
-		}
-		return 0
-	}
+func (a *Alg) EnabledRule(v View) int {
 	if v.Self.X != v.Pred.X {
 		return 1
 	}
 	return 0
 }
 
-// Apply increments in both arms: real SSToken copies the predecessor's
-// counter at non-bottom processes.
-//
-//rulecheck:relation dijkstra
-func (a *Alg) Apply(v View, rule int) State { // want `source Apply disagrees with the compiled next-state table`
-	if v.Bottom() {
-		return State{X: (v.Pred.X + 1) % a.k}
-	}
-	return State{X: (v.Pred.X + 1) % a.k}
-}
-
-// GoodGuard is the faithful SSToken token condition.
-//
-//rulecheck:guard dijkstra token
-func GoodGuard(v View) bool {
-	if v.I == 0 {
-		return v.Self.X == v.Pred.X
-	}
-	return v.Self.X != v.Pred.X
-}
-
-// GoodGuardX is GoodGuard on bare counters — the args= form.
-//
-//rulecheck:guard dijkstra token args=I,Self.X,Pred.X
-func GoodGuardX(i, selfX, predX int) bool {
-	if i == 0 {
-		return selfX == predX
-	}
-	return selfX != predX
-}
-
-// BadGuard inverts the bottom case.
-//
-//rulecheck:guard dijkstra token
-func BadGuard(v View) bool { // want `guard group "token" is not pointwise equal`
-	if v.I == 0 {
-		return v.Self.X != v.Pred.X
-	}
-	return v.Self.X != v.Pred.X
-}
+func (a *Alg) Apply(v View, rule int) State { return State{X: v.Pred.X} }
 
 type node struct {
 	state State
@@ -107,4 +52,16 @@ func (nd *node) badStep(v, w View) {
 	if rule != 0 {
 		nd.state = nd.alg.Apply(w, rule) // want `Apply must be called with the same`
 	}
+}
+
+// doubleStep evaluates the rules twice, so the rule it applies need not be
+// the one the first evaluation saw.
+//
+//rulecheck:step
+func (nd *node) doubleStep(v View) { // want `has 2 EnabledRule calls, want exactly 1`
+	if nd.alg.EnabledRule(v) == 0 {
+		return
+	}
+	rule := nd.alg.EnabledRule(v)
+	nd.state = nd.alg.Apply(v, rule)
 }

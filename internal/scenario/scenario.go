@@ -150,6 +150,11 @@ func Load(r io.Reader) ([]Scenario, error) {
 	return []Scenario{one}, nil
 }
 
+// MaxN bounds a scenario's ring size. Validate allocates the ring's
+// membership plan before running anything, so an unbounded n would let a
+// short file demand gigabytes; the shipped scenarios use n ≤ 6.
+const MaxN = 1 << 20
+
 // Validate checks the scenario and fills defaults in place.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
@@ -179,6 +184,9 @@ func (s *Scenario) Validate() error {
 	}
 	if s.N < minN {
 		return fmt.Errorf("scenario %q: n = %d too small", s.Name, s.N)
+	}
+	if s.N > MaxN {
+		return fmt.Errorf("scenario %q: n = %d exceeds the maximum %d", s.Name, s.N, MaxN)
 	}
 	if s.K == 0 {
 		s.K = s.N + 1

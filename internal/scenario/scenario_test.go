@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -226,5 +227,32 @@ func TestSynchroTransformValidation(t *testing.T) {
 	s.Transform = "warp"
 	if err := s.Validate(); err == nil {
 		t.Error("unknown transform accepted")
+	}
+}
+
+// TestValidateRejectsHugeN: a ring size above MaxN is rejected before the
+// churn plan allocates the ring, with and without a churn event, so a
+// short file cannot make Validate allocate in proportion to n.
+func TestValidateRejectsHugeN(t *testing.T) {
+	for name, doc := range map[string]string{
+		"static": `{"name":"huge","n":100000000,"horizon":1,"seed":1}`,
+		"join":   `{"name":"huge","n":100000000,"horizon":1,"seed":1,"faults":[{"at":0.5,"type":"join","node":0}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ss, err := Load(strings.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = ss[0].Validate()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+				t.Errorf("Validate = %v, want the MaxN rejection", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("Load+Validate allocated %d bytes, want < 1 MiB", alloc)
+			}
+		})
 	}
 }
