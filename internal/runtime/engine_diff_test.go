@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssrmin/internal/core"
+	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 )
 
@@ -21,7 +22,9 @@ type diffRun struct {
 
 // diffScenario derives a full engine configuration from the seed so the
 // sweep covers ring sizes, jitter on/off, lossy links, incoherent cache
-// starts and mid-run fault injections without hand-writing 16 cases.
+// starts, a refresh shorter than the link delay (timers that fire again
+// inside the epoch that scheduled them) and mid-run fault injections
+// without hand-writing 16 cases.
 func diffScenario(seed int64) (*core.Algorithm, statemodel.Config[core.State], Options[core.State], [](struct {
 	at   float64
 	node int
@@ -34,6 +37,9 @@ func diffScenario(seed int64) (*core.Algorithm, statemodel.Config[core.State], O
 		Delay:   10 * time.Millisecond,
 		Refresh: 60 * time.Millisecond,
 		Seed:    seed,
+	}
+	if seed%5 == 3 {
+		opts.Refresh = 4 * time.Millisecond
 	}
 	if seed%2 == 0 {
 		opts.Jitter = 3 * time.Millisecond
@@ -136,6 +142,81 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// orderRun captures what depends on the order of dispatch inside an
+// epoch, not only on which events an epoch dispatches: the sorted tap
+// stream of TestEngineMatchesReference cannot tell two orders apart.
+type orderRun struct {
+	events []obs.Event
+	priv   []privCall
+	gaps   [obs.Buckets]int64
+	gapSum int64
+}
+
+type privCall struct {
+	id    int
+	holds bool
+}
+
+func runOrder(seed int64, reference bool, horizon float64) orderRun {
+	a, init, opts, faults := diffScenario(seed)
+	opts.Workers = 1
+	e := NewEngine[core.State](a, init, opts)
+	e.Reference = reference
+	var r orderRun
+	o := obs.New(obs.Func(func(ev obs.Event) { r.events = append(r.events, ev) }))
+	e.SetPrivilegeCallback(core.HasToken, func(id int, holds bool) {
+		r.priv = append(r.priv, privCall{id, holds})
+	})
+	e.SetObserver(o, nil)
+	for _, f := range faults {
+		e.ScheduleInject(f.at, f.node, f.s)
+	}
+	e.RunUntil(horizon)
+	e.Stop()
+	r.gaps, r.gapSum = o.HandoverGap.Snapshot(), o.HandoverGap.Sum()
+	return r
+}
+
+// TestEngineDispatchOrderMatchesReference pins the single-worker
+// dispatch order itself: the observer's event sequence, the privilege
+// callback sequence and the HandoverGap histogram (gaps between
+// successive gains, in dispatch order) must equal the Reference
+// engine's, unsorted, across every diff seed.
+func TestEngineDispatchOrderMatchesReference(t *testing.T) {
+	const horizon = 2.0
+	for seed := int64(1); seed <= 16; seed++ {
+		want := runOrder(seed, true, horizon)
+		if len(want.events) == 0 || len(want.priv) == 0 {
+			t.Fatalf("seed %d: reference run degenerate: %d events, %d callbacks", seed, len(want.events), len(want.priv))
+		}
+		got := runOrder(seed, false, horizon)
+		if i := firstDiff(len(got.events), len(want.events), func(i int) bool { return got.events[i] == want.events[i] }); i >= 0 {
+			t.Errorf("seed %d: observer events diverge at %d of %d", seed, i, len(want.events))
+		}
+		if i := firstDiff(len(got.priv), len(want.priv), func(i int) bool { return got.priv[i] == want.priv[i] }); i >= 0 {
+			t.Errorf("seed %d: privilege callbacks diverge at %d of %d", seed, i, len(want.priv))
+		}
+		if got.gaps != want.gaps || got.gapSum != want.gapSum {
+			t.Errorf("seed %d: HandoverGap histogram diverged (sum %d vs %d)", seed, got.gapSum, want.gapSum)
+		}
+	}
+}
+
+// firstDiff returns the first index where two sequences of lengths n and
+// m differ under eq (the shorter length when one is a prefix of the
+// other), or -1 when they are equal.
+func firstDiff(n, m int, eq func(i int) bool) int {
+	for i := 0; i < n && i < m; i++ {
+		if !eq(i) {
+			return i
+		}
+	}
+	if n != m {
+		return min(n, m)
+	}
+	return -1
 }
 
 // TestEngineWorkerCountInvariance re-runs one lossy jittered scenario at
