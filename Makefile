@@ -64,10 +64,14 @@ bench-msgnet:
 	  | $(GO) run ./cmd/benchjson -o BENCH_msgnet.json
 
 # Record the sharded event-loop runtime: virtual-time engine throughput at
-# n=10k and n=100k on 1 and 4 workers, in BENCH_runtime.json. The
-# acceptance bar is >= 100k nodes sustained.
+# n=10k and n=100k on one worker and on one per CPU, plus a Refresh <
+# Delay row, and the event-queue layer alone (one engine-100k-shaped
+# epoch), in BENCH_runtime.json. The acceptance bar is >= 100k nodes
+# sustained.
 bench-runtime:
-	$(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -count 3 . \
+	{ $(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -count 3 . ; \
+	  $(GO) test -run '^$$' -bench 'RuntimeQueue' -benchmem -count 3 \
+	    ./internal/runtime; } \
 	  | $(GO) run ./cmd/benchjson -o BENCH_runtime.json
 
 # Record the bit-sliced batch simulator: 64-lane SSRmin convergence
@@ -96,7 +100,9 @@ bench-smoke:
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_msgnet_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_msgnet.json /tmp/bench_msgnet_smoke.json
-	$(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -benchtime 3x . \
+	{ $(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -benchtime 3x . ; \
+	  $(GO) test -run '^$$' -bench 'RuntimeQueue' -benchmem -benchtime 3x \
+	    ./internal/runtime; } \
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_runtime_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_runtime.json /tmp/bench_runtime_smoke.json

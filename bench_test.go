@@ -26,6 +26,7 @@ package ssrmin
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -425,10 +426,12 @@ func BenchmarkLiveRing(b *testing.B) {
 // BenchmarkRuntimeEngine measures sustained event throughput of the
 // sharded virtual-time engine at scale. The engine advances unscaled
 // virtual time, so its events/s is bounded by dispatch cost. The worker
-// count is an explicit benchmark dimension — recorded as the
-// workers/run metric — so committed BENCH_runtime.json numbers say what
-// parallelism they were taken at instead of silently inheriting
-// GOMAXPROCS.
+// count is an explicit benchmark dimension — one worker, and one per
+// CPU (the w=ncpu rows, so the grid never oversubscribes the host) —
+// recorded as the workers/run metric, so committed BENCH_runtime.json
+// numbers say what parallelism they were taken at. The refresh=3.3ms
+// row (Refresh = Delay/3) schedules timers inside the epoch that fires
+// them, the event queue's only same-epoch insertion path.
 func BenchmarkRuntimeEngine(b *testing.B) {
 	ropts := runtime.Options[core.State]{
 		Delay:          10 * time.Millisecond,
@@ -437,23 +440,37 @@ func BenchmarkRuntimeEngine(b *testing.B) {
 		Seed:           1,
 		CoherentCaches: true,
 	}
+	type row struct {
+		n, w    int
+		name    string
+		refresh time.Duration
+	}
+	var rows []row
 	for _, n := range []int{10000, 100000} {
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("engine/n=%d,w=%d", n, w), func(b *testing.B) {
-				opts := ropts
-				opts.Workers = w
-				alg := core.New(n, n+1)
-				eng := runtime.NewEngine[core.State](alg, alg.InitialLegitimate(), opts)
-				b.ResetTimer()
-				start := eng.Stats().Events
-				for i := 0; i < b.N; i++ {
-					eng.RunUntil(eng.Now() + 0.05)
-				}
-				events := eng.Stats().Events - start
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-				b.ReportMetric(float64(n), "nodes/ring")
-				b.ReportMetric(float64(eng.Workers()), "workers/run")
-			})
-		}
+		rows = append(rows,
+			row{n: n, w: 1, name: fmt.Sprintf("n=%d,w=1", n)},
+			row{n: n, w: goruntime.NumCPU(), name: fmt.Sprintf("n=%d,w=ncpu", n)})
+	}
+	rows = append(rows, row{n: 10000, w: 1, name: "n=10000,w=1,refresh=3.3ms", refresh: ropts.Delay / 3})
+	for _, r := range rows {
+		b.Run("engine/"+r.name, func(b *testing.B) {
+			opts := ropts
+			opts.Workers = r.w
+			if r.refresh > 0 {
+				opts.Refresh = r.refresh
+			}
+			alg := core.New(r.n, r.n+1)
+			eng := runtime.NewEngine[core.State](alg, alg.InitialLegitimate(), opts)
+			defer eng.Stop()
+			b.ResetTimer()
+			start := eng.Stats().Events
+			for i := 0; i < b.N; i++ {
+				eng.RunUntil(eng.Now() + 0.05)
+			}
+			events := eng.Stats().Events - start
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(r.n), "nodes/ring")
+			b.ReportMetric(float64(eng.Workers()), "workers/run")
+		})
 	}
 }
