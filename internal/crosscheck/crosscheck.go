@@ -691,7 +691,7 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 		}
 	}
 
-	var members []int
+	var members, primaries, secondaries []int
 	membersStale := true
 	fi := 0
 	for eng.Now() < sc.Horizon {
@@ -713,7 +713,11 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 			members = eng.Members()
 			membersStale = false
 		}
-		sep.Observe(now, members, eng.Holders(core.HasPrimary), eng.Holders(core.HasSecondary))
+		// The monitor keeps no reference to the holder slices, so the two
+		// buffers are reused every tick.
+		primaries = eng.AppendHolders(primaries[:0], core.HasPrimary)
+		secondaries = eng.AppendHolders(secondaries[:0], core.HasSecondary)
+		sep.Observe(now, members, primaries, secondaries)
 	}
 	eng.Stop()
 

@@ -25,12 +25,12 @@
 //	    The function is the sanctioned shard-crossing point: callers may
 //	    hand it records with foreign destinations, and its own body is
 //	    exempt from the checks (it is the code that routes between the
-//	    local heap and the SPSC rings).
+//	    local queue and the SPSC rings).
 //
 //	//shardsafety:source
 //	    The function materializes an event record the calling shard owns
-//	    (a heap pop): after a call, the pointed-to record's node field is
-//	    owned.
+//	    (the run queue's next): after a call, the pointed-to record's
+//	    node field is owned.
 //
 // The analysis is a forward pass over each worker body in source order;
 // branches are walked in order and the last write wins. That is exact for
@@ -399,7 +399,7 @@ func (fl *shardFlow) checkCall(call *ast.CallExpr) {
 	}
 	switch role.kind {
 	case "source":
-		// The popped record's destination becomes owned: pop(&rec).
+		// The yielded record's destination becomes owned: next(&rec).
 		if len(call.Args) == 1 {
 			if arg, ok := stripAddr(call.Args[0]).(*ast.Ident); ok {
 				fl.fields[arg.Name+".node"] = provOwned

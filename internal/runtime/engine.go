@@ -9,10 +9,11 @@
 // continuous coverage — runs on.
 //
 // The engine simulates the nodes in virtual time: nodes partitioned into
-// contiguous ring arcs, one worker loop per shard, arena-backed event
-// queues, and lock-free SPSC rings for the sends that cross a shard
-// boundary. No allocation happens on the hot path, which is what lets one
-// process sustain rings of 100k+ nodes (see BENCH_runtime.json).
+// contiguous ring arcs, one worker loop per shard, an epoch run queue per
+// shard (one record vector, sorted once per epoch), and lock-free SPSC
+// rings for the sends that cross a shard boundary. No allocation happens
+// on the hot path, which is what lets one process sustain rings of 100k+
+// nodes (see BENCH_runtime.json).
 //
 // # Determinism
 //
@@ -127,15 +128,22 @@ type engLink struct {
 }
 
 // engShard is one worker's territory: the contiguous node arc [lo, hi),
-// its event arena and heap, the SPSC rings toward the neighbor shards,
-// and shard-local counters (summed on demand at barriers).
+// its epoch run queue, the SPSC rings toward the neighbor shards, and
+// shard-local counters (summed on demand at barriers).
 type engShard[S comparable] struct {
 	id     int32
 	lo, hi int32
 
-	slots []eventSlot[S]
-	free  int32
-	heap  []heapEntry
+	// The epoch run queue (events.go). q holds every pending record.
+	// During an epoch q[:due] is the sorted run of records due before
+	// horizon, q[:cur] of it is dispatched, and q[:fill] of that holds
+	// pushes for later epochs. soon is a min-heap of the pushes due
+	// inside the running epoch.
+	q              []eventRec[S]
+	due, cur, fill int
+	horizon        float64
+	soon           []eventRec[S]
+	bkt            []int32 // sortRun's bucket offsets, reused every epoch
 
 	outLeft, outRight *spsc[S] // produced here, consumed by neighbor shards
 	inLeft, inRight   *spsc[S] // aliases of the neighbors' out rings
@@ -168,9 +176,9 @@ type EngineStats struct {
 // algorithm. Build with NewEngine, optionally set Reference, then either
 // RunUntil (fast virtual time) or Start/Stop (wall-clock paced).
 type Engine[S comparable] struct {
-	// Reference, when set before the first run, replaces the sharded
-	// arena engine with a boxed container/heap event queue processed by
-	// a single loop — the differential twin, mirroring
+	// Reference, when set before the first run, replaces the shards'
+	// run queues with a boxed container/heap event queue processed by a
+	// single loop — the differential twin, mirroring
 	// msgnet.Network.Legacy. Behavior is bit-identical by construction;
 	// the test suite enforces it.
 	Reference bool
@@ -474,7 +482,6 @@ func (e *Engine[S]) freeze() {
 		}
 		sh := &e.shards[i]
 		sh.id, sh.lo, sh.hi = int32(i), int32(lo), int32(lo+size)
-		sh.free = -1
 		for j := lo; j < lo+size; j++ {
 			e.shardOf[j] = int32(i)
 		}
@@ -575,9 +582,9 @@ func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
 		sh.inLeft.drainInto(sh)
 		sh.inRight.drainInto(sh)
 	}
+	sh.open(horizon)
 	var rec eventRec[S]
-	for len(sh.heap) > 0 && sh.heap[0].at < horizon {
-		sh.pop(&rec)
+	for sh.next(&rec) {
 		e.dispatch(sh, &rec)
 	}
 }
@@ -773,7 +780,7 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 }
 
 // emit routes a message arrival to its destination shard: same shard
-// goes straight into the arena heap; a boundary crossing rides the SPSC
+// goes straight into the shard queue; a boundary crossing rides the SPSC
 // ring of the send's direction (exact even at W=2, where both neighbor
 // shards are the same shard).
 //
@@ -873,7 +880,7 @@ func sortChurn[S comparable](ops []churnOp[S]) {
 
 // applyChurn rewires the ring for one op. It runs between epochs on the
 // driving goroutine, so every node and link is safe to touch. Frames in
-// flight toward a rewired node survive in the event heap; dispatch drops
+// flight toward a rewired node survive in the event queue; dispatch drops
 // the ones whose sender is no longer the receiver's neighbor, mirroring
 // the msgnet tier's stale-frame discard.
 func (e *Engine[S]) applyChurn(op *churnOp[S]) {
@@ -1009,7 +1016,18 @@ func (e *Engine[S]) TrackedCensus() (int, bool) {
 
 // Holders returns the ids of nodes whose view satisfies holder.
 func (e *Engine[S]) Holders(holder func(statemodel.View[S]) bool) []int {
-	var out []int
+	return e.AppendHolders(nil, holder)
+}
+
+// AppendHolders appends the ids of nodes whose view satisfies holder to
+// dst and returns the extended slice. A caller sampling every tick
+// passes the previous result resliced to zero length and, outside paced
+// mode, allocates nothing once the buffer is large enough.
+func (e *Engine[S]) AppendHolders(dst []int, holder func(statemodel.View[S]) bool) []int {
+	if !e.paced() {
+		return e.holdersNow(holder, dst)
+	}
+	out := dst
 	e.do(func() { out = e.holdersNow(holder, out) })
 	return out
 }
@@ -1231,15 +1249,19 @@ func (e *Engine[S]) drive(ctx context.Context) {
 	}
 }
 
+// paced reports whether the pacer is running.
+func (e *Engine[S]) paced() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.started && !e.stopped
+}
+
 // do runs f with exclusive access to the engine state: directly when the
 // pacer is not running (single-goroutine fast mode), or on the driver
 // goroutine between epochs when it is. If the pacer stops while we wait,
 // the engine is quiescent and f runs directly.
 func (e *Engine[S]) do(f func()) {
-	e.mu.Lock()
-	live := e.started && !e.stopped
-	e.mu.Unlock()
-	if !live {
+	if !e.paced() {
 		f()
 		return
 	}
@@ -1261,7 +1283,7 @@ func (e *Engine[S]) do(f func()) {
 type refEvent[S comparable] struct{ rec eventRec[S] }
 
 // refQueue is a container/heap min-queue of boxed events ordered by the
-// same (at, key2) key the shard heaps use.
+// same (at, key2) key the shard queues use.
 type refQueue[S comparable] struct{ evs []*refEvent[S] }
 
 func newRefQueue[S comparable](capHint int) *refQueue[S] {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +47,28 @@ func sampleCensus(e *Engine[core.State], horizon float64) (minC, maxC int, seen 
 		}
 	}
 	return minC, maxC, seen
+}
+
+// TestEngineAppendHolders: AppendHolders extends dst with exactly the
+// ids Holders returns, and a reused buffer makes the per-tick sample
+// allocation-free.
+func TestEngineAppendHolders(t *testing.T) {
+	_, e := newSSRminEngine(12, 13, engineOpts(1, 1))
+	e.RunUntil(0.3)
+	want := e.Holders(core.HasToken)
+	if len(want) == 0 {
+		t.Fatal("no holders in a legitimate ring")
+	}
+	got := e.AppendHolders([]int{-1}, core.HasToken)
+	if !reflect.DeepEqual(got, append([]int{-1}, want...)) {
+		t.Fatalf("AppendHolders = %v, want -1 followed by %v", got, want)
+	}
+	buf := make([]int, 0, 12)
+	if allocs := testing.AllocsPerRun(20, func() {
+		buf = e.AppendHolders(buf[:0], core.HasToken)
+	}); allocs != 0 {
+		t.Errorf("AppendHolders into a reused buffer: %v allocs per call, want 0", allocs)
+	}
 }
 
 // TestEngineMutualInclusion checks the paper's core guarantee on the

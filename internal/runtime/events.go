@@ -1,13 +1,14 @@
 package runtime
 
-// Event plumbing for the sharded virtual-time engine: the per-shard slot
-// arena with an index-based 4-ary heap (the internal/msgnet arena pattern
-// transplanted to the live tier), the lock-free SPSC rings that carry
-// cross-shard sends, the 8-byte splitmix64 PRNG that replaces *rand.Rand
-// on the hot path, and the tap stream the differential test pins
-// bit-identical between the sharded and the boxed reference engine.
+// Event plumbing for the sharded virtual-time engine: the per-shard epoch
+// run queue (one record vector, sorted once per epoch), the lock-free
+// SPSC rings that carry cross-shard sends, the 8-byte splitmix64 PRNG
+// that replaces *rand.Rand on the hot path, and the tap stream the
+// differential test pins bit-identical between the sharded and the boxed
+// reference engine.
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -38,7 +39,7 @@ func (p *prng) float64() float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Event records, slot arena, 4-ary heap
+// Event records and the epoch run queue
 // ---------------------------------------------------------------------------
 
 // Event kinds. Deliveries carry the direction so the receiver knows which
@@ -52,9 +53,10 @@ const (
 )
 
 // eventRec is one pending event in value form — what crosses shard
-// boundaries through the SPSC rings and what the dispatcher consumes.
-// key2 packs (origin node << 32 | origin sequence number): together with
-// at it is the globally unique, deterministic event ordering key.
+// boundaries through the SPSC rings, what the shard queue stores and
+// what the dispatcher consumes. key2 packs (origin node << 32 | origin
+// sequence number): together with at it is the globally unique,
+// deterministic event ordering key.
 type eventRec[S comparable] struct {
 	at      float64
 	key2    uint64
@@ -63,125 +65,191 @@ type eventRec[S comparable] struct {
 	payload S
 }
 
-// eventSlot is an arena slot: the payload part of an eventRec plus the
-// free-list link. The (at, key2) ordering key lives in the heap entry so
-// sifts move 24 bytes regardless of the state type's size.
-type eventSlot[S comparable] struct {
-	node    int32
-	kind    uint8
-	next    int32 // free-list link; -1 terminates
-	payload S
-}
-
-// heapEntry is one 4-ary heap element: the ordering key inline, the
-// payload behind an arena index.
-type heapEntry struct {
-	at   float64
-	key2 uint64
-	slot int32
-}
-
-func heapLess(a, b heapEntry) bool {
+func recLess[S comparable](a, b *eventRec[S]) bool {
 	return a.at < b.at || (a.at == b.at && a.key2 < b.key2)
 }
 
-// alloc grabs a free slot index, growing the arena when the free list is
-// dry. Growth appends (amortized, allocation-free in steady state).
-//
-//allocgate:hot
-func (sh *engShard[S]) alloc() int32 {
-	if sh.free >= 0 {
-		idx := sh.free
-		sh.free = sh.slots[idx].next
-		return idx
+// cmpRec is recLess as a three-way comparison. Keys are unique, so no two
+// records compare equal.
+func cmpRec[S comparable](a, b eventRec[S]) int {
+	if recLess(&a, &b) {
+		return -1
 	}
-	sh.slots = append(sh.slots, eventSlot[S]{})
-	return int32(len(sh.slots) - 1)
+	return 1
 }
 
-// release returns a slot to the free list.
+// The shard's event queue is an epoch run queue: one vector q of every
+// pending record, in no particular order between epochs. open moves the
+// records due in the epoch to the front of q and sorts that run once;
+// next dispatches it in order; push files records for later epochs into
+// the run's already dispatched slots, appending only when none is free;
+// and close refills the slots left over from the tail of q. A push due
+// inside the running epoch (a refresh timer shorter than the epoch) goes
+// to the small soon heap, which next merges at the head of the run.
+// Dispatch order is therefore exactly (at, key2), the order a global
+// priority queue would give.
+
+// open starts the epoch that ends at horizon. Records with at < horizon —
+// the test that bounds the epoch — are partitioned in place to the front
+// of q and sorted into the run.
 //
 //allocgate:hot
-func (sh *engShard[S]) release(idx int32) {
-	sh.slots[idx].next = sh.free
-	sh.free = idx
+func (sh *engShard[S]) open(horizon float64) {
+	q := sh.q
+	due := 0
+	lo := horizon
+	for i := range q {
+		if at := q[i].at; at < horizon {
+			lo = min(lo, at)
+			q[i], q[due] = q[due], q[i]
+			due++
+		}
+	}
+	sh.sortRun(q[:due], lo, horizon)
+	sh.horizon, sh.due, sh.cur, sh.fill = horizon, due, 0, 0
 }
 
-// push inserts rec into the shard's arena and heap.
+// sortRun sorts run, whose times lie in [lo, hi), by (at, key2). A
+// counting pass and an in-place permutation (American flag sort) file
+// the records into equal-width time buckets, and a comparison sort
+// finishes each bucket. Event times spread evenly over an epoch, so the
+// buckets hold a few records each and the sort is close to linear; a
+// skewed run (every node's t=0 announcement) only makes some buckets
+// larger, never the result different.
+//
+//allocgate:hot
+func (sh *engShard[S]) sortRun(run []eventRec[S], lo, hi float64) {
+	nb := len(run)/4 + 1
+	for len(sh.bkt) < 2*(nb+1) {
+		sh.bkt = append(sh.bkt, 0) // grows to the largest run, then stays
+	}
+	start, next := sh.bkt[:nb+1], sh.bkt[nb+1:2*(nb+1)]
+	clear(start)
+	scale := float64(nb) / (hi - lo)
+	bucket := func(at float64) int {
+		return min(int((at-lo)*scale), nb-1)
+	}
+	for i := range run {
+		start[bucket(run[i].at)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	copy(next, start)
+	for b := 0; b < nb; b++ {
+		for i := next[b]; i < start[b+1]; i = next[b] {
+			c := bucket(run[i].at)
+			if c != b {
+				run[i], run[next[c]] = run[next[c]], run[i]
+			}
+			next[c]++
+		}
+	}
+	for b := 0; b < nb; b++ {
+		slices.SortFunc(run[start[b]:start[b+1]], cmpRec[S])
+	}
+}
+
+// next takes the epoch's next record in (at, key2) order into rec — the
+// head of the run or of the soon heap, whichever is earlier — and returns
+// false, closing the epoch, once both are empty. Only records destined
+// for the shard's own arc are ever pushed, so the record is owned.
+//
+//shardsafety:source
+//allocgate:hot
+func (sh *engShard[S]) next(rec *eventRec[S]) bool {
+	if len(sh.soon) > 0 && (sh.cur == sh.due || recLess(&sh.soon[0], &sh.q[sh.cur])) {
+		sh.popSoon(rec)
+		return true
+	}
+	if sh.cur < sh.due {
+		*rec = sh.q[sh.cur]
+		sh.cur++
+		return true
+	}
+	sh.close()
+	return false
+}
+
+// close ends the epoch: the dispatched slots q[fill:due] that no push
+// reused are filled from the tail of q, so q again holds exactly the
+// pending records.
+//
+//allocgate:hot
+func (sh *engShard[S]) close() {
+	hole := sh.due - sh.fill
+	k := min(hole, len(sh.q)-sh.due)
+	copy(sh.q[sh.fill:sh.fill+k], sh.q[len(sh.q)-k:])
+	sh.q = sh.q[:len(sh.q)-hole]
+	sh.due, sh.cur, sh.fill = 0, 0, 0
+}
+
+// push enqueues rec. A record due inside the running epoch joins the
+// soon heap; any other takes the first dispatched slot of the run no push
+// has reused yet, or is appended. Between epochs fill == cur == 0 and
+// every record lies at or beyond the last horizon, so pushes append.
 //
 //shardsafety:worker owns=rec.node
 //allocgate:hot
 func (sh *engShard[S]) push(rec eventRec[S]) {
-	idx := sh.alloc()
-	s := &sh.slots[idx]
-	s.node, s.kind, s.payload = rec.node, rec.kind, rec.payload
-	sh.heap = append(sh.heap, heapEntry{})
-	sh.up(len(sh.heap)-1, heapEntry{at: rec.at, key2: rec.key2, slot: idx})
-}
-
-// pop removes the minimum event into rec and releases its slot. The heap
-// must be non-empty. The popped record's destination is owned by the
-// shard: only owned-destination records ever enter a shard's heap.
-//
-//shardsafety:source
-//allocgate:hot
-func (sh *engShard[S]) pop(rec *eventRec[S]) {
-	top := sh.heap[0]
-	last := len(sh.heap) - 1
-	ent := sh.heap[last]
-	sh.heap = sh.heap[:last]
-	if last > 0 {
-		sh.down(0, ent)
+	switch {
+	case rec.at < sh.horizon:
+		sh.pushSoon(rec)
+	case sh.fill < sh.cur:
+		sh.q[sh.fill] = rec
+		sh.fill++
+	default:
+		sh.q = append(sh.q, rec)
 	}
-	s := &sh.slots[top.slot]
-	rec.at, rec.key2 = top.at, top.key2
-	rec.node, rec.kind, rec.payload = s.node, s.kind, s.payload
-	sh.release(top.slot)
 }
 
-// up sifts ent from hole i toward the root (hole-based: ent is written
-// exactly once, at its final position).
+// pushSoon inserts rec into the soon heap, a binary min-heap by (at,
+// key2), sifting a hole up so rec is written once.
 //
 //allocgate:hot
-func (sh *engShard[S]) up(i int, ent heapEntry) {
+func (sh *engShard[S]) pushSoon(rec eventRec[S]) {
+	h := append(sh.soon, rec)
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 4
-		if !heapLess(ent, sh.heap[parent]) {
+		parent := (i - 1) / 2
+		if !recLess(&rec, &h[parent]) {
 			break
 		}
-		sh.heap[i] = sh.heap[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	sh.heap[i] = ent
+	h[i] = rec
+	sh.soon = h
 }
 
-// down sifts ent from hole i toward the leaves.
+// popSoon removes the soon heap's minimum into rec. The heap must be
+// non-empty.
 //
 //allocgate:hot
-func (sh *engShard[S]) down(i int, ent heapEntry) {
-	n := len(sh.heap)
+func (sh *engShard[S]) popSoon(rec *eventRec[S]) {
+	h := sh.soon
+	*rec = h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	i := 0
 	for {
-		first := 4*i + 1
-		if first >= n {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
+		if c+1 < len(h) && recLess(&h[c+1], &h[c]) {
+			c++
 		}
-		for c := first + 1; c < end; c++ {
-			if heapLess(sh.heap[c], sh.heap[best]) {
-				best = c
-			}
-		}
-		if !heapLess(sh.heap[best], ent) {
+		if !recLess(&h[c], &last) {
 			break
 		}
-		sh.heap[i] = sh.heap[best]
-		i = best
+		h[i] = h[c]
+		i = c
 	}
-	sh.heap[i] = ent
+	if len(h) > 0 {
+		h[i] = last
+	}
+	sh.soon = h
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +289,7 @@ type spsc[S comparable] struct {
 	// full. The producer CAS-pushes (a plain store would race the
 	// consumer's Swap below), the consumer swaps the whole stack out.
 	// Stack order is irrelevant: every drained record goes through the
-	// shard heap, which orders by the unique (at, key2).
+	// shard queue, which orders by the unique (at, key2).
 	ovf atomic.Pointer[spscNode[S]]
 }
 
@@ -244,7 +312,7 @@ func (q *spsc[S]) pushRing(rec eventRec[S]) {
 }
 
 // drainInto moves every visible entry — ring first, then the overflow
-// stack — into the shard's heap. It is the receiving side of the SPSC
+// stack — into the shard's queue. It is the receiving side of the SPSC
 // crossing: everything it drains was addressed to sh by the sender's
 // gate, so its pushes are exempt from provenance checks.
 //
