@@ -20,6 +20,10 @@
 //
 // All randomized daemons take an explicit *rand.Rand so that every
 // experiment is reproducible from its seed.
+//
+// Select allocates nothing once warmed up: each daemon writes its
+// selection into a buffer it owns (Synchronous returns enabled itself),
+// so a selection is valid only until the daemon's next Select call.
 package daemon
 
 import (
@@ -34,14 +38,18 @@ import (
 type Central struct {
 	name string
 	pick func(enabled []statemodel.Move) statemodel.Move
+	buf  [1]statemodel.Move
 }
 
 // Name implements statemodel.Daemon.
 func (c *Central) Name() string { return c.name }
 
 // Select implements statemodel.Daemon.
+//
+//allocgate:hot
 func (c *Central) Select(enabled []statemodel.Move) []statemodel.Move {
-	return []statemodel.Move{c.pick(enabled)}
+	c.buf[0] = c.pick(enabled)
+	return c.buf[:]
 }
 
 // NewCentralRandom returns a central daemon choosing uniformly at random.
@@ -102,11 +110,11 @@ type Synchronous struct{}
 // Name implements statemodel.Daemon.
 func (Synchronous) Name() string { return "synchronous" }
 
-// Select implements statemodel.Daemon.
+// Select implements statemodel.Daemon: the selection is enabled itself.
+//
+//allocgate:hot
 func (Synchronous) Select(enabled []statemodel.Move) []statemodel.Move {
-	out := make([]statemodel.Move, len(enabled))
-	copy(out, enabled)
-	return out
+	return enabled
 }
 
 // RandomSubset includes each enabled process independently with probability
@@ -115,7 +123,8 @@ func (Synchronous) Select(enabled []statemodel.Move) []statemodel.Move {
 type RandomSubset struct {
 	rng *rand.Rand
 	// P is the inclusion probability of each enabled process.
-	P float64
+	P   float64
+	buf []statemodel.Move
 }
 
 // NewRandomSubset returns a distributed daemon with inclusion probability p.
@@ -130,17 +139,19 @@ func NewRandomSubset(rng *rand.Rand, p float64) *RandomSubset {
 func (d *RandomSubset) Name() string { return fmt.Sprintf("distributed-random(p=%.2f)", d.P) }
 
 // Select implements statemodel.Daemon.
+//
+//allocgate:hot
 func (d *RandomSubset) Select(enabled []statemodel.Move) []statemodel.Move {
-	var out []statemodel.Move
+	d.buf = d.buf[:0]
 	for _, m := range enabled {
 		if d.rng.Float64() < d.P {
-			out = append(out, m)
+			d.buf = append(d.buf, m)
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, enabled[d.rng.Intn(len(enabled))])
+	if len(d.buf) == 0 {
+		d.buf = append(d.buf, enabled[d.rng.Intn(len(enabled))])
 	}
-	return out
+	return d.buf
 }
 
 // RuleBiased is an adversarial distributed daemon over rule numbers: if any
@@ -153,6 +164,7 @@ type RuleBiased struct {
 	// Prefer is the set of rule numbers to run eagerly.
 	Prefer map[int]bool
 	rng    *rand.Rand
+	buf    []statemodel.Move
 }
 
 // NewRuleBiased returns a RuleBiased daemon preferring the given rules.
@@ -168,17 +180,19 @@ func NewRuleBiased(rng *rand.Rand, prefer ...int) *RuleBiased {
 func (d *RuleBiased) Name() string { return fmt.Sprintf("rule-biased%v", keys(d.Prefer)) }
 
 // Select implements statemodel.Daemon.
+//
+//allocgate:hot
 func (d *RuleBiased) Select(enabled []statemodel.Move) []statemodel.Move {
-	var preferred []statemodel.Move
+	d.buf = d.buf[:0]
 	for _, m := range enabled {
 		if d.Prefer[m.Rule] {
-			preferred = append(preferred, m)
+			d.buf = append(d.buf, m)
 		}
 	}
-	if len(preferred) > 0 {
-		return preferred
+	if len(d.buf) == 0 {
+		d.buf = append(d.buf, enabled[d.rng.Intn(len(enabled))])
 	}
-	return []statemodel.Move{enabled[d.rng.Intn(len(enabled))]}
+	return d.buf
 }
 
 // Starver is an unfairness witness: it never activates a process in the
@@ -189,6 +203,7 @@ type Starver struct {
 	// Victims holds the starved process indices.
 	Victims map[int]bool
 	rng     *rand.Rand
+	buf     []statemodel.Move
 }
 
 // NewStarver returns a Starver daemon for the given victim processes.
@@ -204,17 +219,19 @@ func NewStarver(rng *rand.Rand, victims ...int) *Starver {
 func (d *Starver) Name() string { return fmt.Sprintf("starver%v", keys(d.Victims)) }
 
 // Select implements statemodel.Daemon.
+//
+//allocgate:hot
 func (d *Starver) Select(enabled []statemodel.Move) []statemodel.Move {
-	var free []statemodel.Move
+	d.buf = d.buf[:0]
 	for _, m := range enabled {
 		if !d.Victims[m.Process] {
-			free = append(free, m)
+			d.buf = append(d.buf, m)
 		}
 	}
-	if len(free) > 0 {
-		return free
+	if len(d.buf) == 0 {
+		d.buf = append(d.buf, enabled[d.rng.Intn(len(enabled))])
 	}
-	return []statemodel.Move{enabled[d.rng.Intn(len(enabled))]}
+	return d.buf
 }
 
 // Seq replays a scripted schedule: at step t it activates exactly the
@@ -226,6 +243,7 @@ type Seq struct {
 	// Script lists, per step, the process indices to activate.
 	Script [][]int
 	t      int
+	buf    []statemodel.Move
 }
 
 // NewSeq returns a scripted daemon.
@@ -235,25 +253,27 @@ func NewSeq(script [][]int) *Seq { return &Seq{Script: script} }
 func (d *Seq) Name() string { return "scripted" }
 
 // Select implements statemodel.Daemon.
+//
+//allocgate:hot
 func (d *Seq) Select(enabled []statemodel.Move) []statemodel.Move {
 	var want []int
 	if d.t < len(d.Script) {
 		want = d.Script[d.t]
 	}
 	d.t++
-	var out []statemodel.Move
+	d.buf = d.buf[:0]
 	for _, m := range enabled {
 		for _, p := range want {
 			if m.Process == p {
-				out = append(out, m)
+				d.buf = append(d.buf, m)
 				break
 			}
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, enabled[0])
+	if len(d.buf) == 0 {
+		d.buf = append(d.buf, enabled[0])
 	}
-	return out
+	return d.buf
 }
 
 func keys(set map[int]bool) []int {

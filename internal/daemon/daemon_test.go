@@ -90,10 +90,15 @@ func TestSynchronousSelectsAll(t *testing.T) {
 	if len(sel) != 4 {
 		t.Fatalf("synchronous selected %d of 4", len(sel))
 	}
-	// Must be a copy, not an alias.
-	sel[0].Process = 99
-	if enabled[0].Process == 99 {
-		t.Error("Synchronous aliases the enabled slice")
+	// The selection is enabled itself, unchanged: the daemon copies
+	// nothing, so a synchronous step allocates nothing.
+	if &sel[0] != &enabled[0] {
+		t.Error("Synchronous copied the enabled slice")
+	}
+	for i, m := range moves(0, 1, 2, 3) {
+		if sel[i] != m {
+			t.Errorf("selection[%d] = %v, want %v", i, sel[i], m)
+		}
 	}
 }
 

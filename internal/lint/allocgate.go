@@ -1,6 +1,7 @@
 // allocgate: a static gate on hot-path heap allocations. Functions
 // annotated //allocgate:hot (the msgnet arena, the sharded engine's event
-// loop, the cst fast paths) are the ones whose benchmarks claim
+// loop, the cst fast paths, the bitslice kernels, the state tier's step
+// and the daemons' Select) are the ones whose benchmarks claim
 // 0 allocs/op; the analyzer runs the real compiler's escape analysis
 // (go build -gcflags=-m) over the module and flags any "escapes to heap"
 // or "moved to heap" decision landing inside an annotated function's
@@ -38,6 +39,8 @@ var AllocGate = &Analyzer{
 		"ssrmin/internal/cst",
 		"ssrmin/internal/runtime",
 		"ssrmin/internal/bitslice",
+		"ssrmin/internal/statemodel",
+		"ssrmin/internal/daemon",
 	},
 	Run: runAllocGate,
 }

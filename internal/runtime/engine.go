@@ -538,6 +538,9 @@ func (e *Engine[S]) RunUntil(t float64) {
 
 // Now returns the current virtual time in seconds.
 func (e *Engine[S]) Now() float64 {
+	if !e.paced() {
+		return e.now
+	}
 	var t float64
 	e.do(func() { t = e.now })
 	return t
@@ -972,26 +975,38 @@ func (e *Engine[S]) detachArc(first int32, count int32) {
 
 // ---------------------------------------------------------------------------
 // Reads (safe in both modes: direct when idle, via the pacer when live)
+//
+// Each read tests paced() before it declares anything its do closure
+// captures: a captured variable lives on the heap from its declaration
+// on, so only the paced path pays for the closure, and an unpaced
+// sample of Now, TrackedCensus or AppendHolders allocates nothing. (A
+// generic helper taking the read's body as a method expression did
+// allocate on the unpaced path, so each read spells the test out.)
 // ---------------------------------------------------------------------------
 
 // Snapshots returns every node's (state, caches) at the current virtual
 // time — a true instantaneous cut of the virtual execution.
 func (e *Engine[S]) Snapshots() []Snapshot[S] {
+	if !e.paced() {
+		return e.snapshotsNow()
+	}
+	var out []Snapshot[S]
+	e.do(func() { out = e.snapshotsNow() })
+	return out
+}
+
+func (e *Engine[S]) snapshotsNow() []Snapshot[S] {
 	out := make([]Snapshot[S], e.n)
-	e.do(func() {
-		for i := range e.nodes {
-			nd := &e.nodes[i]
-			out[i] = Snapshot[S]{State: nd.state, CachePred: nd.cachePred, CacheSucc: nd.cacheSucc}
-		}
-	})
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		out[i] = Snapshot[S]{State: nd.state, CachePred: nd.cachePred, CacheSucc: nd.cacheSucc}
+	}
 	return out
 }
 
 // Census counts the nodes whose view satisfies holder.
 func (e *Engine[S]) Census(holder func(statemodel.View[S]) bool) int {
-	count := 0
-	e.do(func() { count = len(e.holdersNow(holder, nil)) })
-	return count
+	return len(e.Holders(holder))
 }
 
 // TrackedCensus returns the census of the installed privilege predicate
@@ -1004,14 +1019,21 @@ func (e *Engine[S]) TrackedCensus() (int, bool) {
 	if e.holder == nil {
 		return 0, false
 	}
-	count := 0
-	e.do(func() {
-		e.freeze()
-		for i := range e.shards {
-			count += int(e.shards[i].priv)
-		}
-	})
+	if !e.paced() {
+		return e.trackedCensusNow(), true
+	}
+	var count int
+	e.do(func() { count = e.trackedCensusNow() })
 	return count, true
+}
+
+func (e *Engine[S]) trackedCensusNow() int {
+	e.freeze()
+	count := 0
+	for i := range e.shards {
+		count += int(e.shards[i].priv)
+	}
+	return count
 }
 
 // Holders returns the ids of nodes whose view satisfies holder.
@@ -1048,6 +1070,9 @@ func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool, out []int) 
 
 // MemberCount returns the current ring size.
 func (e *Engine[S]) MemberCount() int {
+	if !e.paced() {
+		return e.members
+	}
 	var m int
 	e.do(func() { m = e.members })
 	return m
@@ -1056,22 +1081,27 @@ func (e *Engine[S]) MemberCount() int {
 // Members returns the active node ids in ring order, starting at node 0
 // (the bottom, which can never leave) and following successor pointers.
 func (e *Engine[S]) Members() []int {
+	if !e.paced() {
+		return e.membersNow()
+	}
 	var out []int
-	e.do(func() {
-		out = make([]int, 0, e.members)
-		i := int32(0)
-		for {
-			out = append(out, int(i))
-			i = e.succOf[i]
-			if i == 0 {
-				break
-			}
-			if len(out) > e.total {
-				panic("runtime: successor pointers do not close a ring")
-			}
-		}
-	})
+	e.do(func() { out = e.membersNow() })
 	return out
+}
+
+func (e *Engine[S]) membersNow() []int {
+	out := make([]int, 0, e.members)
+	i := int32(0)
+	for {
+		out = append(out, int(i))
+		i = e.succOf[i]
+		if i == 0 {
+			return out
+		}
+		if len(out) > e.total {
+			panic("runtime: successor pointers do not close a ring")
+		}
+	}
 }
 
 // RuleExecutions sums rule executions across shards.
@@ -1079,17 +1109,24 @@ func (e *Engine[S]) RuleExecutions() int64 { return e.Stats().Rules }
 
 // Stats sums the shard counters.
 func (e *Engine[S]) Stats() EngineStats {
+	if !e.paced() {
+		return e.statsNow()
+	}
 	var s EngineStats
-	e.do(func() {
-		for i := range e.shards {
-			sh := &e.shards[i]
-			s.Events += sh.events
-			s.Sent += sh.sent
-			s.Carried += sh.carried
-			s.Dropped += sh.dropped
-			s.Rules += sh.rules
-		}
-	})
+	e.do(func() { s = e.statsNow() })
+	return s
+}
+
+func (e *Engine[S]) statsNow() EngineStats {
+	var s EngineStats
+	for i := range e.shards {
+		sh := &e.shards[i]
+		s.Events += sh.events
+		s.Sent += sh.sent
+		s.Carried += sh.carried
+		s.Dropped += sh.dropped
+		s.Rules += sh.rules
+	}
 	return s
 }
 
@@ -1097,17 +1134,23 @@ func (e *Engine[S]) Stats() EngineStats {
 // called), canonically ordered by (At, Src, Ord). The stream is
 // bit-identical across worker counts and against the Reference engine.
 func (e *Engine[S]) Taps() []TapEvent {
+	if !e.paced() {
+		return e.tapsNow()
+	}
 	var out []TapEvent
-	e.do(func() {
-		total := 0
-		for i := range e.shards {
-			total += len(e.shards[i].tapBuf)
-		}
-		out = make([]TapEvent, 0, total)
-		for i := range e.shards {
-			out = append(out, e.shards[i].tapBuf...)
-		}
-	})
+	e.do(func() { out = e.tapsNow() })
+	return out
+}
+
+func (e *Engine[S]) tapsNow() []TapEvent {
+	total := 0
+	for i := range e.shards {
+		total += len(e.shards[i].tapBuf)
+	}
+	out := make([]TapEvent, 0, total)
+	for i := range e.shards {
+		out = append(out, e.shards[i].tapBuf...)
+	}
 	sortTaps(out)
 	return out
 }

@@ -71,6 +71,28 @@ func TestEngineAppendHolders(t *testing.T) {
 	}
 }
 
+// TestEngineUnpacedTickAllocs: the soak live tier's per-tick sample —
+// Now, TrackedCensus and two AppendHolders into reused buffers — reads
+// the engine directly when the pacer is not running and allocates
+// nothing.
+func TestEngineUnpacedTickAllocs(t *testing.T) {
+	_, e := newSSRminEngine(12, 13, engineOpts(1, 2))
+	defer e.Stop()
+	e.SetPrivilegeCallback(core.HasToken, nil)
+	e.RunUntil(0.3)
+	primaries, secondaries := make([]int, 0, 12), make([]int, 0, 12)
+	if allocs := testing.AllocsPerRun(20, func() {
+		_ = e.Now()
+		if _, ok := e.TrackedCensus(); !ok {
+			t.Fatal("TrackedCensus untracked with a privilege predicate installed")
+		}
+		primaries = e.AppendHolders(primaries[:0], core.HasPrimary)
+		secondaries = e.AppendHolders(secondaries[:0], core.HasSecondary)
+	}); allocs != 0 {
+		t.Errorf("one unpaced tick sample: %v allocs, want 0", allocs)
+	}
+}
+
 // TestEngineMutualInclusion checks the paper's core guarantee on the
 // sharded engine: from a legitimate coherent start the virtual-time
 // census never leaves [1, 2], and the privilege visits every node.

@@ -9,19 +9,29 @@ import (
 
 // drainShard runs one epoch whose horizon lies just past the latest
 // pending record and returns every record in dispatch order. The tests
-// push integer times in increasing batches, so a later batch lies at or
-// beyond this horizon and goes through q, open and sortRun as in the
-// engine.
+// push integer times in increasing batches, so a later batch mostly lies
+// at or beyond the last horizon and goes through q, open and sortRun as
+// in the engine.
+//
+// A concurrent drain can also leave records in soon: drainInto reads the
+// ring before it swaps out the overflow stack, so when the producer
+// refills the ring and spills a later record in between, that later
+// record is drained first and its horizon passes the ring records still
+// waiting, which the next drain files under soon (at < horizon). The
+// horizon is therefore never below the last one, and an epoch runs
+// whenever q or soon holds a record.
 func drainShard(sh *engShard[int]) []eventRec[int] {
-	if len(sh.q) == 0 {
+	if len(sh.q) == 0 && len(sh.soon) == 0 {
 		return nil
 	}
-	horizon := sh.q[0].at
-	for i := range sh.q {
-		horizon = max(horizon, sh.q[i].at)
+	horizon := sh.horizon
+	for _, recs := range [][]eventRec[int]{sh.q, sh.soon} {
+		for i := range recs {
+			horizon = max(horizon, recs[i].at+1)
+		}
 	}
 	var out []eventRec[int]
-	runQueueEpoch(sh, horizon+1, func(rec *eventRec[int]) { out = append(out, *rec) })
+	runQueueEpoch(sh, horizon, func(rec *eventRec[int]) { out = append(out, *rec) })
 	return out
 }
 

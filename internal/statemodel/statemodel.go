@@ -17,7 +17,9 @@
 package statemodel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ssrmin/internal/obs"
 )
@@ -180,7 +182,12 @@ func (m Move) String() string { return fmt.Sprintf("P%d/R%d", m.Process, m.Rule)
 // configuration c under algorithm alg: one Move per enabled process,
 // carrying its unique highest-priority enabled rule.
 func Enabled[S comparable](alg Algorithm[S], c Config[S]) []Move {
-	var moves []Move
+	return appendEnabled(nil, alg, c)
+}
+
+// appendEnabled appends the enabled moves of c to moves, in increasing
+// process order, and returns the extended slice.
+func appendEnabled[S comparable](moves []Move, alg Algorithm[S], c Config[S]) []Move {
 	for i := range c {
 		if r := alg.EnabledRule(c.View(i)); r != 0 {
 			moves = append(moves, Move{Process: i, Rule: r})
@@ -197,7 +204,16 @@ func Enabled[S comparable](alg Algorithm[S], c Config[S]) []Move {
 // Apply panics if a move's rule is not the enabled rule of its process —
 // that would mean the daemon invented a transition the model does not have.
 func Apply[S comparable](alg Algorithm[S], c Config[S], moves []Move) Config[S] {
-	next := c.Clone()
+	next := make(Config[S], len(c))
+	applyInto(next, alg, c, moves)
+	return next
+}
+
+// applyInto writes the successor of c under moves into next, which must
+// have c's length and must not share memory with c: every command reads
+// only c, so the moves still execute simultaneously.
+func applyInto[S comparable](next Config[S], alg Algorithm[S], c Config[S], moves []Move) {
+	copy(next, c)
 	for _, m := range moves {
 		v := c.View(m.Process)
 		if got := alg.EnabledRule(v); got != m.Rule {
@@ -206,13 +222,16 @@ func Apply[S comparable](alg Algorithm[S], c Config[S], moves []Move) Config[S] 
 		}
 		next[m.Process] = alg.Apply(v, m.Rule)
 	}
-	return next
 }
 
 // Daemon is a process scheduler. Given the nonempty set of enabled moves of
 // the current configuration it selects a nonempty subset to execute. The
 // returned slice must be a subset of enabled (same Move values); Step
 // verifies this.
+//
+// A daemon may return enabled itself or a buffer it owns and reuses, so
+// a selection is valid only until the next Select call; a caller that
+// keeps one copies it, as RecordingDaemon does.
 //
 // The daemons of the paper are all expressible: the central daemon returns
 // exactly one move, the distributed daemon any nonempty subset. Unfairness
@@ -221,21 +240,34 @@ func Apply[S comparable](alg Algorithm[S], c Config[S], moves []Move) Config[S] 
 type Daemon interface {
 	// Name returns a short scheduler name for reports.
 	Name() string
-	// Select picks a nonempty subset of enabled. enabled is never empty.
-	// Implementations must not retain or mutate the enabled slice.
+	// Select picks a nonempty subset of enabled. enabled is never empty
+	// and is in increasing process order. Implementations must not
+	// retain or mutate the enabled slice.
 	Select(enabled []Move) []Move
 }
 
 // Simulator drives an execution γ0, γ1, … of an algorithm under a daemon.
+//
+// Step itself allocates nothing: it writes each successor into a spare
+// configuration buffer and swaps the two, and it reuses one slice for the
+// enabled moves and one stamp per process for validating the daemon's
+// selection.
 type Simulator[S comparable] struct {
 	alg    Algorithm[S]
 	daemon Daemon
 	cfg    Config[S]
+	spare  Config[S] // the buffer the next successor is written into
 	steps  int
+
+	enabled []Move     // Step's enabled moves, reused every step
+	stamp   []selStamp // validateSelection's marks, one per process
+	gen     uint64     // validateSelection's current mark generation
 
 	// OnStep, when non-nil, is invoked after every transition with the
 	// step index (1 for the first transition), the moves executed, and the
-	// resulting configuration. Hooks must not mutate cfg.
+	// resulting configuration. Both slices are the simulator's own
+	// buffers and are valid only during the call: hooks must not mutate
+	// them, and a hook that keeps either copies it.
 	OnStep func(step int, moves []Move, cfg Config[S])
 
 	// Obs, when non-nil, receives one step record and one rule-fired
@@ -250,7 +282,11 @@ func NewSimulator[S comparable](alg Algorithm[S], d Daemon, init Config[S]) *Sim
 	if alg.N() != len(init) {
 		panic(fmt.Sprintf("statemodel: algorithm ring size %d != configuration length %d", alg.N(), len(init)))
 	}
-	return &Simulator[S]{alg: alg, daemon: d, cfg: init.Clone()}
+	n := len(init)
+	return &Simulator[S]{
+		alg: alg, daemon: d, cfg: init.Clone(), spare: make(Config[S], n),
+		enabled: make([]Move, 0, n), stamp: make([]selStamp, n),
+	}
 }
 
 // Config returns a copy of the current configuration.
@@ -268,14 +304,19 @@ func (s *Simulator[S]) Enabled() []Move { return Enabled(s.alg, s.cfg) }
 // Step performs one transition. It returns the executed moves and true, or
 // nil and false when no process is enabled (a deadlock — which Lemma 4 of
 // the paper rules out for SSRmin, but other algorithms may reach one).
+// The returned moves are the daemon's selection, valid until the next
+// Step.
+//
+//allocgate:hot
 func (s *Simulator[S]) Step() ([]Move, bool) {
-	enabled := Enabled(s.alg, s.cfg)
-	if len(enabled) == 0 {
+	s.enabled = appendEnabled(s.enabled[:0], s.alg, s.cfg)
+	if len(s.enabled) == 0 {
 		return nil, false
 	}
-	sel := s.daemon.Select(enabled)
-	validateSelection(enabled, sel)
-	s.cfg = Apply(s.alg, s.cfg, sel)
+	sel := s.daemon.Select(s.enabled)
+	s.validateSelection(s.enabled, sel)
+	applyInto(s.spare, s.alg, s.cfg, sel)
+	s.cfg, s.spare = s.spare, s.cfg
 	s.steps++
 	if s.Obs != nil {
 		t := float64(s.steps)
@@ -324,23 +365,34 @@ func (s *Simulator[S]) Run(maxSteps int) int {
 	return done
 }
 
-func validateSelection(enabled, sel []Move) {
+// selStamp marks one process for validateSelection: gen is the mark
+// generation that last touched it, rule its enabled rule in that step.
+type selStamp struct {
+	gen  uint64
+	rule int
+}
+
+// validateSelection panics unless sel is a nonempty subset of enabled
+// without repeats. Each call takes two fresh mark generations, so no
+// stamp needs clearing: gen−1 marks the enabled processes, gen the
+// selected ones.
+func (s *Simulator[S]) validateSelection(enabled, sel []Move) {
 	if len(sel) == 0 {
 		panic("statemodel: daemon selected the empty set")
 	}
-	allowed := make(map[Move]bool, len(enabled))
+	s.gen += 2
 	for _, m := range enabled {
-		allowed[m] = true
+		s.stamp[m.Process] = selStamp{gen: s.gen - 1, rule: m.Rule}
 	}
-	seen := make(map[Move]bool, len(sel))
 	for _, m := range sel {
-		if !allowed[m] {
+		if m.Process < 0 || m.Process >= len(s.stamp) ||
+			s.stamp[m.Process].gen < s.gen-1 || s.stamp[m.Process].rule != m.Rule {
 			panic(fmt.Sprintf("statemodel: daemon selected %v which is not enabled", m))
 		}
-		if seen[m] {
+		if s.stamp[m.Process].gen == s.gen {
 			panic(fmt.Sprintf("statemodel: daemon selected %v twice", m))
 		}
-		seen[m] = true
+		s.stamp[m.Process].gen = s.gen
 	}
 }
 
@@ -376,6 +428,7 @@ func (d *RecordingDaemon) Select(enabled []Move) []Move {
 type ReplayDaemon struct {
 	schedule Schedule
 	step     int
+	buf      []Move // the selection Select returns, reused every call
 }
 
 // NewReplay returns a daemon replaying s.
@@ -394,16 +447,17 @@ func (d *ReplayDaemon) Select(enabled []Move) []Move {
 	}
 	want := d.schedule[d.step]
 	d.step++
-	allowed := make(map[Move]bool, len(enabled))
-	for _, m := range enabled {
-		allowed[m] = true
-	}
-	out := make([]Move, len(want))
-	for i, m := range want {
-		if !allowed[m] {
+	d.buf = d.buf[:0]
+	for _, m := range want {
+		i, ok := slices.BinarySearchFunc(enabled, m.Process, byProcess)
+		if !ok || enabled[i] != m {
 			panic(fmt.Sprintf("statemodel: replay diverged at step %d: %v not enabled", d.step, m))
 		}
-		out[i] = m
+		d.buf = append(d.buf, m)
 	}
-	return out
+	return d.buf
 }
+
+// byProcess orders a move against a process index, for searching an
+// enabled set (which is in increasing process order).
+func byProcess(m Move, p int) int { return cmp.Compare(m.Process, p) }

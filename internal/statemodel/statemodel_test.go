@@ -117,12 +117,22 @@ func TestApplyRejectsBogusMove(t *testing.T) {
 	Apply[bool](alg, c, []Move{{1, 1}}) // P1 is not enabled here
 }
 
-// fixedDaemon selects a scripted subset regardless of what is enabled —
-// for exercising the simulator's selection validation.
-type fixedDaemon struct{ sel []Move }
+// warmDaemon selects the first enabled move for warm steps and from then
+// on sel, whatever is enabled — for exercising the simulator's selection
+// validation.
+type warmDaemon struct {
+	warm int
+	sel  []Move
+}
 
-func (d fixedDaemon) Name() string           { return "fixed" }
-func (d fixedDaemon) Select(_ []Move) []Move { return d.sel }
+func (d *warmDaemon) Name() string { return "warm" }
+func (d *warmDaemon) Select(enabled []Move) []Move {
+	if d.warm > 0 {
+		d.warm--
+		return enabled[:1]
+	}
+	return d.sel
+}
 
 type firstDaemon struct{}
 
@@ -184,25 +194,40 @@ func TestSimulatorRunUntil(t *testing.T) {
 func TestSimulatorValidatesDaemon(t *testing.T) {
 	alg := parity{n: 3}
 
+	// In {false, false, false} only P0 is enabled, with rule 2. Three
+	// first-move steps lead through P1 and P2 back to {true, true, true},
+	// where again only P0/R2 is: a stamp left from an earlier step must
+	// not admit P1.
 	cases := []struct {
 		name string
 		sel  []Move
+		want string // the panic message
 	}{
-		{"empty", nil},
-		{"not-enabled", []Move{{1, 1}}},
-		{"duplicate", []Move{{0, 2}, {0, 2}}},
+		{"empty", nil, "statemodel: daemon selected the empty set"},
+		{"not-enabled", []Move{{1, 1}}, "statemodel: daemon selected P1/R1 which is not enabled"},
+		{"out-of-range", []Move{{3, 2}}, "statemodel: daemon selected P3/R2 which is not enabled"},
+		{"negative", []Move{{-1, 2}}, "statemodel: daemon selected P-1/R2 which is not enabled"},
+		{"wrong-rule", []Move{{0, 1}}, "statemodel: daemon selected P0/R1 which is not enabled"},
+		{"duplicate", []Move{{0, 2}, {0, 2}}, "statemodel: daemon selected P0/R2 twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sim := NewSimulator[bool](alg, fixedDaemon{sel: tc.sel}, Config[bool]{false, false, false})
-			defer func() {
-				if recover() == nil {
-					t.Errorf("selection %v accepted", tc.sel)
+			for _, warm := range []int{0, 3} {
+				sim := NewSimulator[bool](alg, &warmDaemon{warm: warm, sel: tc.sel}, Config[bool]{false, false, false})
+				sim.Run(warm)
+				if got := stepPanic(sim); got != tc.want {
+					t.Errorf("after %d steps, selection %v: panic %v, want %q", warm, tc.sel, got, tc.want)
 				}
-			}()
-			sim.Step()
+			}
 		})
 	}
+}
+
+// stepPanic runs one step and returns what it panicked with.
+func stepPanic(sim *Simulator[bool]) (got any) {
+	defer func() { got = recover() }()
+	sim.Step()
+	return nil
 }
 
 func TestSimulatorSizeMismatchPanics(t *testing.T) {

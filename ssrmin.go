@@ -413,7 +413,8 @@ func (s *Simulation) Steps() int { return s.sim.Steps() }
 func (s *Simulation) Enabled() []Move { return s.sim.Enabled() }
 
 // Step performs one transition; ok is false on deadlock (which Lemma 4
-// rules out for SSRmin).
+// rules out for SSRmin). The returned moves are valid until the next
+// Step; copy them to keep them.
 func (s *Simulation) Step() (moves []Move, ok bool) { return s.sim.Step() }
 
 // Run performs up to maxSteps transitions and returns how many ran.
