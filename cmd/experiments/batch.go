@@ -117,16 +117,20 @@ func renderBatchTables(a batchAlgo, ns []int, batches int, seed int64) (scalarTa
 	return sb.String(), bb.String(), sDur, bDur
 }
 
+// batchConvSizes returns the ring sizes and 64-lane batches per size of
+// the batchconv experiment.
+func batchConvSizes(cfg runConfig) (ns []int, batches int) {
+	if cfg.quick {
+		return []int{8, 16}, 2
+	}
+	return []int{8, 16, 32, 64}, 4
+}
+
 // runBatchConv reproduces the fig12/fig13 convergence sweeps on both
 // executors and proves the committed tables byte-identical, then reports
 // the measured throughput ratio.
 func runBatchConv(cfg runConfig) {
-	ns := []int{8, 16, 32, 64}
-	batches := 4
-	if cfg.quick {
-		ns = []int{8, 16}
-		batches = 2
-	}
+	ns, batches := batchConvSizes(cfg)
 	runs := batches * bitslice.Lanes
 	summary := newTable("workload", "runs/size", "scalar s", "bit-sliced s", "speedup", "identical tables")
 	for _, a := range batchAlgos {

@@ -25,9 +25,7 @@ import (
 	"ssrmin/internal/report"
 )
 
-// runCapturing tees the experiment's stdout into a file. Experiments print
-// directly to os.Stdout, so the capture swaps it for the duration of the
-// run (the harness is single-threaded per experiment).
+// runCapturing tees the experiment's stdout into a file.
 func runCapturing(e experiment, cfg runConfig, path string) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -36,23 +34,35 @@ func runCapturing(e experiment, cfg runConfig, path string) {
 		return
 	}
 	defer f.Close()
-	orig := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
+	if err := withStdout(io.MultiWriter(os.Stdout, f), func() { e.run(cfg) }); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		e.run(cfg)
-		return
 	}
-	os.Stdout = w
+}
+
+// withStdout runs f with os.Stdout copied into w. Experiments print
+// directly to os.Stdout, so the capture swaps it for the duration of the
+// run (the harness is single-threaded per experiment).
+func withStdout(w io.Writer, f func()) error {
+	orig := os.Stdout
+	r, pw, err := os.Pipe()
+	if err != nil {
+		return err
+	}
+	os.Stdout = pw
 	done := make(chan struct{})
 	go func() {
-		io.Copy(io.MultiWriter(orig, f), r)
+		io.Copy(w, r)
 		close(done)
 	}()
-	e.run(cfg)
-	w.Close()
-	<-done
-	os.Stdout = orig
+	defer func() {
+		pw.Close()
+		<-done
+		r.Close()
+		os.Stdout = orig
+	}()
+	f()
+	return nil
 }
 
 // tableFormat is the renderer every experiment's tables use; the -format

@@ -1,26 +1,13 @@
 package crosscheck
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
+	"ssrmin/internal/digest"
 	"ssrmin/internal/scenario"
 )
-
-var updateDigest = flag.Bool("update", false, "rewrite the committed report digest")
-
-// digestPath is the committed SHA-256 of the JSON reports of
-// digestScenarios. It pins every verdict, census extreme, separation
-// figure and rule count of all three tiers, so a monitor rewrite that
-// changes any observable number fails here.
-var digestPath = filepath.Join("..", "..", "testdata", "digests", "crosscheck-reports.sha256")
 
 // digestScenarios returns 24 storm and churn scenarios through all three
 // tiers: even indices carry a states/caches storm on a lossy, duplicating,
@@ -64,7 +51,7 @@ func digestScenarios() []Scenario {
 // reportDigest runs the scenarios and hashes their JSON reports in order.
 func reportDigest(t *testing.T, scs []Scenario) string {
 	t.Helper()
-	h := sha256.New()
+	h := digest.New()
 	for _, sc := range scs {
 		rep, err := Run(sc)
 		if err != nil {
@@ -77,28 +64,15 @@ func reportDigest(t *testing.T, scs []Scenario) string {
 		h.Write(b)
 		h.Write([]byte{'\n'})
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return digest.Sum(h)
 }
 
 // TestReportDigestPinned recomputes the digest of the storm and churn
-// reports and compares it with the committed one (regenerate deliberately
-// with go test -run TestReportDigestPinned -update).
+// reports and compares it with testdata/digests/crosscheck-reports.sha256
+// (regenerate deliberately with go test -run TestReportDigestPinned
+// -update). It pins every verdict, census extreme, separation figure and
+// rule count of all three tiers, so a monitor rewrite that changes any
+// observable number fails here.
 func TestReportDigestPinned(t *testing.T) {
-	got := reportDigest(t, digestScenarios())
-	if *updateDigest {
-		if err := os.MkdirAll(filepath.Dir(digestPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(digestPath, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(digestPath)
-	if err != nil {
-		t.Fatalf("missing digest (run with -update): %v", err)
-	}
-	if w := strings.TrimSpace(string(want)); got != w {
-		t.Fatalf("report digest %s, committed %s", got, w)
-	}
+	digest.Check(t, "crosscheck-reports.sha256", reportDigest(t, digestScenarios()))
 }
