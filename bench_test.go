@@ -15,8 +15,8 @@ package ssrmin
 //	BenchmarkParallelSweepContention      atomic vs per-item dispatch cost
 //	BenchmarkRuleEvaluation     (micro)   guard evaluation cost
 //	BenchmarkDiscreteEvents     (micro)   simulator event throughput
-//	BenchmarkMsgnetStorm        (micro)   legacy heap vs zero-alloc arena
-//	                                      under a lossy/duplicating storm
+//	BenchmarkMsgnetStorm        (micro)   zero-alloc event engine under a
+//	                                      lossy/duplicating storm
 //	BenchmarkSynchronizer       §1.3:     α-synchronizer round throughput
 //	BenchmarkComposed           [9]:      (m,2m)-CS composition step cost
 //	BenchmarkParallelSweep      harness:  parallel vs sequential sweeps
@@ -252,44 +252,38 @@ func BenchmarkDiscreteEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkMsgnetStorm is the event-engine shoot-out: the legacy boxed
-// container/heap queue against the zero-alloc arena, each driving the
-// same lossy, jittery, duplicating, corrupting CST storm (incoherent
-// caches keep every node arguing, so the ring never quiesces). The two
-// engines are bit-identical in behaviour (see internal/msgnet's
-// differential test); this benchmark records what that behaviour costs —
-// B/op and allocs/op per simulated-time window plus raw events/s. The
-// committed snapshot lives in BENCH_msgnet.json (`make bench-msgnet`).
+// BenchmarkMsgnetStorm measures the zero-alloc event engine driving a
+// lossy, jittery, duplicating, corrupting CST storm (incoherent caches
+// keep every node arguing, so the ring never quiesces): B/op and
+// allocs/op per simulated-time window plus raw events/s. The committed
+// snapshot lives in BENCH_msgnet.json (`make bench-msgnet`).
 func BenchmarkMsgnetStorm(b *testing.B) {
-	for _, engine := range []string{"legacy", "arena"} {
-		for _, n := range []int{8, 32, 128} {
-			b.Run(fmt.Sprintf("%s/n=%d", engine, n), func(b *testing.B) {
-				alg := core.New(n, n+1)
-				draw := func(r *rand.Rand) core.State {
-					return core.State{X: r.Intn(n + 1), RTS: r.Intn(2) == 1, TRA: r.Intn(2) == 1}
-				}
-				r := cst.NewRing[core.State](alg, alg.InitialLegitimate(), cst.Options[core.State]{
-					Link: msgnet.LinkParams{
-						Delay: 0.01, Jitter: 0.003,
-						LossProb: 0.1, DupProb: 0.2, CorruptProb: 0.05,
-					},
-					Refresh:        0.05,
-					Seed:           1,
-					CoherentCaches: false,
-					RandomState:    draw,
-				})
-				r.Net.Legacy = engine == "legacy"
-				r.Net.Corrupt = func(rng *rand.Rand, payload core.State) core.State { return draw(rng) }
-				b.ResetTimer()
-				events := 0
-				horizon := msgnet.Time(0)
-				for i := 0; i < b.N; i++ {
-					horizon += 0.5
-					events += r.Net.Run(horizon)
-				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	for _, n := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			alg := core.New(n, n+1)
+			draw := func(r *rand.Rand) core.State {
+				return core.State{X: r.Intn(n + 1), RTS: r.Intn(2) == 1, TRA: r.Intn(2) == 1}
+			}
+			r := cst.NewRing[core.State](alg, alg.InitialLegitimate(), cst.Options[core.State]{
+				Link: msgnet.LinkParams{
+					Delay: 0.01, Jitter: 0.003,
+					LossProb: 0.1, DupProb: 0.2, CorruptProb: 0.05,
+				},
+				Refresh:        0.05,
+				Seed:           1,
+				CoherentCaches: false,
+				RandomState:    draw,
 			})
-		}
+			r.Net.Corrupt = func(rng *rand.Rand, payload core.State) core.State { return draw(rng) }
+			b.ResetTimer()
+			events := 0
+			horizon := msgnet.Time(0)
+			for i := 0; i < b.N; i++ {
+				horizon += 0.5
+				events += r.Net.Run(horizon)
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }
 

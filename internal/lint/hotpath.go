@@ -11,11 +11,10 @@ import (
 // measured on). Two classes of regression sneak back in most easily and
 // are flagged here:
 //
-//   - A struct field typed `any` / `interface{}`. Boxing the payload is
-//     how the legacy engine paid one heap allocation per scheduled
-//     event; payloads must stay concrete (usually a type parameter), so
-//     an empty-interface field in a hot-path package is a design
-//     regression, not a style nit.
+//   - A struct field typed `any` / `interface{}`. Boxing the payload
+//     costs one heap allocation per scheduled event; payloads must stay
+//     concrete (usually a type parameter), so an empty-interface field
+//     in a hot-path package is a design regression, not a style nit.
 //
 //   - A per-call heap allocation — new(T), &CompositeLit, or make(map)
 //     — outside a constructor. Constructors (functions whose name starts
@@ -24,8 +23,8 @@ import (
 //     allocation multiplied by millions of events is the exact cost the
 //     arena engine exists to remove.
 //
-// Cold paths that genuinely need an allocation (setup helpers, the
-// legacy reference engine, test-only validators) carry an explicit
+// Cold paths that genuinely need an allocation (setup helpers, the SPSC
+// overflow spill, test-only validators) carry an explicit
 // //lint:ignore hotpath <reason> waiver so every exception is visible
 // and justified in the diff.
 var Hotpath = &Analyzer{

@@ -36,8 +36,8 @@
 // branches are walked in order and the last write wins. That is exact for
 // the engine's straight-line worker functions and errs toward "unknown"
 // elsewhere — unknown is rejected where owned is required, so a genuinely
-// safe-but-opaque flow (the boxed reference twin's heap.Pop) carries an
-// explicit //lint:ignore waiver instead of silently passing.
+// safe-but-opaque flow (a record popped through an `any`-typed queue, say)
+// must carry an explicit //lint:ignore waiver instead of silently passing.
 package lint
 
 import (

@@ -2,16 +2,16 @@
 // intrusive free list, ordered by a 4-ary min-heap whose nodes carry the
 // (at, seq) sort key inline. Pushing or popping an event moves small
 // value entries, never pointers, and a released slot's payload is zeroed
-// so the arena retains nothing — the per-message heap allocation and
-// `any` boxing of the legacy engine both disappear. Three layout choices
-// keep the sift paths (the only per-event work left) cache-friendly:
-// four children per node halves the tree depth and keeps a sibling group
-// in one or two cache lines; the inline keys mean a comparison never
-// dereferences back into the slot slab; and sifts move a hole instead of
-// swapping, writing each displaced entry exactly once and touching no
-// other memory. The price is that remove (cancellation) scans the heap
-// for its entry — O(live events) — which is fine because the simulator
-// never cancels: delivery and timer events always fire.
+// so the arena retains nothing: a scheduled message costs neither a heap
+// allocation nor an `any` box. Three layout choices keep the sift paths
+// (the only per-event work left) cache-friendly: four children per node
+// halves the tree depth and keeps a sibling group in one or two cache
+// lines; the inline keys mean a comparison never dereferences back into
+// the slot slab; and sifts move a hole instead of swapping, writing each
+// displaced entry exactly once and touching no other memory. The price
+// is that remove (cancellation) scans the heap for its entry — O(live
+// events) — which is fine because the simulator never cancels: delivery
+// and timer events always fire.
 package msgnet
 
 import "fmt"
@@ -98,8 +98,8 @@ func (a *Arena[P]) release(s int32) {
 	a.free = s
 }
 
-// less is the (at, seq) tie-break that makes pop order — and every seeded
-// trace — engine-independent.
+// less is the (at, seq) order: equal-time events pop in scheduling
+// order, which makes every seeded trace reproducible.
 func less(x, y heapEntry) bool {
 	if x.at != y.at {
 		return x.at < y.at

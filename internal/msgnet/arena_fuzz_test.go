@@ -164,20 +164,3 @@ func TestArenaFreeListRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestLegacyPopClearsSlot is the regression test for the leak fixed in
-// this change: the legacy heap's Pop must nil the vacated backing-array
-// slot instead of pinning the dead *event for the rest of the run.
-func TestLegacyPopClearsSlot(t *testing.T) {
-	h := &legacyHeap[int]{}
-	*h = append(*h, &event[int]{at: 1}, &event[int]{at: 2})
-	// container/heap calls Pop after swapping the min to the end; call it
-	// directly the same way.
-	if got := h.Pop().(*event[int]); got.at != 2 {
-		t.Fatalf("popped at=%v", got.at)
-	}
-	backing := (*h)[:cap(*h)][len(*h)]
-	if backing != nil {
-		t.Fatal("Pop left the dead *event pinned in the backing array")
-	}
-}

@@ -27,9 +27,9 @@
 // its send. Within one epoch, then, nodes only consume events that were
 // already queued at the epoch's start, so nodes never race: any
 // interleaving of the per-node event sequences yields the same states,
-// the same taps and the same stats. The differential test pins this
-// bit-identically against the boxed Reference engine across seeds and
-// worker counts.
+// the same taps and the same stats. The digest tests pin this: every
+// worker count from 1 to 4 must hash a 16-seed sweep to the value in
+// testdata/digests/runtime-engine.sha256.
 //
 // # Two modes
 //
@@ -40,7 +40,6 @@
 package runtime
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -173,16 +172,9 @@ type EngineStats struct {
 }
 
 // Engine is a sharded virtual-time execution of a CST-transformed ring
-// algorithm. Build with NewEngine, optionally set Reference, then either
-// RunUntil (fast virtual time) or Start/Stop (wall-clock paced).
+// algorithm. Build with NewEngine, then either RunUntil (fast virtual
+// time) or Start/Stop (wall-clock paced).
 type Engine[S comparable] struct {
-	// Reference, when set before the first run, replaces the shards'
-	// run queues with a boxed container/heap event queue processed by a
-	// single loop — the differential twin, mirroring
-	// msgnet.Network.Legacy. Behavior is bit-identical by construction;
-	// the test suite enforces it.
-	Reference bool
-
 	alg statemodel.Algorithm[S]
 	n   int // founding ring size (= alg.N()); views carry this N
 	// total = n + spares: the full node/link capacity, the size every
@@ -207,7 +199,6 @@ type Engine[S comparable] struct {
 	churn          []churnOp[S]
 	churnIdx       int
 
-	refQ    *refQueue[S]
 	pending []eventRec[S] // initial announces, timers and scheduled injects
 
 	holder func(statemodel.View[S]) bool
@@ -451,8 +442,7 @@ func (e *Engine[S]) ScheduleInject(at float64, node int, s S) {
 
 // freeze finalizes the topology on the first run: resolves the worker
 // count, carves the shard arcs, wires the SPSC rings and distributes the
-// pending events. Reference mode collapses to one shard over a boxed
-// global queue.
+// pending events.
 func (e *Engine[S]) freeze() {
 	if e.frozen {
 		return
@@ -461,15 +451,11 @@ func (e *Engine[S]) freeze() {
 	if len(e.churn) > 0 || e.total > e.n {
 		// Churn rewires neighbor relations mid-run; the SPSC rings only
 		// connect adjacent shard arcs, so a rewired ring must run on one
-		// worker. (The Reference twin is unaffected — it is already one.)
+		// worker.
 		e.w = 1
 		// Equal times apply in schedule order; ops land at the epoch
 		// boundary containing their timestamp.
 		sortChurn(e.churn)
-	}
-	if e.Reference {
-		e.w = 1
-		e.refQ = newRefQueue[S](len(e.pending))
 	}
 	w := e.w
 	e.shards = make([]engShard[S], w)
@@ -517,7 +503,7 @@ func (e *Engine[S]) freeze() {
 		}
 	}
 	for _, rec := range e.pending {
-		e.emitLocal(&e.shards[e.shardOf[rec.node]], rec)
+		e.shards[e.shardOf[rec.node]].push(rec)
 	}
 	e.pending = nil
 }
@@ -547,12 +533,7 @@ func (e *Engine[S]) Now() float64 {
 }
 
 // Workers returns the resolved worker count.
-func (e *Engine[S]) Workers() int {
-	if e.Reference {
-		return 1
-	}
-	return e.w
-}
+func (e *Engine[S]) Workers() int { return e.w }
 
 // stepEpoch runs one epoch (T, T+Delay]: every shard drains its inbound
 // rings, then processes its events with at < T+Delay in key order.
@@ -565,12 +546,9 @@ func (e *Engine[S]) stepEpoch() {
 		e.applyChurn(&e.churn[e.churnIdx])
 		e.churnIdx++
 	}
-	switch {
-	case e.refQ != nil:
-		e.refEpoch(horizon)
-	case e.w == 1:
+	if e.w == 1 {
 		e.shardEpoch(&e.shards[0], horizon)
-	default:
+	} else {
 		e.parallelEpoch(horizon)
 	}
 	e.now = horizon
@@ -697,7 +675,7 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 			at: rec.at + e.refresh, key2: key2(rec.node, nd.seq), node: rec.node, kind: evTimer,
 		}
 		nd.seq++
-		e.emitLocal(sh, next)
+		sh.push(next)
 	case evInject:
 		nd.state = rec.payload
 		e.tap(sh, nd, rec.at, rec.node, TapInject, -1, 0)
@@ -790,11 +768,6 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 //shardsafety:gate
 //allocgate:hot
 func (e *Engine[S]) emit(sh *engShard[S], rec eventRec[S], toSucc bool) {
-	if e.refQ != nil {
-		//lint:ignore allocgate the boxed reference twin allocates one refEvent per record by design
-		e.refPush(rec)
-		return
-	}
 	if e.shardOf[rec.node] == sh.id {
 		sh.push(rec)
 		return
@@ -804,20 +777,6 @@ func (e *Engine[S]) emit(sh *engShard[S], rec eventRec[S], toSucc bool) {
 	} else {
 		sh.outLeft.pushRing(rec)
 	}
-}
-
-// emitLocal inserts an event whose destination is owned by sh (timers,
-// injects, pre-run distribution).
-//
-//shardsafety:worker owns=rec.node
-//allocgate:hot
-func (e *Engine[S]) emitLocal(sh *engShard[S], rec eventRec[S]) {
-	if e.refQ != nil {
-		//lint:ignore allocgate the boxed reference twin allocates one refEvent per record by design
-		e.refPush(rec)
-		return
-	}
-	sh.push(rec)
 }
 
 // tap records one observable action into the shard's tap buffer.
@@ -931,10 +890,10 @@ func (e *Engine[S]) applyJoin(at float64, after int32, state S) {
 	e.links[2*j].busyUntil = 0
 	e.links[2*j+1].busyUntil = 0
 	sh := &e.shards[e.shardOf[j]]
-	e.emitLocal(sh, eventRec[S]{at: at, key2: key2(j, nd.seq), node: j, kind: evInit})
+	sh.push(eventRec[S]{at: at, key2: key2(j, nd.seq), node: j, kind: evInit})
 	nd.seq++
 	phase := e.refresh * nd.rng.float64()
-	e.emitLocal(sh, eventRec[S]{at: at + phase, key2: key2(j, nd.seq), node: j, kind: evTimer})
+	sh.push(eventRec[S]{at: at + phase, key2: key2(j, nd.seq), node: j, kind: evTimer})
 	nd.seq++
 }
 
@@ -1132,7 +1091,7 @@ func (e *Engine[S]) statsNow() EngineStats {
 
 // Taps returns the execution trace so far (EnableTaps must have been
 // called), canonically ordered by (At, Src, Ord). The stream is
-// bit-identical across worker counts and against the Reference engine.
+// bit-identical across worker counts.
 func (e *Engine[S]) Taps() []TapEvent {
 	if !e.paced() {
 		return e.tapsNow()
@@ -1240,7 +1199,7 @@ func (e *Engine[S]) Inject(node int, s S) bool {
 			at: e.now, key2: key2(int32(node), nd.seq), node: int32(node), kind: evInject, payload: s,
 		}
 		nd.seq++
-		e.emitLocal(&e.shards[e.shardOf[node]], rec)
+		e.shards[e.shardOf[node]].push(rec)
 	})
 	return true
 }
@@ -1314,62 +1273,5 @@ func (e *Engine[S]) do(f func()) {
 		<-ran
 	case <-e.done:
 		f()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Boxed reference queue (the differential twin's event store)
-// ---------------------------------------------------------------------------
-
-// refEvent boxes one event — deliberately heap-allocated, like the
-// legacy msgnet queue the arena replaced.
-type refEvent[S comparable] struct{ rec eventRec[S] }
-
-// refQueue is a container/heap min-queue of boxed events ordered by the
-// same (at, key2) key the shard queues use.
-type refQueue[S comparable] struct{ evs []*refEvent[S] }
-
-func newRefQueue[S comparable](capHint int) *refQueue[S] {
-	//lint:ignore hotpath one-time queue construction off the hot path
-	return &refQueue[S]{evs: make([]*refEvent[S], 0, capHint)}
-}
-
-func (q *refQueue[S]) Len() int { return len(q.evs) }
-func (q *refQueue[S]) Less(i, j int) bool {
-	a, b := q.evs[i].rec, q.evs[j].rec
-	return a.at < b.at || (a.at == b.at && a.key2 < b.key2)
-}
-func (q *refQueue[S]) Swap(i, j int) { q.evs[i], q.evs[j] = q.evs[j], q.evs[i] }
-func (q *refQueue[S]) Push(x any)    { q.evs = append(q.evs, x.(*refEvent[S])) }
-func (q *refQueue[S]) Pop() any {
-	last := len(q.evs) - 1
-	ev := q.evs[last]
-	q.evs[last] = nil
-	q.evs = q.evs[:last]
-	return ev
-}
-
-// refPush boxes rec into the reference queue.
-func (e *Engine[S]) refPush(rec eventRec[S]) {
-	//lint:ignore hotpath the boxed reference engine allocates per event by design
-	heap.Push(e.refQ, &refEvent[S]{rec: rec})
-}
-
-// refEpoch processes the global queue through horizon — the single-loop
-// reference execution the sharded engine must match bit for bit.
-//
-//shardsafety:worker
-func (e *Engine[S]) refEpoch(horizon float64) {
-	sh := &e.shards[0]
-	var rec eventRec[S]
-	for e.refQ.Len() > 0 && e.refQ.evs[0].rec.at < horizon {
-		ev := heap.Pop(e.refQ).(*refEvent[S])
-		rec = ev.rec
-		// The boxed reference twin is single-threaded: shard 0 owns the
-		// whole ring, so the heap.Pop record is owned even though its
-		// provenance is opaque to the analyzer (container/heap returns
-		// `any`).
-		//lint:ignore shardsafety the reference twin runs every node on shard 0; records popped from the global queue are owned by construction
-		e.dispatch(sh, &rec)
 	}
 }

@@ -3,9 +3,8 @@ package runtime
 // Event plumbing for the sharded virtual-time engine: the per-shard epoch
 // run queue (one record vector, sorted once per epoch), the lock-free
 // SPSC rings that carry cross-shard sends, the 8-byte splitmix64 PRNG
-// that replaces *rand.Rand on the hot path, and the tap stream the
-// differential test pins bit-identical between the sharded and the boxed
-// reference engine.
+// that replaces *rand.Rand on the hot path, and the tap stream the digest
+// tests pin bit-identical across worker counts.
 
 import (
 	"slices"
@@ -356,8 +355,8 @@ const (
 )
 
 // TapEvent is one entry of the engine's deterministic execution trace.
-// The differential test pins the full tap stream bit-identical between
-// the sharded engine (any worker count) and the boxed reference engine.
+// The digest tests pin the full tap stream: every worker count must hash
+// it to the value committed in testdata/digests/runtime-engine.sha256.
 type TapEvent struct {
 	// At is the virtual time of the action.
 	At float64
