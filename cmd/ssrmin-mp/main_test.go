@@ -25,14 +25,17 @@ func writeScenario(t *testing.T, doc string) string {
 // even when the invalid scenario follows a valid one in the same array.
 func TestScenarioFileRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
-		"missing":        filepath.Join(t.TempDir(), "absent.json"),
-		"directory":      t.TempDir(),
-		"malformed":      writeScenario(t, `{"name":"x","n":`),
-		"unknown field":  writeScenario(t, `{"name":"x","n":5,"horizn":3}`),
-		"empty array":    writeScenario(t, `[]`),
-		"small n":        writeScenario(t, `{"name":"x","n":2,"horizon":1}`),
-		"huge n":         writeScenario(t, `{"name":"x","n":100000000,"horizon":1}`),
-		"second invalid": writeScenario(t, "["+validScenario+`,{"name":"bad","n":5,"horizon":0}]`),
+		"missing":          filepath.Join(t.TempDir(), "absent.json"),
+		"directory":        t.TempDir(),
+		"malformed":        writeScenario(t, `{"name":"x","n":`),
+		"unknown field":    writeScenario(t, `{"name":"x","n":5,"horizn":3}`),
+		"empty array":      writeScenario(t, `[]`),
+		"small n":          writeScenario(t, `{"name":"x","n":2,"horizon":1}`),
+		"huge n":           writeScenario(t, `{"name":"x","n":100000000,"horizon":1}`),
+		"second invalid":   writeScenario(t, "["+validScenario+`,{"name":"bad","n":5,"horizon":0}]`),
+		"negative delay":   writeScenario(t, `{"name":"x","n":5,"horizon":1,"link":{"delay":-1}}`),
+		"negative jitter":  writeScenario(t, `{"name":"x","n":5,"horizon":1,"link":{"delay":0.01,"jitter":-1}}`),
+		"negative refresh": writeScenario(t, `{"name":"x","n":5,"horizon":1,"link":{"delay":0.01},"refresh":-1}`),
 	}
 	for name, path := range cases {
 		t.Run(name, func(t *testing.T) {

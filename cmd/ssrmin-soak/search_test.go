@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ssrmin/internal/crosscheck"
@@ -139,5 +140,28 @@ func TestSearchDeterministicTrajectory(t *testing.T) {
 	b := do(filepath.Join(dir, "b.txt"))
 	if a != b {
 		t.Fatalf("same-seed searches diverged:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestRejectsBadTimings: a negative or non-finite link timing is a usage
+// error — one stderr line and exit 2 — not a panic inside a sweep worker.
+func TestRejectsBadTimings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-delay", "-1"}, {"-delay", "NaN"}, {"-jitter", "-1"}, {"-refresh", "-1"},
+	} {
+		errPath := filepath.Join(t.TempDir(), "stderr")
+		errw, err := os.Create(errPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := run(append(args, "-seeds", "1", "-engines", "msgnet"), errw, errw)
+		errw.Close()
+		msg, err := os.ReadFile(errPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 || strings.Count(string(msg), "\n") != 1 {
+			t.Errorf("%v: exit %d, output %q; want exit 2 and one line", args, code, msg)
+		}
 	}
 }

@@ -153,6 +153,9 @@ func (s *Scenario) Validate() error {
 	if s.Refresh == 0 {
 		s.Refresh = 5 * s.Link.Delay
 	}
+	if err := scenario.CheckTimings(s.Link.Delay, s.Link.Jitter, s.Refresh); err != nil {
+		return fmt.Errorf("crosscheck %q: %w", s.Name, err)
+	}
 	for _, p := range []float64{s.Link.Loss, s.Link.Dup, s.Link.Corrupt} {
 		if p < 0 || p > 1 {
 			return fmt.Errorf("crosscheck %q: probability %v out of range", s.Name, p)

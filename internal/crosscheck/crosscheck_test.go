@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -44,6 +45,13 @@ func TestValidateRejections(t *testing.T) {
 		{"bad daemon", func(s *Scenario) { s.Daemon = "chaos-monkey" }},
 		{"bad engine", func(s *Scenario) { s.Engines = []string{"quantum"} }},
 		{"bad dup", func(s *Scenario) { s.Link.Dup = 2 }},
+		{"negative delay", func(s *Scenario) { s.Link.Delay = -1 }},
+		{"NaN delay", func(s *Scenario) { s.Link.Delay = math.NaN() }},
+		{"infinite delay", func(s *Scenario) { s.Link.Delay = math.Inf(-1) }},
+		{"negative jitter", func(s *Scenario) { s.Link.Jitter = -1 }},
+		{"NaN jitter", func(s *Scenario) { s.Link.Jitter = math.NaN() }},
+		{"negative refresh", func(s *Scenario) { s.Refresh = -1 }},
+		{"infinite refresh", func(s *Scenario) { s.Refresh = math.Inf(1) }},
 		{"bad fault", func(s *Scenario) { s.Faults = []scenario.Fault{{At: 1, Type: "meteor"}} }},
 		{"late fault", func(s *Scenario) { s.Faults = []scenario.Fault{{At: 99, Type: "loss-on"}} }},
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -155,6 +156,22 @@ func Load(r io.Reader) ([]Scenario, error) {
 // short file demand gigabytes; the shipped scenarios use n ≤ 6.
 const MaxN = 1 << 20
 
+// CheckTimings rejects link timings no simulator can run: a delay or a
+// refresh period that is not positive and finite, or a jitter that is
+// negative or not finite. Validate calls it after filling the defaults.
+func CheckTimings(delay, jitter, refresh float64) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case !finite(delay) || delay <= 0:
+		return fmt.Errorf("link delay %v must be positive and finite", delay)
+	case !finite(jitter) || jitter < 0:
+		return fmt.Errorf("link jitter %v must be non-negative and finite", jitter)
+	case !finite(refresh) || refresh <= 0:
+		return fmt.Errorf("refresh %v must be positive and finite", refresh)
+	}
+	return nil
+}
+
 // Validate checks the scenario and fills defaults in place.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
@@ -202,6 +219,9 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Refresh == 0 {
 		s.Refresh = 5 * s.Link.Delay
+	}
+	if err := CheckTimings(s.Link.Delay, s.Link.Jitter, s.Refresh); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	for _, p := range []float64{s.Link.Loss, s.Link.Dup, s.Link.Corrupt} {
 		if p < 0 || p > 1 {

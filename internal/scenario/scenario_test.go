@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -39,6 +40,15 @@ func TestValidateRejections(t *testing.T) {
 		{"bad k", func(s *Scenario) { s.K = 4 }},
 		{"no horizon", func(s *Scenario) { s.Horizon = 0 }},
 		{"bad loss", func(s *Scenario) { s.Link.Loss = 2 }},
+		{"negative delay", func(s *Scenario) { s.Link.Delay = -1 }},
+		{"NaN delay", func(s *Scenario) { s.Link.Delay = math.NaN() }},
+		{"infinite delay", func(s *Scenario) { s.Link.Delay = math.Inf(1) }},
+		{"negative jitter", func(s *Scenario) { s.Link.Jitter = -1 }},
+		{"NaN jitter", func(s *Scenario) { s.Link.Jitter = math.NaN() }},
+		{"infinite jitter", func(s *Scenario) { s.Link.Jitter = math.Inf(1) }},
+		{"negative refresh", func(s *Scenario) { s.Refresh = -1 }},
+		{"NaN refresh", func(s *Scenario) { s.Refresh = math.NaN() }},
+		{"infinite refresh", func(s *Scenario) { s.Refresh = math.Inf(1) }},
 		{"fault count", func(s *Scenario) { s.Faults = []Fault{{At: 1, Type: "states"}} }},
 		{"fault type", func(s *Scenario) { s.Faults = []Fault{{At: 1, Type: "meteor"}} }},
 		{"fault link", func(s *Scenario) { s.Faults = []Fault{{At: 1, Type: "cut", Link: 9}} }},
