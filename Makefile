@@ -184,13 +184,15 @@ soak-short:
 	  -engines state,msgnet,live -horizon 16 -settle 7
 
 # Regenerate every committed digest under testdata/digests: the crosscheck
-# storm/churn reports, the quick-mode experiment outputs, the msgnet tap
-# streams and the sharded runtime's sweep, dispatch-order and churn runs.
+# storm/churn reports, the quick-mode experiment outputs, the model
+# checker's reports, the msgnet tap streams and the sharded runtime's
+# sweep, dispatch-order and churn runs.
 # A digest pins behaviour, so one that changes is a behaviour change:
 # explain it in CHANGES.md next to the regenerated file.
 digests:
 	$(GO) test -count 1 -run TestReportDigestPinned ./internal/crosscheck -update
 	$(GO) test -count 1 -run TestQuickExperimentsDigest ./cmd/experiments -update
+	$(GO) test -count 1 -run TestCheckerReportsDigest ./internal/check -update
 	$(GO) test -count 1 -run TestEnginesProduceIdenticalTapStreams ./internal/msgnet -update
 	$(GO) test -count 1 -run 'TestEngine(|DispatchOrder|Churn)MatchesReference' \
 	  ./internal/runtime -update
