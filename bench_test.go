@@ -10,8 +10,8 @@ package ssrmin
 //	BenchmarkConvergenceSSToken Lemma 8:  baseline converges faster
 //	BenchmarkMPGracefulHandover Fig 13:   0 zero-token time for SSRmin
 //	BenchmarkMPSSToken          Fig 11:   large zero-token time for SSToken
-//	BenchmarkModelCheck         Lemmas:   exhaustive verification cost,
-//	                                      legacy vs table-compiled engine
+//	BenchmarkModelCheck         Lemmas:   exhaustive verification cost
+//	                                      on the table-compiled engine
 //	BenchmarkParallelSweepContention      atomic vs per-item dispatch cost
 //	BenchmarkRuleEvaluation     (micro)   guard evaluation cost
 //	BenchmarkDiscreteEvents     (micro)   simulator event throughput
@@ -165,29 +165,14 @@ func BenchmarkMPSSToken(b *testing.B) {
 	}
 }
 
-// BenchmarkModelCheck measures exhaustive verification (closure +
-// convergence longest-path) on the legacy Decode/Encode checker vs. the
-// table-compiled single-threaded engine, per instance. The engine's
-// speedup comes from the compiled transition tables and from visiting one
-// configuration per digit-shift orbit (K fewer) here (workers = 1);
-// parallel scaling is on top.
+// BenchmarkModelCheck measures exhaustive verification (table
+// compilation, Λ, closure and the convergence longest path) on the
+// single-threaded engine (workers = 1), per instance; parallel scaling is
+// on top.
 func BenchmarkModelCheck(b *testing.B) {
 	cases := []struct{ n, k, worst int }{{3, 4, 16}, {4, 5, 43}}
 	for _, tc := range cases {
 		alg := core.New(tc.n, tc.k)
-		b.Run(fmt.Sprintf("legacy/n=%d,K=%d", tc.n, tc.k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := check.New[core.State](alg, 0)
-				rep := c.CheckClosure(alg.Legitimate)
-				if rep.Counterexample != nil {
-					b.Fatal("closure failed")
-				}
-				conv := c.CheckConvergence(alg.Legitimate)
-				if !conv.Converges || conv.WorstSteps != tc.worst {
-					b.Fatalf("convergence check wrong: %+v", conv.WorstSteps)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("engine/n=%d,K=%d", tc.n, tc.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := check.New[core.State](alg, 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ssrmin/internal/check"
 	"ssrmin/internal/cliconf"
 	"ssrmin/internal/core"
 	"ssrmin/internal/daemon"
@@ -100,8 +99,8 @@ func runExactWorst(cfg runConfig) {
 	}
 	for _, in := range instances {
 		a := core.New(in.n, in.k)
-		c := check.New[core.State](a, 0)
-		conv := c.CheckConvergence(a.Legitimate)
+		_, e, lam := modelCheck(a)
+		conv, _ := e.CheckConvergence(lam)
 		if !conv.Converges {
 			fmt.Printf("FAIL: cycle at %v\n", conv.Cycle)
 			return
@@ -223,8 +222,8 @@ func init() {
 // counterpart of Theorem 2's O(n²) bound.
 func runWorstPath(cfg runConfig) {
 	a := core.New(3, 4)
-	c := check.New[core.State](a, 0)
-	path := c.WorstPath(a.Legitimate)
+	_, e, lam := modelCheck(a)
+	path := e.WorstPath(lam)
 	if path == nil {
 		fmt.Println("FAIL: no worst path (convergence broken?)")
 		return

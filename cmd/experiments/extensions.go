@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ssrmin/internal/adversary"
-	"ssrmin/internal/check"
 	"ssrmin/internal/compose"
 	"ssrmin/internal/core"
 	"ssrmin/internal/cst"
@@ -46,8 +45,8 @@ func init() {
 // on the way.
 func runSingleFault(cfg runConfig) {
 	a := core.New(3, 4)
-	c := check.New[core.State](a, 0)
-	dist, rep := c.Distances(a.Legitimate)
+	c, e, lam := modelCheck(a)
+	dist, rep := e.Distances(lam)
 	if !rep.Converges {
 		fmt.Println("FAIL: base convergence broken")
 		return
@@ -563,8 +562,8 @@ func runWorstCase(cfg runConfig) {
 			adversary.Options{Restarts: 8, Budget: evals/8 - 1, Seed: cfg.seed})
 		exact := "-"
 		if n <= 4 {
-			c := check.New[core.State](a, 0)
-			conv := c.CheckConvergence(a.Legitimate)
+			_, e, lam := modelCheck(a)
+			conv, _ := e.CheckConvergence(lam)
 			exact = fmt.Sprintf("%d", conv.WorstSteps)
 		}
 		tb.AddRow(n, randomBest, res.Score, exact, a.ConvergenceStepBound())

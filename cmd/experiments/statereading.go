@@ -93,6 +93,17 @@ func runFig4(cfg runConfig) {
 	fmt.Println("identical to Figure 4 of the paper (steps 1–16).")
 }
 
+// modelCheck builds the exhaustive model checker of the SSRmin instance a
+// and its legitimate set Λ.
+func modelCheck(a *core.Algorithm) (*check.Checker[core.State], *check.Engine[core.State], *check.IDSet) {
+	c := check.New[core.State](a, 0)
+	e, err := c.Compile(0)
+	if err != nil {
+		panic(err) // core.Algorithm declares statemodel.PositionUniform
+	}
+	return c, e, e.LegitSet(a.Legitimate)
+}
+
 func runClosure(cfg runConfig) {
 	tb := newTable("instance", "|Γ|", "|Λ|", "max enabled in Λ", "closure")
 	for _, in := range []struct{ n, k int }{{3, 4}, {3, 5}, {4, 5}} {
@@ -100,13 +111,13 @@ func runClosure(cfg runConfig) {
 			continue
 		}
 		a := core.New(in.n, in.k)
-		c := check.New[core.State](a, 0)
-		rep := c.CheckClosure(a.Legitimate)
+		_, e, lam := modelCheck(a)
+		rep := e.CheckClosure(lam)
 		verdict := "PASS"
 		if rep.Counterexample != nil {
 			verdict = fmt.Sprintf("FAIL at %v", rep.Counterexample)
 		}
-		tb.AddRow(a.Name(), c.NumConfigs(), rep.Legitimate, rep.MaxEnabled, verdict)
+		tb.AddRow(a.Name(), e.NumConfigs(), rep.Legitimate, rep.MaxEnabled, verdict)
 	}
 	printTable(tb)
 	fmt.Println("\nEvery distributed-daemon successor of a legitimate configuration is")
@@ -115,12 +126,12 @@ func runClosure(cfg runConfig) {
 
 func runDeadlock(cfg runConfig) {
 	a := core.New(3, 4)
-	c := check.New[core.State](a, 0)
-	if cex, ok := c.CheckNoDeadlock(); !ok {
+	_, e, _ := modelCheck(a)
+	if cex, ok := e.CheckNoDeadlock(); !ok {
 		fmt.Printf("FAIL: deadlock at %v\n", cex)
 		return
 	}
-	fmt.Printf("exhaustive n=3 K=4: all %d configurations have an enabled process\n", c.NumConfigs())
+	fmt.Printf("exhaustive n=3 K=4: all %d configurations have an enabled process\n", e.NumConfigs())
 
 	trials := 200_000
 	if cfg.quick {
@@ -148,8 +159,8 @@ func runLemma5(cfg runConfig) {
 			continue
 		}
 		a := core.New(in.n, in.k)
-		c := check.New[core.State](a, 0)
-		steps, _, ok := c.LongestRestricted(map[int]bool{1: true, 3: true, 5: true})
+		_, e, _ := modelCheck(a)
+		steps, _, ok := e.LongestRestricted(map[int]bool{1: true, 3: true, 5: true})
 		if !ok {
 			fmt.Println("FAIL: infinite quiet execution")
 			return
@@ -251,8 +262,8 @@ func init() {
 // part (b) (every legitimate configuration reachable from γ0).
 func runLambdaDot(cfg runConfig) {
 	a := core.New(3, 4)
-	c := check.New[core.State](a, 0)
-	nodes, edges, err := c.ExportDOT(os.Stdout, "lambda-n3", a.Legitimate)
+	_, e, lam := modelCheck(a)
+	nodes, edges, err := e.ExportDOT(os.Stdout, "lambda-n3", lam)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -88,8 +88,11 @@ func TestSearchBeatsRandomSampling(t *testing.T) {
 // daemons).
 func TestSearchApproachesExactWorstCase(t *testing.T) {
 	a := core.New(3, 4)
-	c := check.New[core.State](a, 0)
-	conv := c.CheckConvergence(a.Legitimate)
+	e, err := check.New[core.State](a, 0).Compile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, _ := e.CheckConvergence(e.LegitSet(a.Legitimate))
 	if !conv.Converges {
 		t.Fatal("base convergence broken")
 	}

@@ -1,7 +1,7 @@
 package check
 
 import (
-	"reflect"
+	"maps"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -9,11 +9,79 @@ import (
 	"ssrmin/internal/statemodel"
 )
 
-// diffOne runs the legacy and the table-compiled engine side by side on
-// one instance and asserts bit-identical reports: ClosureReport,
-// ConvergenceReport (including WorstStart, thanks to the shared
-// smallest-ID tie-break), the full Distances map, |Λ|, and the
-// convergence pass's edge count.
+// oracleSuccessors is the brute-force reference for the engine's
+// successor generation: the distinct successors of configuration id, built
+// straight from statemodel.Enabled and statemodel.Apply over every
+// nonempty subset of the enabled moves whose rule is in rules (nil: every
+// rule), and the number of those moves.
+func oracleSuccessors[S comparable](c *Checker[S], id uint64, rules map[int]bool) (map[uint64]bool, int) {
+	cfg := c.Decode(id)
+	var moves []statemodel.Move
+	for _, m := range statemodel.Enabled[S](c.alg, cfg) {
+		if rules == nil || rules[m.Rule] {
+			moves = append(moves, m)
+		}
+	}
+	succs := map[uint64]bool{}
+	var sel []statemodel.Move
+	for mask := 1; mask < 1<<len(moves); mask++ {
+		sel = sel[:0]
+		for b, m := range moves {
+			if mask&(1<<b) != 0 {
+				sel = append(sel, m)
+			}
+		}
+		succs[c.Encode(statemodel.Apply[S](c.alg, cfg, sel))] = true
+	}
+	return succs, len(moves)
+}
+
+// sameSet reports whether got lists each of want's keys exactly once.
+func sameSet(got []uint64, want map[uint64]bool) bool {
+	seen := map[uint64]bool{}
+	for _, x := range got {
+		if !want[x] || seen[x] {
+			return false
+		}
+		seen[x] = true
+	}
+	return len(seen) == len(want)
+}
+
+// oracleLongest is the brute-force reference for the convergence pass: the
+// longest number of oracleSuccessors steps from id to a configuration that
+// is in stop or has no permitted move, by a memoized recursive search
+// (dist holds -1 while a configuration is on the search stack). ok is
+// false if id reaches a cycle.
+func oracleLongest[S comparable](c *Checker[S], id uint64, rules map[int]bool, stop func(uint64) bool, dist map[uint64]int) (int, bool) {
+	if d, seen := dist[id]; seen {
+		return d, d >= 0
+	}
+	if stop(id) {
+		dist[id] = 0
+		return 0, true
+	}
+	dist[id] = -1
+	succs, _ := oracleSuccessors(c, id, rules)
+	d := 0
+	for nid := range succs {
+		nd, ok := oracleLongest(c, nid, rules, stop, dist)
+		if !ok {
+			return 0, false
+		}
+		d = max(d, nd+1)
+	}
+	dist[id] = d
+	return d, true
+}
+
+// diffOne checks the engine against the brute-force oracles on every
+// configuration of one instance: Λ's membership against the predicate,
+// the successor set against oracleSuccessors, the no-deadlock and closure
+// reports, the convergence report (WorstStart is the smallest ID at the
+// maximum distance), the full Distances map against oracleLongest, and
+// the convergence pass's edge count against the distinct illegitimate
+// successors of Γ∖Λ.
 func diffOne[S comparable](t *testing.T, alg Space[S], legit func(statemodel.Config[S]) bool, workers int) {
 	t.Helper()
 	c := New[S](alg, 0)
@@ -22,57 +90,65 @@ func diffOne[S comparable](t *testing.T, alg Space[S], legit func(statemodel.Con
 		t.Fatalf("Compile: %v", err)
 	}
 	lam := e.LegitSet(legit)
-
-	if got, want := lam.Count(), c.CountLegitimate(legit); got != want {
-		t.Fatalf("|Λ|: engine %d, legacy %d", got, want)
-	}
-
-	_, legacyOK := c.CheckNoDeadlock()
-	_, engineOK := e.CheckNoDeadlock()
-	if legacyOK != engineOK {
-		t.Fatalf("no-deadlock: engine %v, legacy %v", engineOK, legacyOK)
-	}
-
-	lc := c.CheckClosure(legit)
-	ec := e.CheckClosure(lam)
-	if lc.Legitimate != ec.Legitimate || lc.MaxEnabled != ec.MaxEnabled ||
-		(lc.Counterexample == nil) != (ec.Counterexample == nil) {
-		t.Fatalf("closure: engine %+v, legacy %+v", ec, lc)
-	}
-
-	ldist, lconv := c.Distances(legit)
-	edist, econv := e.Distances(lam)
-	if lconv.Converges != econv.Converges || lconv.WorstSteps != econv.WorstSteps ||
-		lconv.Illegitimate != econv.Illegitimate {
-		t.Fatalf("convergence: engine %+v, legacy %+v", econv, lconv)
-	}
-	if (lconv.WorstStart == nil) != (econv.WorstStart == nil) ||
-		(lconv.WorstStart != nil && !lconv.WorstStart.Equal(econv.WorstStart)) {
-		t.Fatalf("WorstStart: engine %v, legacy %v", econv.WorstStart, lconv.WorstStart)
-	}
-	if !reflect.DeepEqual(ldist, edist) {
-		t.Fatalf("Distances maps differ: legacy %d entries, engine %d entries", len(ldist), len(edist))
-	}
-
-	// Edge-count oracle: Σ over Γ∖Λ of the distinct illegitimate
-	// successors, enumerated by the legacy Successors.
-	var wantEdges uint64
-	c.ForAll(func(cfg statemodel.Config[S]) bool {
-		if legit(cfg) {
-			return true
+	closure := ClosureReport[S]{Legitimate: lam.Count()}
+	conv := ConvergenceReport[S]{Converges: true, Illegitimate: c.NumConfigs() - lam.Count()}
+	wantDist := map[uint64]int{}
+	dist := map[uint64]int{}
+	deadlockFree := true
+	var edges uint64
+	var got []uint64
+	for id := uint64(0); id < c.NumConfigs(); id++ {
+		if lam.Contains(id) != legit(c.Decode(id)) {
+			t.Fatalf("Λ membership of %v differs from the predicate", c.Decode(id))
 		}
-		seen := map[uint64]bool{}
-		c.Successors(cfg, nil, func(next statemodel.Config[S]) bool {
-			if !legit(next) {
-				seen[c.Encode(next)] = true
+		succs, enabled := oracleSuccessors(c, id, nil)
+		if got = e.successors(id, got); !sameSet(got, succs) {
+			t.Fatalf("successors of %v: engine %v, oracle %v", c.Decode(id), got, succs)
+		}
+		deadlockFree = deadlockFree && enabled > 0
+		if lam.Contains(id) {
+			closure.MaxEnabled = max(closure.MaxEnabled, enabled)
+			for x := range succs {
+				if !lam.Contains(x) && closure.Counterexample == nil {
+					closure.Counterexample, closure.Successor = c.Decode(id), c.Decode(x)
+				}
 			}
-			return true
-		})
-		wantEdges += uint64(len(seen))
-		return true
-	})
-	if _, stats := e.CheckConvergence(lam); stats.Edges != wantEdges {
-		t.Fatalf("edges: engine %d, Successors oracle %d", stats.Edges, wantEdges)
+			continue
+		}
+		for x := range succs {
+			if !lam.Contains(x) {
+				edges++
+			}
+		}
+		d, ok := oracleLongest(c, id, nil, lam.Contains, dist)
+		if !ok {
+			t.Fatalf("oracle: %v reaches a cycle outside Λ", c.Decode(id))
+		}
+		if d != 0 {
+			wantDist[id] = d
+		}
+		if d > conv.WorstSteps {
+			conv.WorstSteps, conv.WorstStart = d, c.Decode(id)
+		}
+	}
+
+	if _, ok := e.CheckNoDeadlock(); ok != deadlockFree {
+		t.Fatalf("no-deadlock: engine %v, oracle %v", ok, deadlockFree)
+	}
+	if ec := e.CheckClosure(lam); ec.Legitimate != closure.Legitimate || ec.MaxEnabled != closure.MaxEnabled ||
+		(ec.Counterexample == nil) != (closure.Counterexample == nil) {
+		t.Fatalf("closure: engine %+v, oracle %+v", ec, closure)
+	}
+	edist, econv := e.Distances(lam)
+	if econv.Converges != conv.Converges || econv.WorstSteps != conv.WorstSteps ||
+		econv.Illegitimate != conv.Illegitimate || !econv.WorstStart.Equal(conv.WorstStart) {
+		t.Fatalf("convergence: engine %+v, oracle %+v", econv, conv)
+	}
+	if !maps.Equal(edist, wantDist) {
+		t.Fatalf("Distances: engine %d entries, oracle %d entries", len(edist), len(wantDist))
+	}
+	if _, stats := e.CheckConvergence(lam); stats.Edges != edges {
+		t.Fatalf("edges: engine %d, oracle %d", stats.Edges, edges)
 	}
 }
 
@@ -98,9 +174,9 @@ func TestDifferentialSSToken(t *testing.T) {
 	}
 }
 
-// TestDifferentialLongestRestricted pins the Lemma 5 quiet-execution
-// analysis (rule-restricted longest path, where terminal configurations
-// exist) to the legacy result.
+// TestDifferentialLongestRestricted checks the Lemma 5 quiet-execution
+// analysis, a rule-restricted longest path where configurations without a
+// permitted move are terminal, against oracleLongest.
 func TestDifferentialLongestRestricted(t *testing.T) {
 	a := core.New(3, 4)
 	c := New[core.State](a, 0)
@@ -113,13 +189,20 @@ func TestDifferentialLongestRestricted(t *testing.T) {
 		core.RuleRecvSecondary:  true,
 		core.RuleFixNoG:         true,
 	}
-	ls, lstart, lok := c.LongestRestricted(rules)
-	es, estart, eok := e.LongestRestricted(rules)
-	if lok != eok || ls != es {
-		t.Fatalf("LongestRestricted: engine (%d,%v), legacy (%d,%v)", es, eok, ls, lok)
+	want, wantStart := 0, uint64(0)
+	dist := map[uint64]int{}
+	for id := uint64(0); id < c.NumConfigs(); id++ {
+		d, ok := oracleLongest(c, id, rules, func(uint64) bool { return false }, dist)
+		if !ok {
+			t.Fatalf("oracle: %v reaches a {1,3,5}-cycle", c.Decode(id))
+		}
+		if d > want {
+			want, wantStart = d, id
+		}
 	}
-	if (lstart == nil) != (estart == nil) || (lstart != nil && !lstart.Equal(estart)) {
-		t.Fatalf("restricted WorstStart: engine %v, legacy %v", estart, lstart)
+	steps, start, ok := e.LongestRestricted(rules)
+	if !ok || steps != want || !start.Equal(c.Decode(wantStart)) {
+		t.Fatalf("LongestRestricted: engine (%d, %v, %v), oracle (%d, %v)", steps, start, ok, want, c.Decode(wantStart))
 	}
 }
 
