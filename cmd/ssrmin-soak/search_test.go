@@ -148,13 +148,19 @@ func TestSearchDeterministicTrajectory(t *testing.T) {
 func TestRejectsBadTimings(t *testing.T) {
 	for _, args := range [][]string{
 		{"-delay", "-1"}, {"-delay", "NaN"}, {"-jitter", "-1"}, {"-refresh", "-1"},
+		// The live engine's clock counts whole nanoseconds in an int64.
+		{"-engines", "live", "-delay", "1e-10", "-jitter", "0"},
+		{"-engines", "live", "-jitter", "1e-10"},
+		{"-engines", "live", "-refresh", "1e-10"},
+		{"-engines", "live", "-delay", "1e10"},
+		{"-engines", "state,live", "-refresh", "1e12"},
 	} {
 		errPath := filepath.Join(t.TempDir(), "stderr")
 		errw, err := os.Create(errPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		code := run(append(args, "-seeds", "1", "-engines", "msgnet"), errw, errw)
+		code := run(append([]string{"-seeds", "1", "-engines", "msgnet"}, args...), errw, errw)
 		errw.Close()
 		msg, err := os.ReadFile(errPath)
 		if err != nil {

@@ -28,7 +28,9 @@ package crosscheck
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -181,6 +183,11 @@ func (s *Scenario) Validate() error {
 		case EngineState, EngineMsgnet, EngineLive:
 		default:
 			return fmt.Errorf("crosscheck %q: unknown engine %q", s.Name, e)
+		}
+	}
+	if slices.Contains(s.Engines, EngineLive) {
+		if err := liveTimings(s.Link.Delay, s.Link.Jitter, s.Refresh); err != nil {
+			return fmt.Errorf("crosscheck %q: %w", s.Name, err)
 		}
 	}
 	churn := false
@@ -728,6 +735,24 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	chk.finish(&res)
 	sep.finish(&res)
 	return res
+}
+
+// liveTimings checks that the live engine's nanosecond clock can hold the
+// link timings as simDur converts them: none may overflow time.Duration,
+// and none but a zero jitter may round to 0 ns.
+func liveTimings(delay, jitter, refresh float64) error {
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{{"link delay", delay}, {"link jitter", jitter}, {"refresh", refresh}} {
+		switch {
+		case v.x*float64(time.Second) >= math.MaxInt64:
+			return fmt.Errorf("%s %v s overflows the live engine's clock", v.name, v.x)
+		case v.x != 0 && simDur(v.x) == 0:
+			return fmt.Errorf("%s %v s rounds to 0 ns on the live engine's clock", v.name, v.x)
+		}
+	}
+	return nil
 }
 
 // simDur converts simulated seconds to the engine's Duration options —

@@ -33,6 +33,22 @@ func TestValidateDefaults(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsSubNanosecondTimingsOffLive: only the live engine
+// counts time in whole nanoseconds, so the state and msgnet tiers keep
+// accepting timings it cannot represent.
+func TestValidateAcceptsSubNanosecondTimingsOffLive(t *testing.T) {
+	for _, mut := range []func(*Scenario){
+		func(s *Scenario) { s.Link.Delay, s.Link.Jitter, s.Refresh = 1e-10, 1e-11, 1e-10 },
+		func(s *Scenario) { s.Link.Delay, s.Refresh = 1e10, 1e11 },
+	} {
+		s := clean(4, 1)
+		mut(&s)
+		if err := s.Validate(); err != nil {
+			t.Errorf("state+msgnet rejected %+v: %v", s.Link, err)
+		}
+	}
+}
+
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -52,6 +68,12 @@ func TestValidateRejections(t *testing.T) {
 		{"NaN jitter", func(s *Scenario) { s.Link.Jitter = math.NaN() }},
 		{"negative refresh", func(s *Scenario) { s.Refresh = -1 }},
 		{"infinite refresh", func(s *Scenario) { s.Refresh = math.Inf(1) }},
+		{"live sub-ns delay", func(s *Scenario) { s.Engines, s.Link.Delay, s.Refresh = []string{EngineLive}, 1e-10, 1 }},
+		{"live sub-ns jitter", func(s *Scenario) { s.Engines, s.Link.Jitter = []string{EngineLive}, 1e-10 }},
+		{"live sub-ns refresh", func(s *Scenario) { s.Engines, s.Refresh = []string{EngineLive}, 1e-10 }},
+		{"live overflowing delay", func(s *Scenario) { s.Engines, s.Link.Delay = []string{EngineState, EngineLive}, 1e10 }},
+		{"live overflowing jitter", func(s *Scenario) { s.Engines, s.Link.Jitter = []string{EngineLive}, 1e10 }},
+		{"live overflowing refresh", func(s *Scenario) { s.Engines, s.Refresh = []string{EngineLive}, 1e10 }},
 		{"bad fault", func(s *Scenario) { s.Faults = []scenario.Fault{{At: 1, Type: "meteor"}} }},
 		{"late fault", func(s *Scenario) { s.Faults = []scenario.Fault{{At: 99, Type: "loss-on"}} }},
 	}
