@@ -21,12 +21,13 @@ test-race:
 
 # Race-check the concurrency-heavy packages (the parallel ID-space engine,
 # the sweep driver, the observer fed by the live engine's worker loops,
-# the discrete-event network, the sharded live runtime, and the soak
-# harness whose concurrent runs merge into one shared observer) without
-# paying for the whole suite under -race.
+# the discrete-event network, the sharded live runtime, the soak
+# harness whose concurrent runs merge into one shared observer, and the
+# TCP ring whose reader and announcer goroutines share each node's mutex)
+# without paying for the whole suite under -race.
 test-race-core:
 	$(GO) test -race ./internal/check ./internal/parsweep ./internal/obs \
-	  ./internal/msgnet ./internal/runtime ./internal/crosscheck
+	  ./internal/msgnet ./internal/runtime ./internal/crosscheck ./internal/netring
 
 test-short:
 	$(GO) test -short ./...
@@ -155,9 +156,9 @@ vet:
 	$(GO) vet ./...
 
 # Domain analyzers (internal/lint): locality of guards/commands,
-# determinism of golden packages, observer nil-guard discipline, lock
-# hygiene, the step shape of the execution tiers. Exits non-zero on any
-# finding; see docs/LINT.md.
+# determinism of golden packages, observer nil-guard discipline, the step
+# shape of the execution tiers, and escape-analysis allocation gates on
+# the hot paths. Exits non-zero on any finding; see docs/LINT.md.
 lint:
 	$(GO) run ./cmd/ssrmin-lint ./...
 

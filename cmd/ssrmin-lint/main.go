@@ -1,10 +1,14 @@
 // Command ssrmin-lint runs the repository's stdlib-only analyzer suite
-// (internal/lint) over the packages named on the command line and exits
-// non-zero when any analyzer reports a finding.
+// (internal/lint: locality, determinism, obsguard, rulecheck and
+// allocgate) over the packages named on the command line and exits 1
+// when any analyzer reports a finding.
 //
-// Patterns are directories relative to the module root ("./internal/msgnet"),
-// import paths ("ssrmin/internal/check"), or recursive forms ending in
-// "/..." — the default is "./...". Only packages an analyzer declares in
+// Patterns are directories relative to the working directory
+// ("./internal/msgnet"), import paths ("ssrmin/internal/check"), or
+// recursive forms ending in "/..." — the default is "./...". A
+// non-recursive pattern that names no Go package (a typo such as
+// "./internal/msgnett") is an error, not a clean run: it prints one line
+// and exits 2, as a bad flag does. Only packages an analyzer declares in
 // its target list are loaded at all, so a repo-wide run type-checks just
 // the algorithm, trace and runtime packages plus their dependencies.
 //
@@ -17,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,26 +31,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the packages named in args and returns the exit code: 0 when
+// clean, 1 on any finding, 2 on a bad flag or package pattern.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("ssrmin-lint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		jsonOut = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		subset  = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		list    = flag.Bool("list", false, "list the analyzers and their target packages, then exit")
+		jsonOut = flags.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+		subset  = flags.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list    = flags.Bool("list", false, "list the analyzers and their target packages, then exit")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: ssrmin-lint [-json] [-analyzers a,b] [packages]\n\n")
-		flag.PrintDefaults()
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: ssrmin-lint [-json] [-analyzers a,b] [packages]\n\n")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "ssrmin-lint: "+format+"\n", a...)
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 			for _, p := range a.Packages {
-				fmt.Printf("%-16s   %s\n", "", p)
+				fmt.Fprintf(stdout, "%-16s   %s\n", "", p)
 			}
 		}
-		return
+		return 0
 	}
 
 	analyzers := lint.All()
@@ -54,7 +72,7 @@ func main() {
 		for _, name := range strings.Split(*subset, ",") {
 			a := lint.Lookup(strings.TrimSpace(name))
 			if a == nil {
-				fatalf("unknown analyzer %q (have: %s)", name, analyzerNames())
+				return fail("unknown analyzer %q (have: %s)", name, analyzerNames())
 			}
 			analyzers = append(analyzers, a)
 		}
@@ -62,23 +80,23 @@ func main() {
 
 	loader, err := lint.NewLoader(".")
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	dirs, err := resolve(loader, patterns)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	var diags []lint.Diagnostic
 	for _, dir := range dirs {
 		path, err := loader.ImportPath(dir)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		var applicable []*lint.Analyzer
 		for _, a := range analyzers {
@@ -91,7 +109,7 @@ func main() {
 		}
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		diags = append(diags, lint.RunAnalyzers(pkg, applicable...)...)
 	}
@@ -100,28 +118,30 @@ func main() {
 		if diags == nil {
 			diags = []lint.Diagnostic{}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(diags); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "ssrmin-lint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "ssrmin-lint: %d finding(s)\n", len(diags))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // resolve expands package patterns into package directories. A pattern is
 // a directory, an import path under the module, or either form suffixed
 // with "/..." for a recursive walk. testdata, vendor and hidden
-// directories are never descended into.
+// directories are never descended into. A non-recursive pattern must name
+// a directory holding a Go package.
 func resolve(loader *lint.Loader, patterns []string) ([]string, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -132,8 +152,8 @@ func resolve(loader *lint.Loader, patterns []string) ([]string, error) {
 			dirs = append(dirs, clean)
 		}
 	}
-	for _, pat := range patterns {
-		recursive := false
+	for _, orig := range patterns {
+		pat, recursive := orig, false
 		if pat == "..." {
 			pat, recursive = ".", true
 		} else if strings.HasSuffix(pat, "/...") {
@@ -146,6 +166,9 @@ func resolve(loader *lint.Loader, patterns []string) ([]string, error) {
 			pat = filepath.Join(loader.Root, filepath.FromSlash(rest))
 		}
 		if !recursive {
+			if !hasGoFiles(pat) {
+				return nil, fmt.Errorf("pattern %q matches no Go package", orig)
+			}
 			add(pat)
 			continue
 		}
@@ -195,9 +218,4 @@ func analyzerNames() string {
 		names = append(names, a.Name)
 	}
 	return strings.Join(names, ", ")
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ssrmin-lint: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -470,3 +470,29 @@ func TestStepComputesOwnGuards(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelsAllocateNothing measures the kernels' 0 allocs/op at run
+// time. allocgate reads the compiler's escape analysis, which cannot see
+// a non-escaping map or slice that later grows on the heap; a ring of 64
+// nodes outgrows any small stack-resident buffer.
+func TestKernelsAllocateNothing(t *testing.T) {
+	const n = 64
+	for _, kind := range []DaemonKind{Subset, Synchronous} {
+		ssr, sst := NewSSRmin(n, n+1, kind), NewSSToken(n, n+1, kind)
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			ssr.SeedLanes(seed)
+			ssr.Step()
+			ssr.LegitMask()
+			ssr.Run(4)
+			sst.SeedLanes(seed)
+			sst.Step()
+			sst.LegitMask()
+			sst.Run(4)
+		})
+		if allocs != 0 {
+			t.Errorf("%v daemon: %v allocs per seed, step, legitimacy test and run, want 0", kind, allocs)
+		}
+	}
+}

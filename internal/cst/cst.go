@@ -194,6 +194,8 @@ func (nd *Node[S]) Start(ctx *msgnet.Context[S]) {
 // discarded: after a splice, frames that were already on a removed link
 // still arrive, and the receiver must treat them as stale rather than
 // poison a cache slot that now describes a different neighbor.
+//
+//allocgate:hot
 func (nd *Node[S]) Receive(ctx *msgnet.Context[S], from int, s S) {
 	if nd.Detached() || !nd.setCacheFast(from, s) {
 		nd.StaleFrames++
@@ -206,6 +208,8 @@ func (nd *Node[S]) Receive(ctx *msgnet.Context[S], from int, s S) {
 // Timer implements msgnet.Handler: periodic re-announcement and deferred
 // rule execution after the critical-section dwell. A detached node lets
 // its timers lapse (the refresh chain is re-armed by the next join).
+//
+//allocgate:hot
 func (nd *Node[S]) Timer(ctx *msgnet.Context[S], kind int) {
 	if nd.Detached() {
 		return
@@ -223,6 +227,8 @@ func (nd *Node[S]) Timer(ctx *msgnet.Context[S], kind int) {
 
 // executeOne runs at most one enabled rule against the cached view, either
 // immediately (Hold == 0) or after the dwell time.
+//
+//allocgate:hot
 func (nd *Node[S]) executeOne(ctx *msgnet.Context[S]) {
 	if nd.Hold <= 0 {
 		nd.executeNow(ctx)
@@ -241,6 +247,7 @@ func (nd *Node[S]) executeOne(ctx *msgnet.Context[S]) {
 // current cached view.
 //
 //rulecheck:step
+//allocgate:hot
 func (nd *Node[S]) executeNow(ctx *msgnet.Context[S]) {
 	v := nd.View()
 	rule := nd.alg.EnabledRule(v)
@@ -256,6 +263,8 @@ func (nd *Node[S]) executeNow(ctx *msgnet.Context[S]) {
 
 // announce sends the current state to both neighbors (busy links swallow
 // the send, per the one-message-per-direction link model).
+//
+//allocgate:hot
 func (nd *Node[S]) announce(ctx *msgnet.Context[S]) {
 	ctx.Send(nd.pred(), nd.state)
 	ctx.Send(nd.succ(), nd.state)
@@ -486,7 +495,6 @@ func (r *Ring[S]) Splice(after, count int) {
 	if r.members-count < 3 {
 		panic("cst: splice would shrink the ring below 3 members")
 	}
-	//lint:ignore hotpath churn orchestration, cold path
 	victims := make([]int, 0, count)
 	v := r.Nodes[after].succID
 	for i := 0; i < count; i++ {

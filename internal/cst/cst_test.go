@@ -417,3 +417,22 @@ func TestLinkOutage(t *testing.T) {
 		t.Fatalf("circulation did not resume after healing: visited %v", visited)
 	}
 }
+
+// TestRunAllocatesNothing measures the event loop's 0 allocs/op at run
+// time, under loss, duplication and corruption: allocgate reads the
+// compiler's escape analysis, which cannot see a non-escaping map or
+// slice that later grows on the heap.
+func TestRunAllocatesNothing(t *testing.T) {
+	opts := defaultOpts()
+	opts.Link.LossProb, opts.Link.DupProb, opts.Link.CorruptProb = 0.1, 0.2, 0.05
+	_, r := ssrminRing(16, 17, opts)
+	r.Net.Corrupt = func(rng *rand.Rand, s core.State) core.State { return core.State{X: rng.Intn(17)} }
+	horizon := msgnet.Time(1)
+	r.Net.Run(horizon) // the arena grows to the steady event population
+	if allocs := testing.AllocsPerRun(20, func() {
+		horizon += 0.5
+		r.Net.Run(horizon)
+	}); allocs != 0 {
+		t.Errorf("%v allocs per half second of simulated time, want 0", allocs)
+	}
+}

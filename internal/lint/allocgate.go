@@ -18,11 +18,15 @@
 //
 // Findings anchor at the allocating line, so a deliberate allocation is
 // waived with //lint:ignore allocgate on that line, not on the function.
+// Decisions inside the arguments of a panic call are skipped: a panic
+// ends the run, so its boxed message is never on the steady-state path.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
+	"go/types"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -49,9 +53,9 @@ var allocHotRe = regexp.MustCompile(`^//allocgate:hot$`)
 
 // escLine is one escape decision of the compiler.
 type escLine struct {
-	file string // absolute path
-	line int
-	msg  string
+	file      string // absolute path
+	line, col int
+	msg       string
 }
 
 var (
@@ -81,7 +85,7 @@ func escapeOutput(root, target string) ([]escLine, error) {
 	return lines, nil
 }
 
-var escLineRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*)$`)
+var escLineRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
 
 func runEscapeBuild(root, target string) ([]escLine, error) {
 	cmd := exec.Command("go", "build", "-gcflags=-m", target)
@@ -97,7 +101,7 @@ func runEscapeBuild(root, target string) ([]escLine, error) {
 		if m == nil {
 			continue
 		}
-		msg := m[3]
+		msg := m[4]
 		if !strings.Contains(msg, "escapes to heap") && !strings.Contains(msg, "moved to heap") {
 			continue
 		}
@@ -105,14 +109,14 @@ func runEscapeBuild(root, target string) ([]escLine, error) {
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(root, file)
 		}
-		var line int
-		fmt.Sscanf(m[2], "%d", &line)
-		key := fmt.Sprintf("%s:%d:%s", file, line, msg)
+		var line, col int
+		fmt.Sscanf(m[2]+" "+m[3], "%d %d", &line, &col)
+		key := fmt.Sprintf("%s:%d:%d:%s", file, line, col, msg)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		lines = append(lines, escLine{file: file, line: line, msg: msg})
+		lines = append(lines, escLine{file: file, line: line, col: col, msg: msg})
 	}
 	return lines, nil
 }
@@ -173,13 +177,28 @@ func runAllocGate(pass *Pass) {
 			if esc.file != file || esc.line < start.Line || esc.line > end.Line {
 				continue
 			}
-			pos := decl.Pos()
-			if esc.line <= tf.LineCount() {
-				pos = tf.LineStart(esc.line)
+			line := tf.LineStart(esc.line)
+			if insidePanic(pass, decl, line+token.Pos(esc.col-1)) {
+				continue
 			}
-			pass.Reportf(pos, "allocgate: hot function %s allocates on the heap: %s", decl.Name.Name, esc.msg)
+			pass.Reportf(line, "allocgate: hot function %s allocates on the heap: %s", decl.Name.Name, esc.msg)
 		}
 	}
+}
+
+// insidePanic reports whether pos lies between the parentheses of a call
+// to the builtin panic in decl.
+func insidePanic(pass *Pass, decl *ast.FuncDecl, pos token.Pos) bool {
+	found := false
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && call.Lparen < pos && pos < call.Rparen {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				_, found = pass.ObjectOf(id).(*types.Builtin)
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // allocTarget picks the build target for pkg: the whole module for

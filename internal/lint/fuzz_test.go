@@ -18,8 +18,8 @@ func FuzzWaiverParse(f *testing.F) {
 		"//lint:ignore * blanket waiver with reason",
 		"//lint:ignore determinism",
 		"//lint:ignore",
-		"//lint:ignore  hotpath \t extra   spacing around the reason ",
-		"//lint:ignore hotpath,allocgate the overflow spill boxes the record by design",
+		"//lint:ignore  rulecheck \t extra   spacing around the reason ",
+		"//lint:ignore allocgate,obsguard the overflow spill boxes the record by design",
 		"//lint:ignore ,,, commas but no names",
 		"// lint:ignore determinism a space breaks the marker",
 		"//lint:ignorexdeterminism glued marker",

@@ -12,10 +12,13 @@
 //   - obsguard: hot-path calls on observer/sink fields are dominated by
 //     nil checks and allocate nothing on the no-observer path, keeping the
 //     instrumentation overhead bar (<5%, BENCH_obs.json) structural.
-//   - lockdiscipline: mutexes unlock on every return path and select
-//     loops do not busy-wait with bare time.Sleep.
-//   - hotpath: no any-typed fields or per-event allocations in the
-//     arena-backed engine packages (msgnet, cst, runtime).
+//   - rulecheck: execution-tier steps evaluate one EnabledRule and Apply
+//     it to the same view — Algorithm 4's composite atomicity.
+//   - allocgate: functions marked //allocgate:hot gain no heap allocation,
+//     judged by the compiler's own escape analysis.
+//
+// Properties whose analyzers were retired because a test, the race
+// detector or allocgate already guards them are listed in docs/LINT.md.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis (Analyzer, Pass, Reportf, "// want" fixture tests) so the
@@ -85,7 +88,7 @@ func (a *Analyzer) AppliesTo(path string) bool {
 
 // All returns the analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Locality, Determinism, ObsGuard, LockDiscipline, Hotpath, RuleCheck, ShardSafety, AllocGate}
+	return []*Analyzer{Locality, Determinism, ObsGuard, RuleCheck, AllocGate}
 }
 
 // Lookup resolves an analyzer by name.

@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -92,10 +93,7 @@ func TestFixtures(t *testing.T) {
 		{"locality", Locality},
 		{"determinism", Determinism},
 		{"obsguard", ObsGuard},
-		{"lockdiscipline", LockDiscipline},
-		{"hotpath", Hotpath},
 		{"rulecheck", RuleCheck},
-		{"shardsafety", ShardSafety},
 		{"allocgate", AllocGate},
 	}
 	for _, tc := range cases {
@@ -220,7 +218,7 @@ var d = 4
 	if at("determinism", 7) {
 		t.Error("ignore must not leak to unnamed analyzers")
 	}
-	if !at("lockdiscipline", 9) {
+	if !at("allocgate", 9) {
 		t.Error("the * wildcard must cover every analyzer")
 	}
 }
@@ -230,7 +228,7 @@ var d = 4
 func TestIgnoreEndOfLine(t *testing.T) {
 	src := `package p
 var a = 1 //lint:ignore determinism trailing waiver with reason
-var b = 2 //lint:ignore obsguard,locality,hotpath trailing multi-analyzer list
+var b = 2 //lint:ignore obsguard,locality,rulecheck trailing multi-analyzer list
 var c = 3 //lint:ignore determinism
 var d = 4
 `
@@ -250,7 +248,7 @@ var d = 4
 	if !at("determinism", 3) {
 		t.Error("end-of-line waiver must cover the following line, like the own-line form")
 	}
-	if !at("obsguard", 3) || !at("locality", 3) || !at("hotpath", 3) {
+	if !at("obsguard", 3) || !at("locality", 3) || !at("rulecheck", 3) {
 		t.Error("end-of-line multi-analyzer list must cover every named analyzer")
 	}
 	if at("obsguard", 2) {
@@ -305,6 +303,54 @@ var bare = 4
 	}
 }
 
+// TestWaiversNameKnownAnalyzers keeps every //lint:ignore in the module
+// pointing at a registered analyzer (or "*"), so a waiver cannot outlive
+// the analyzer it silences.
+func TestWaiversNameKnownAnalyzers(t *testing.T) {
+	root := testLoader(t).Root
+	fset := token.NewFileSet()
+	waivers := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				names, _, ok := parseWaiver(c.Text)
+				if !ok {
+					continue
+				}
+				waivers++
+				for _, name := range names {
+					if name != "*" && Lookup(name) == nil {
+						t.Errorf("%s: waiver names unknown analyzer %q", fset.Position(c.Pos()), name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waivers == 0 {
+		t.Error("found no //lint:ignore waivers; the walk is not reaching the module's sources")
+	}
+}
+
 func TestDiagnosticJSONAndString(t *testing.T) {
 	d := Diagnostic{
 		Analyzer: "obsguard",
@@ -327,8 +373,8 @@ func TestDiagnosticJSONAndString(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(All()) != 8 {
-		t.Fatalf("All() = %d analyzers, want 8", len(All()))
+	if len(All()) != 5 {
+		t.Fatalf("All() = %d analyzers, want 5", len(All()))
 	}
 	seen := map[string]bool{}
 	for _, a := range All() {

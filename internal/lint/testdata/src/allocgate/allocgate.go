@@ -1,6 +1,7 @@
 // Fixture for the allocgate analyzer: two hot functions with deliberate
 // heap allocations (a returned pointer and a variable-size make), one
-// clean hot function, and an unannotated allocator the gate must ignore.
+// clean hot function, one whose only escape is a panic message, and an
+// unannotated allocator the gate must ignore.
 package allocgate
 
 type box struct{ v int }
@@ -24,6 +25,17 @@ func hotSlice(n int) int {
 //allocgate:hot
 func hotClean(a, b int) int {
 	return a + b
+}
+
+// hotPanic's message escapes into panic's interface argument; the gate
+// skips it, because a panic ends the run.
+//
+//allocgate:hot
+func hotPanic(n int) int {
+	if n < 0 {
+		panic("allocgate: negative n")
+	}
+	return n
 }
 
 // kernel mimics a bit-sliced step kernel: preallocated plane buffers,

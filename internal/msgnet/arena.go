@@ -237,7 +237,6 @@ func (a *Arena[P]) down(i int, e heapEntry) {
 // side it is on, and that the 4-ary heap property holds under the
 // (at, seq) order.
 func (a *Arena[P]) check() error {
-	//lint:ignore hotpath invariant checker, test-only path
 	live := make(map[int32]int, len(a.heap))
 	for i, en := range a.heap {
 		s := en.slot

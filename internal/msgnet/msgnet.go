@@ -84,12 +84,16 @@ func (c *Context[P]) N() int { return len(c.net.handlers) }
 // reports whether the message entered the link: false when no link exists,
 // when the link is still busy with an earlier message (the paper's
 // one-message-per-direction rule), or when the loss coin eats it.
+//
+//allocgate:hot
 func (c *Context[P]) Send(to int, payload P) bool {
 	return c.net.send(c.node, to, payload)
 }
 
 // After schedules a timer callback for the node after d time units. Kind
 // is handed back to the Timer callback.
+//
+//allocgate:hot
 func (c *Context[P]) After(d Time, kind int) {
 	if d < 0 {
 		panic("msgnet: negative timer delay")
@@ -185,6 +189,7 @@ type TapEvent struct {
 	Node, From int
 }
 
+//allocgate:hot
 func (n *Network[P]) tap(e TapEvent) {
 	if n.Tap != nil {
 		n.Tap(e)
@@ -302,7 +307,6 @@ func (n *Network[P]) AddLink(a, b int, p LinkParams) {
 		p.DupProb < 0 || p.DupProb > 1 || p.CorruptProb < 0 || p.CorruptProb > 1 {
 		panic(fmt.Sprintf("msgnet: bad link params %+v", p))
 	}
-	//lint:ignore hotpath topology setup, runs once per ring
 	l := &link{params: p}
 	n.links[[2]int{a, b}] = l
 	if n.linkAt != nil {
@@ -333,6 +337,8 @@ func (n *Network[P]) Now() Time { return n.now }
 // pushDeliver schedules a delivery without staging the event on the
 // caller's stack: the fields are written straight into the recycled
 // arena slot.
+//
+//allocgate:hot
 func (n *Network[P]) pushDeliver(at Time, to, from int32, payload *P) {
 	seq := n.seq
 	n.seq++
@@ -353,6 +359,8 @@ func (n *Network[P]) pushDeliver(at Time, to, from int32, payload *P) {
 }
 
 // pushTimer is pushDeliver for timer events.
+//
+//allocgate:hot
 func (n *Network[P]) pushTimer(at Time, node, tkind int32) {
 	seq := n.seq
 	n.seq++
@@ -374,6 +382,8 @@ func (n *Network[P]) pushTimer(at Time, node, tkind int32) {
 }
 
 // callbackCtx returns the network's one reusable Context, pointed at node.
+//
+//allocgate:hot
 func (n *Network[P]) callbackCtx(node int) *Context[P] {
 	n.ctx.node = node
 	return &n.ctx
@@ -444,6 +454,8 @@ func (n *Network[P]) StartTimer(node int, d Time, kind int) {
 // linkFromTo resolves the directed link on the hot path: one bounds check
 // and one slice index once the table is compiled, with the construction
 // map as the pre-start fallback.
+//
+//allocgate:hot
 func (n *Network[P]) linkFromTo(from, to int) *link {
 	if n.linkAt != nil {
 		nn := len(n.handlers)
@@ -455,6 +467,7 @@ func (n *Network[P]) linkFromTo(from, to int) *link {
 	return n.links[[2]int{from, to}]
 }
 
+//allocgate:hot
 func (n *Network[P]) send(from, to int, payload P) bool {
 	l := n.linkFromTo(from, to)
 	if l == nil {
@@ -529,6 +542,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 	return true
 }
 
+//allocgate:hot
 func (n *Network[P]) jitter(l *link) Time {
 	if l.params.Jitter <= 0 {
 		return 0
@@ -565,6 +579,8 @@ func (n *Network[P]) start() {
 }
 
 // Step processes the next event. It reports false when the queue is empty.
+//
+//allocgate:hot
 func (n *Network[P]) Step() bool {
 	n.start()
 	if n.arena.Len() == 0 {
@@ -576,6 +592,8 @@ func (n *Network[P]) Step() bool {
 }
 
 // dispatch advances the clock to *e and runs its callback.
+//
+//allocgate:hot
 func (n *Network[P]) dispatch(e *event[P]) {
 	if e.at < n.now {
 		panic("msgnet: event in the past")
@@ -603,6 +621,8 @@ func (n *Network[P]) dispatch(e *event[P]) {
 
 // Run processes events until simulated time exceeds until or the event
 // queue drains. It returns the number of events processed.
+//
+//allocgate:hot
 func (n *Network[P]) Run(until Time) int {
 	n.start()
 	count := 0

@@ -1,6 +1,7 @@
 package netring
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -150,6 +151,83 @@ func TestNodeRestartHeals(t *testing.T) {
 	if len(visited) != 5 {
 		t.Fatalf("circulation did not resume after node restart: %v", visited)
 	}
+}
+
+// within runs f and fails the test if f has not returned after d: a
+// leaked node mutex shows up as a failure here, not as a hung test.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v: the node's mutex is held", what, d)
+	}
+}
+
+// TestDropsNonNeighbourFrame sends node 0 of a 5-ring a frame from node
+// 2, which is neither of its neighbours, then a frame from its
+// predecessor 4 on the same connection. The first must leave both caches
+// untouched; the node must stay responsive, so the second frame lands
+// and Snapshot and RuleExecutions return.
+func TestDropsNonNeighbourFrame(t *testing.T) {
+	refused, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusedAddr := refused.Addr().String()
+	refused.Close() // the neighbours are down; the announcer only retries
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := core.State{X: 3}
+	nd, err := NewNode(Config{
+		ID: 0, N: 5, K: 6, Listener: l,
+		PredAddr: refusedAddr, SuccAddr: refusedAddr, Refresh: time.Hour,
+	}, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start()
+	t.Cleanup(func() {
+		// A node whose mutex leaked cannot stop: its reader waits in Lock.
+		if !t.Failed() {
+			nd.Stop()
+		}
+	})
+	conn, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintln(conn, `{"from":2,"x":1,"rts":true,"tra":true}`)
+	fmt.Fprintln(conn, `{"from":4,"x":2}`)
+
+	landed := core.State{X: 2}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var pred, succ core.State
+		within(t, time.Second, "Snapshot", func() { _, pred, succ = nd.Snapshot() })
+		if succ != init {
+			t.Fatalf("successor cache became %+v after a frame from node 2", succ)
+		}
+		if pred == landed {
+			break
+		}
+		if pred != init {
+			t.Fatalf("predecessor cache became %+v, want %+v or %+v", pred, init, landed)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the predecessor's frame never reached the cache")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	within(t, time.Second, "RuleExecutions", func() { nd.RuleExecutions() })
 }
 
 func TestStopIdempotent(t *testing.T) {

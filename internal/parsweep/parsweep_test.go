@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderAndCompleteness(t *testing.T) {
@@ -86,6 +87,30 @@ func TestMapPanicPropagates(t *testing.T) {
 		}
 		return i
 	})
+}
+
+// TestMapManyPanicsReturn: with many trials panicking on every worker,
+// each recover path must release the panic lock, or the sweep deadlocks
+// instead of re-raising.
+func TestMapManyPanicsReturn(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		Map(64, 4, func(i int) int {
+			if i%2 == 0 {
+				panic("boom")
+			}
+			return i
+		})
+	}()
+	select {
+	case r := <-done:
+		if r == nil {
+			t.Fatal("panic not propagated")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep with many panicking trials never returned")
+	}
 }
 
 func TestMapNegativePanics(t *testing.T) {

@@ -515,6 +515,8 @@ func (e *Engine[S]) freeze() {
 // RunUntil advances virtual time in whole epochs until Now() >= t, as
 // fast as possible. It must not be mixed with Start; use one mode per
 // engine.
+//
+//allocgate:hot
 func (e *Engine[S]) RunUntil(t float64) {
 	e.freeze()
 	for e.now < t {
@@ -540,6 +542,8 @@ func (e *Engine[S]) Workers() int { return e.w }
 // Scheduled churn ops whose time falls inside the epoch are applied at
 // its start — between epochs no event is in flight within a shard, so
 // rewiring here cannot race a dispatch.
+//
+//allocgate:hot
 func (e *Engine[S]) stepEpoch() {
 	horizon := e.now + e.delay
 	for e.churnIdx < len(e.churn) && e.churn[e.churnIdx].at < horizon {
@@ -557,7 +561,7 @@ func (e *Engine[S]) stepEpoch() {
 // shardEpoch drains the shard's inbound rings, then processes every
 // event below the horizon in (at, key2) order.
 //
-//shardsafety:worker
+//allocgate:hot
 func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
 	if sh.inLeft != nil {
 		sh.inLeft.drainInto(sh)
@@ -570,6 +574,7 @@ func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
 	}
 }
 
+//allocgate:hot
 func (e *Engine[S]) parallelEpoch(horizon float64) {
 	e.ensureWorkers()
 	e.barrier.Add(e.w)
@@ -593,6 +598,7 @@ func (e *Engine[S]) ensureWorkers() {
 	}
 }
 
+//allocgate:hot
 func (e *Engine[S]) worker(i int) {
 	defer e.workerWG.Done()
 	sh := &e.shards[i]
@@ -624,7 +630,6 @@ func (e *Engine[S]) stopWorkers() {
 
 // dispatch routes one owned event to its handler.
 //
-//shardsafety:worker owns=rec.node
 //allocgate:hot
 func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 	sh.events++
@@ -687,7 +692,6 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
 // step executes at most one rule and announces.
 //
 //rulecheck:step
-//shardsafety:worker owns=node
 //allocgate:hot
 func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 	nd := &e.nodes[node]
@@ -706,7 +710,6 @@ func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 
 // announce offers the state to both outgoing links, predecessor first.
 //
-//shardsafety:worker owns=node
 //allocgate:hot
 func (e *Engine[S]) announce(sh *engShard[S], at float64, node int32) {
 	e.send(sh, at, node, false)
@@ -717,7 +720,6 @@ func (e *Engine[S]) announce(sh *engShard[S], at float64, node int32) {
 // the link is busy (one message per direction) or the loss draw hits.
 // Jitter, then loss, drawn from the link's own PRNG.
 //
-//shardsafety:worker owns=node
 //allocgate:hot
 func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 	nd := &e.nodes[node]
@@ -765,7 +767,6 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 // ring of the send's direction (exact even at W=2, where both neighbor
 // shards are the same shard).
 //
-//shardsafety:gate
 //allocgate:hot
 func (e *Engine[S]) emit(sh *engShard[S], rec eventRec[S], toSucc bool) {
 	if e.shardOf[rec.node] == sh.id {
@@ -781,7 +782,6 @@ func (e *Engine[S]) emit(sh *engShard[S], rec eventRec[S], toSucc bool) {
 
 // tap records one observable action into the shard's tap buffer.
 //
-//shardsafety:worker owns=nd
 //allocgate:hot
 func (e *Engine[S]) tap(sh *engShard[S], nd *engNode[S], at float64, src int32, kind TapKind, peer, rule int32) {
 	if !e.taps {
@@ -794,7 +794,6 @@ func (e *Engine[S]) tap(sh *engShard[S], nd *engNode[S], at float64, src int32, 
 // notifyPriv re-evaluates the privilege predicate after a node's view
 // changed and fires the handover callbacks on edges.
 //
-//shardsafety:worker owns=node
 //allocgate:hot
 func (e *Engine[S]) notifyPriv(sh *engShard[S], at float64, node int32) {
 	if e.holder == nil {
@@ -824,11 +823,8 @@ func (e *Engine[S]) notifyPriv(sh *engShard[S], at float64, node int32) {
 // a worker's point of view, usable only as message destinations. The
 // lookup tables replace the founding-ring modulo so churn can rewire
 // them; on a static ring they hold exactly the modulo values.
-//
-//shardsafety:neighbor
 func (e *Engine[S]) pred(node int32) int32 { return e.predOf[node] }
 
-//shardsafety:neighbor
 func (e *Engine[S]) succ(node int32) int32 { return e.succOf[node] }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,25 @@ func TestEngineAppendHolders(t *testing.T) {
 	}
 }
 
+// TestEngineEpochsAllocateNothing measures the epoch loop's 0 allocs/op
+// at run time, on one worker and on two: allocgate reads the compiler's
+// escape analysis, which cannot see a non-escaping map or slice that
+// later grows on the heap.
+func TestEngineEpochsAllocateNothing(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		_, e := newSSRminEngine(64, 65, engineOpts(1, w))
+		e.RunUntil(0.5) // the queues grow to the steady event population
+		horizon := e.Now()
+		if allocs := testing.AllocsPerRun(20, func() {
+			horizon += 0.1
+			e.RunUntil(horizon)
+		}); allocs != 0 {
+			t.Errorf("w=%d: %v allocs per 0.1 s of virtual time, want 0", w, allocs)
+		}
+		e.Stop()
+	}
+}
+
 // TestEngineUnpacedTickAllocs: the soak live tier's per-tick sample —
 // Now, TrackedCensus and two AppendHolders into reused buffers — reads
 // the engine directly when the pacer is not running and allocates

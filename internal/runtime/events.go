@@ -154,7 +154,6 @@ func (sh *engShard[S]) sortRun(run []eventRec[S], lo, hi float64) {
 // false, closing the epoch, once both are empty. Only records destined
 // for the shard's own arc are ever pushed, so the record is owned.
 //
-//shardsafety:source
 //allocgate:hot
 func (sh *engShard[S]) next(rec *eventRec[S]) bool {
 	if len(sh.soon) > 0 && (sh.cur == sh.due || recLess(&sh.soon[0], &sh.q[sh.cur])) {
@@ -188,7 +187,6 @@ func (sh *engShard[S]) close() {
 // has reused yet, or is appended. Between epochs fill == cur == 0 and
 // every record lies at or beyond the last horizon, so pushes append.
 //
-//shardsafety:worker owns=rec.node
 //allocgate:hot
 func (sh *engShard[S]) push(rec eventRec[S]) {
 	switch {
@@ -300,7 +298,7 @@ func (q *spsc[S]) pushRing(rec eventRec[S]) {
 		q.tail.Store(t + 1)
 		return
 	}
-	//lint:ignore hotpath,allocgate the overflow spill boxes the record by design; the fixed ring serves the steady state alloc-free
+	//lint:ignore allocgate the overflow spill boxes the record by design; the fixed ring serves the steady state alloc-free
 	n := &spscNode[S]{rec: rec}
 	for {
 		n.next = q.ovf.Load()
@@ -313,9 +311,8 @@ func (q *spsc[S]) pushRing(rec eventRec[S]) {
 // drainInto moves every visible entry — ring first, then the overflow
 // stack — into the shard's queue. It is the receiving side of the SPSC
 // crossing: everything it drains was addressed to sh by the sender's
-// gate, so its pushes are exempt from provenance checks.
+// emit, so every pushed record is owned.
 //
-//shardsafety:gate
 //allocgate:hot
 func (q *spsc[S]) drainInto(sh *engShard[S]) {
 	h := q.head.Load()
