@@ -25,7 +25,7 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func randomConfig(a *core.Algorithm, rng *rand.Rand) statemodel.Config[core.State] {
 	c := make(statemodel.Config[core.State], a.N())
 	for i := range c {
-		c[i] = core.State{X: rng.Intn(a.K()), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
+		c[i] = a.RandomState(rng)
 	}
 	return c
 }

@@ -111,7 +111,7 @@ func runRefreshSweep(cfg runConfig) {
 		init := make(statemodel.Config[core.State], 6)
 		inj := newRand(cfg.seed)
 		for i := range init {
-			init[i] = core.State{X: inj.Intn(8), RTS: inj.Intn(2) == 1, TRA: inj.Intn(2) == 1}
+			init[i] = a.RandomState(inj)
 		}
 		r := cst.NewRing[core.State](a, init, cst.Options[core.State]{
 			Link:           msgnet.LinkParams{Delay: mpDelay, Jitter: mpJitter, LossProb: 0.05},
@@ -241,9 +241,7 @@ func runCorruption(cfg runConfig) {
 			Seed:           cfg.seed,
 			CoherentCaches: true,
 		})
-		r.Net.Corrupt = func(rng *rand.Rand, payload core.State) core.State {
-			return core.State{X: rng.Intn(6), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-		}
+		r.Net.Corrupt = func(rng *rand.Rand, payload core.State) core.State { return a.RandomState(rng) }
 		var tl verify.Timeline
 		r.Net.Observer = func(now msgnet.Time) {
 			c := r.Census(core.HasToken)

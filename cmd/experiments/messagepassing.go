@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 
 	"ssrmin/internal/core"
@@ -239,16 +238,14 @@ func runTheorem4(cfg runConfig) {
 		a := core.New(6, 8)
 		init := make(statemodel.Config[core.State], 6)
 		for i := range init {
-			init[i] = core.State{X: inj.Rand().Intn(8), RTS: inj.Rand().Intn(2) == 1, TRA: inj.Rand().Intn(2) == 1}
+			init[i] = a.RandomState(inj.Rand())
 		}
 		r := cst.NewRing[core.State](a, init, cst.Options[core.State]{
 			Link:           msgnet.LinkParams{Delay: mpDelay, Jitter: mpJitter, LossProb: loss},
 			Refresh:        mpRefresh,
 			Seed:           cfg.seed + int64(trial),
 			CoherentCaches: false,
-			RandomState: func(rng *rand.Rand) core.State {
-				return core.State{X: rng.Intn(8), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-			},
+			RandomState:    a.RandomState,
 		})
 		// Track the last instant at which the invariant was violated.
 		lastBad := -1.0

@@ -76,7 +76,7 @@ func main() {
 	// Arbitrary initial state: self-stabilization means we need no
 	// coordination about starting values.
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	init := core.State{X: rng.Intn(cc.K), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
+	init := core.New(cc.N, cc.K).RandomState(rng)
 
 	node, err := netring.NewNode(netring.Config{
 		ID: *id, N: cc.N, K: cc.K,

@@ -10,7 +10,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 
 	"ssrmin"
 	"ssrmin/internal/core"
@@ -28,9 +27,7 @@ func main() {
 	const n, k = 6, 8
 	m := ssrmin.NewMPSimulation(n, ssrmin.WithK(k), ssrmin.WithSeed(*seed))
 	inj := fault.NewInjector(*seed)
-	draw := func(rng *rand.Rand) core.State {
-		return core.State{X: rng.Intn(k), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-	}
+	draw := core.New(n, k).RandomState
 
 	fmt.Printf("SSRmin ring, n=%d K=%d, 10ms links, in the message-passing model\n\n", n, k)
 	m.Run(2)

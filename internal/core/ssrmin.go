@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ssrmin/internal/dijkstra"
 	"ssrmin/internal/statemodel"
@@ -352,6 +353,13 @@ func (a *Algorithm) InitialLegitimate() statemodel.Config[State] {
 	c := make(statemodel.Config[State], a.n)
 	c[0] = State{X: 0, RTS: false, TRA: true}
 	return c
+}
+
+// RandomState draws an arbitrary local state: X uniform in {0, …, K−1},
+// then RTS, then TRA, each a fair coin. Every executor draws its random
+// starts and fault states here, in this order, so seeded runs agree.
+func (a *Algorithm) RandomState(rng *rand.Rand) State {
+	return State{X: rng.Intn(a.k), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
 }
 
 // LegitimateConfigs enumerates every legitimate configuration (Definition

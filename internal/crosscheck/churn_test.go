@@ -2,6 +2,7 @@ package crosscheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,5 +252,37 @@ func TestChurnTiersAgree(t *testing.T) {
 				t.Fatalf("violations: %v (diff: %s)", rep.Violations(), rep.Diff())
 			}
 		})
+	}
+}
+
+// TestStatesFaultVictimsAgreeUnderChurn: after a join and a leave, a
+// states fault hits the same node ids in the msgnet and live tiers — the
+// ring's members at that instant, the joiner included and the leaver not.
+func TestStatesFaultVictimsAgreeUnderChurn(t *testing.T) {
+	hit := map[string][]int{}
+	hooks.injected = func(engine string, _ float64, nodes []int) {
+		hit[engine] = append(hit[engine], nodes...)
+	}
+	defer func() { hooks.injected = nil }()
+	s := Scenario{
+		Name: "states-after-churn", N: 6, K: 9, Seed: 1, Horizon: 3,
+		Engines: []string{EngineMsgnet, EngineLive},
+		Faults: []scenario.Fault{
+			{At: 1, Type: "join", Node: 0},
+			{At: 1.5, Type: "leave", Node: 2},
+			{At: 2, Type: "states", Count: 6},
+		},
+	}
+	if _, err := Run(s); err != nil {
+		t.Fatal(err)
+	}
+	msg, live := hit[EngineMsgnet], hit[EngineLive]
+	if !slices.Equal(msg, live) {
+		t.Fatalf("states fault hit %v in msgnet but %v in live", msg, live)
+	}
+	got := slices.Clone(msg)
+	slices.Sort(got)
+	if !slices.Equal(got, []int{0, 1, 3, 4, 5, 6}) {
+		t.Fatalf("states fault hit %v, want the members 0 1 3 4 5 6", got)
 	}
 }

@@ -24,6 +24,15 @@
 // pinned (see testdata/repros/). On a violation the harness auto-shrinks
 // the scenario to a minimal reproduction (Shrink) and writes it as a
 // regression fixture that go test replays forever.
+//
+// The differential verdict means something only if every tier reads the
+// fault script the same way, so internal/scenario owns its vocabulary:
+// Validate defers the shared fields to scenario.Scenario.Validate, the
+// msgnet tier builds its ring with scenario.NewRing and applies each
+// fault with scenario.Apply exactly as scenario.Run does, every tier
+// starts from scenario.InitialConfig, and the live tier, which
+// pre-schedules its faults, picks state-fault victims among the members
+// scenario.Replay reports at each fault's instant.
 package crosscheck
 
 import (
@@ -31,7 +40,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"ssrmin/internal/core"
@@ -106,11 +114,12 @@ type Scenario struct {
 	// primary and the secondary token holder (default 1: in a legitimate
 	// configuration the holders are the same process or neighbors).
 	MaxSeparation int `json:"maxSeparation,omitempty"`
-	// Faults is the timed fault script (internal/scenario vocabulary).
-	// "states" applies to every engine; "caches", "cut", "heal",
-	// "loss-on", "loss-off" and the churn events "join"/"leave"/"splice"
-	// apply to the message-passing tiers (churn included; the state tier
-	// keeps its fixed ring and ignores them).
+	// Faults is the timed fault script, validated and applied by
+	// internal/scenario. "states" applies to every engine, to the ring's
+	// members at that instant; the state tier keeps its fixed ring and
+	// ignores every other type. The msgnet tier applies all of them;
+	// the live tier applies "states", "join", "leave" and "splice", its
+	// links have no cut or loss gate and its caches no injection.
 	Faults []scenario.Fault `json:"faults,omitempty"`
 	// Engines selects the tiers to run (default all three).
 	Engines []string `json:"engines,omitempty"`
@@ -119,23 +128,17 @@ type Scenario struct {
 	LiveWorkers int `json:"liveWorkers,omitempty"`
 }
 
-// Validate checks the scenario and fills defaults in place.
+// Validate checks the scenario and fills defaults in place. The fields
+// it shares with internal/scenario — ring size, counter space, horizon,
+// link, refresh, start and fault script — are checked and defaulted by
+// scenario.Scenario.Validate, so every executor reads a script the same
+// way; the rest are the harness's own.
 func (s *Scenario) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("crosscheck: missing scenario name")
+	sh := s.script()
+	if err := sh.Validate(); err != nil {
+		return fmt.Errorf("crosscheck: %w", err)
 	}
-	if s.N < 3 {
-		return fmt.Errorf("crosscheck %q: n = %d too small for SSRmin", s.Name, s.N)
-	}
-	if s.K == 0 {
-		s.K = s.N + 1
-	}
-	if s.K <= s.N {
-		return fmt.Errorf("crosscheck %q: K = %d must exceed n = %d", s.Name, s.K, s.N)
-	}
-	if s.Horizon <= 0 {
-		return fmt.Errorf("crosscheck %q: horizon must be positive", s.Name)
-	}
+	s.K, s.Link, s.Refresh, s.Faults = sh.K, sh.Link, sh.Refresh, sh.Faults
 	if s.Steps == 0 {
 		s.Steps = 2 * core.New(s.N, s.K).ConvergenceStepBound()
 	}
@@ -148,20 +151,6 @@ func (s *Scenario) Validate() error {
 	case "central-random", "synchronous", "distributed":
 	default:
 		return fmt.Errorf("crosscheck %q: unknown daemon %q", s.Name, s.Daemon)
-	}
-	if s.Link.Delay == 0 {
-		s.Link.Delay = 0.01
-	}
-	if s.Refresh == 0 {
-		s.Refresh = 5 * s.Link.Delay
-	}
-	if err := scenario.CheckTimings(s.Link.Delay, s.Link.Jitter, s.Refresh); err != nil {
-		return fmt.Errorf("crosscheck %q: %w", s.Name, err)
-	}
-	for _, p := range []float64{s.Link.Loss, s.Link.Dup, s.Link.Corrupt} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("crosscheck %q: probability %v out of range", s.Name, p)
-		}
 	}
 	if s.Settle == 0 {
 		s.Settle = s.Horizon / 2
@@ -190,55 +179,23 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("crosscheck %q: %w", s.Name, err)
 		}
 	}
-	churn := false
-	for i, f := range s.Faults {
-		switch f.Type {
-		case "states", "caches":
-			if f.Count <= 0 {
-				return fmt.Errorf("crosscheck %q: fault %d needs a positive count", s.Name, i)
-			}
-		case "cut", "heal":
-			if f.Link < 0 || f.Link >= s.N {
-				return fmt.Errorf("crosscheck %q: fault %d link %d out of range", s.Name, i, f.Link)
-			}
-		case "loss-on", "loss-off":
-		case "join", "leave":
-			churn = true
-			if f.Node < 0 {
-				return fmt.Errorf("crosscheck %q: fault %d node %d out of range", s.Name, i, f.Node)
-			}
-		case "splice":
-			churn = true
-			if f.Node < 0 {
-				return fmt.Errorf("crosscheck %q: fault %d node %d out of range", s.Name, i, f.Node)
-			}
-			if f.Count == 0 {
-				s.Faults[i].Count = 1
-			} else if f.Count < 0 {
-				return fmt.Errorf("crosscheck %q: fault %d needs a positive count", s.Name, i)
-			}
-		default:
-			return fmt.Errorf("crosscheck %q: fault %d has unknown type %q", s.Name, i, f.Type)
-		}
-		if f.At < 0 || f.At > s.Horizon {
-			return fmt.Errorf("crosscheck %q: fault %d at %v outside horizon", s.Name, i, f.At)
-		}
-	}
-	if churn {
-		if _, maxSize, err := scenario.ChurnPlan(s.N, s.Faults); err != nil {
-			return fmt.Errorf("crosscheck %q: %w", s.Name, err)
-		} else if s.K <= maxSize {
-			return fmt.Errorf("crosscheck %q: K = %d must exceed the churn plan's max ring size %d", s.Name, s.K, maxSize)
-		}
-	}
 	return nil
 }
 
-// sortedFaults returns the fault script in injection order.
-func (s Scenario) sortedFaults() []scenario.Fault {
-	fs := append([]scenario.Fault(nil), s.Faults...)
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].At < fs[j].At })
-	return fs
+// script is the SSRmin CST scenario this one runs in its message-passing
+// tiers: the fields internal/scenario defines.
+func (s Scenario) script() scenario.Scenario {
+	return scenario.Scenario{
+		Name: s.Name, N: s.N, K: s.K, Horizon: s.Horizon, Link: s.Link, Refresh: s.Refresh,
+		Seed: s.Seed, RandomStart: s.RandomStart, IncoherentCaches: s.IncoherentCaches, Faults: s.Faults,
+	}
+}
+
+// start returns the algorithm and the shared starting configuration of
+// every engine, drawn from the scenario seed.
+func (s Scenario) start() (*core.Algorithm, statemodel.Config[core.State]) {
+	alg := core.New(s.N, s.K)
+	return alg, scenario.InitialConfig(s.script(), alg.InitialLegitimate(), alg.RandomState)
 }
 
 // perturbedStart reports whether the initial configuration itself needs a
@@ -391,25 +348,6 @@ func RunWithRes(sc Scenario, o *obs.Observer, res *Resources) (Report, error) {
 	return rep, nil
 }
 
-// initialConfig derives the shared starting configuration of all engines
-// from the scenario seed; the draw matches internal/scenario's.
-func initialConfig(sc Scenario) statemodel.Config[core.State] {
-	a := core.New(sc.N, sc.K)
-	if !sc.RandomStart {
-		return a.InitialLegitimate()
-	}
-	rng := rand.New(rand.NewSource(sc.Seed))
-	cfg := make(statemodel.Config[core.State], sc.N)
-	for i := range cfg {
-		cfg[i] = drawState(rng, sc.K)
-	}
-	return cfg
-}
-
-func drawState(rng *rand.Rand, k int) core.State {
-	return core.State{X: rng.Intn(k), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-}
-
 func makeDaemon(sc Scenario) statemodel.Daemon {
 	switch sc.Daemon {
 	case "synchronous":
@@ -427,8 +365,7 @@ func makeDaemon(sc Scenario) statemodel.Daemon {
 // convergence bound in steps, so a census violation past it doubles as a
 // violation of the O(n²) convergence theorem.
 func runState(sc Scenario, o *obs.Observer) EngineResult {
-	alg := core.New(sc.N, sc.K)
-	cfg := initialConfig(sc)
+	alg, cfg := sc.start()
 	d := makeDaemon(sc)
 	bound := float64(alg.ConvergenceStepBound())
 	chk, sep := newMonitors(EngineState, bound, sc.MaxSeparation)
@@ -488,15 +425,13 @@ func runState(sc Scenario, o *obs.Observer) EngineResult {
 		}
 	}
 
-	for _, f := range sc.sortedFaults() {
+	for _, f := range scenario.Ordered(sc.Faults) {
 		if f.Type != "states" {
 			continue
 		}
 		step := int(f.At / sc.Horizon * float64(sc.Steps))
 		runTo(step)
-		fault.CorruptConfig[core.State](inj, cfg, f.Count, func(r *rand.Rand) core.State {
-			return drawState(r, sc.K)
-		})
+		fault.CorruptConfig[core.State](inj, cfg, f.Count, alg.RandomState)
 		chk.perturb(float64(globalStep))
 		h.markAll()
 		observe(float64(globalStep), cfg)
@@ -512,32 +447,13 @@ func runState(sc Scenario, o *obs.Observer) EngineResult {
 // network, with the census observed after every event and the link model
 // checked from the outside by a LinkMonitor on the network tap.
 func runMsgnet(sc Scenario, o *obs.Observer, shared *Resources) EngineResult {
-	alg := core.New(sc.N, sc.K)
-	init := initialConfig(sc)
-	draw := func(r *rand.Rand) core.State { return drawState(r, sc.K) }
+	alg, init := sc.start()
+	script := sc.script()
 	var arena *msgnet.Arena[core.State]
 	if shared != nil {
 		arena = shared.Arena
 	}
-	spare, _, _ := scenario.ChurnPlan(sc.N, sc.Faults) // plan validated in Validate
-	ring := cst.NewRing[core.State](alg, init, cst.Options[core.State]{
-		Link: msgnet.LinkParams{
-			Delay:       msgnet.Time(sc.Link.Delay),
-			Jitter:      msgnet.Time(sc.Link.Jitter),
-			LossProb:    sc.Link.Loss,
-			DupProb:     sc.Link.Dup,
-			CorruptProb: sc.Link.Corrupt,
-		},
-		Refresh:        msgnet.Time(sc.Refresh),
-		Seed:           sc.Seed,
-		CoherentCaches: !sc.IncoherentCaches,
-		RandomState:    draw,
-		Arena:          arena,
-		Spare:          spare,
-	})
-	if sc.Link.Corrupt > 0 {
-		ring.Net.Corrupt = func(rng *rand.Rand, payload core.State) core.State { return draw(rng) }
-	}
+	ring := scenario.NewRing[core.State](script, alg, init, alg.RandomState, arena)
 	if o != nil {
 		ring.Net.Obs = o
 		for i, nd := range ring.Nodes {
@@ -591,29 +507,13 @@ func runMsgnet(sc Scenario, o *obs.Observer, shared *Resources) EngineResult {
 	}
 
 	inj := fault.NewInjector(sc.Seed + 1)
-	for _, f := range sc.sortedFaults() {
+	for _, f := range scenario.Ordered(sc.Faults) {
 		ring.Net.Run(msgnet.Time(f.At))
-		switch f.Type {
-		case "states":
-			fault.CorruptStates[core.State](inj, ring, f.Count, draw)
-		case "caches":
-			fault.CorruptCaches[core.State](inj, ring, f.Count, draw)
-		case "cut":
-			setEdge(ring.Net, f.Link, (f.Link+1)%sc.N, false)
-		case "heal":
-			setEdge(ring.Net, f.Link, (f.Link+1)%sc.N, true)
-		case "loss-on":
-			ring.Net.LossEnabled = true
-		case "loss-off":
-			ring.Net.LossEnabled = false
-		case "join":
-			ring.Join(f.Node, draw(inj.Rand()))
-			membersStale = true
-		case "leave":
-			ring.Leave(f.Node)
-			membersStale = true
-		case "splice":
-			ring.Splice(f.Node, f.Count)
+		hit := scenario.Apply(script, ring, f, inj, alg.RandomState)
+		if hooks.injected != nil && hit != nil {
+			hooks.injected(EngineMsgnet, f.At, hit)
+		}
+		if f.IsChurn() {
 			membersStale = true
 		}
 		h.markAll()
@@ -628,18 +528,6 @@ func runMsgnet(sc Scenario, o *obs.Observer, shared *Resources) EngineResult {
 	return res
 }
 
-// setEdge cuts or heals both directions of one ring edge, skipping
-// directions that churn has already removed from the topology — a cut of
-// a spliced-away edge is a no-op, not a crash.
-func setEdge(net *msgnet.Network[core.State], a, b int, up bool) {
-	if net.HasLink(a, b) {
-		net.SetLinkUp(a, b, up)
-	}
-	if net.HasLink(b, a) {
-		net.SetLinkUp(b, a, up)
-	}
-}
-
 // runLiveEngine executes the scenario on the live tier: the sharded event
 // engine in fast virtual time. Faults are pre-scheduled at their exact
 // simulated instants, the census is observed at every epoch boundary (a
@@ -647,9 +535,7 @@ func setEdge(net *msgnet.Network[core.State], a, b int, up bool) {
 // delivers — which is what lets the harness crosscheck rings of 100k+
 // nodes.
 func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
-	alg := core.New(sc.N, sc.K)
-	init := initialConfig(sc)
-	draw := func(r *rand.Rand) core.State { return drawState(r, sc.K) }
+	alg, init := sc.start()
 	spare, _, _ := scenario.ChurnPlan(sc.N, sc.Faults) // plan validated in Validate
 	eng := runtime.NewEngine[core.State](alg, init, runtime.Options[core.State]{
 		Delay:          simDur(sc.Link.Delay),
@@ -658,7 +544,7 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 		Refresh:        simDur(sc.Refresh),
 		Seed:           sc.Seed,
 		CoherentCaches: !sc.IncoherentCaches,
-		RandomState:    draw,
+		RandomState:    alg.RandomState,
 		Workers:        sc.LiveWorkers,
 		Spare:          spare,
 	})
@@ -675,31 +561,31 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	if sc.perturbedStart() {
 		chk.perturb(0)
 	}
-	// Pre-schedule the whole fault script at exact virtual instants, drawing
-	// a permutation, then states, per fault in time order. Churn is
-	// pre-scheduled the same way, with joiner states drawn in the same
-	// per-fault order the msgnet tier uses.
-	faults := sc.sortedFaults()
+	// Pre-schedule the whole fault script at exact virtual instants, with
+	// the draws of the msgnet tier's injector: a states fault picks its
+	// victims among the members the churn plan has at that instant, then
+	// draws their states; a join draws the joiner's state.
 	inj := fault.NewInjector(sc.Seed + 1)
-	for _, f := range faults {
+	scenario.Replay(sc.N, sc.Faults, func(f scenario.Fault, members []int) {
 		switch f.Type {
 		case "states":
-			perm := inj.Rand().Perm(sc.N)
-			count := f.Count
-			if count > sc.N {
-				count = sc.N
+			hit := inj.Pick(len(members), f.Count)
+			for j, i := range hit {
+				hit[j] = members[i]
+				eng.ScheduleInject(f.At, hit[j], alg.RandomState(inj.Rand()))
 			}
-			for _, node := range perm[:count] {
-				eng.ScheduleInject(f.At, node, drawState(inj.Rand(), sc.K))
+			if hooks.injected != nil {
+				hooks.injected(EngineLive, f.At, hit)
 			}
 		case "join":
-			eng.ScheduleJoin(f.At, f.Node, drawState(inj.Rand(), sc.K))
+			eng.ScheduleJoin(f.At, f.Node, alg.RandomState(inj.Rand()))
 		case "leave":
 			eng.ScheduleLeave(f.At, f.Node)
 		case "splice":
 			eng.ScheduleSplice(f.At, f.Node, f.Count)
 		}
-	}
+	})
+	faults := scenario.Ordered(sc.Faults)
 
 	var members, primaries, secondaries []int
 	membersStale := true
@@ -791,11 +677,13 @@ func newMonitors(engine string, grace float64, maxSep int) (*censusChecker, *Sep
 // hooks are test seams, all nil outside tests: monitors adjusts every
 // engine's checkers as they are built; state and msgnet see the holder
 // tracker after every tracked observation together with the configuration
-// or ring it summarizes.
+// or ring it summarizes; injected sees the victims of every states fault
+// in the message-passing tiers.
 var hooks struct {
 	monitors func(*censusChecker, *SeparationMonitor)
 	state    func(*holderTracker, statemodel.Config[core.State])
 	msgnet   func(*holderTracker, *cst.Ring[core.State])
+	injected func(engine string, at float64, nodes []int)
 }
 
 func newCensusChecker(engine string, grace float64) *censusChecker {

@@ -3,6 +3,8 @@ package crosscheck
 import (
 	"math"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ssrmin/internal/msgnet"
@@ -85,6 +87,24 @@ func TestValidateRejections(t *testing.T) {
 				t.Errorf("validation accepted %+v", s)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsHugeN: a ring size above scenario.MaxN is rejected
+// before the churn plan allocates the ring, so a short repro file or
+// ssrmin-soak flag cannot make Validate allocate in proportion to n.
+func TestValidateRejectsHugeN(t *testing.T) {
+	s := clean(scenario.MaxN+1, 1)
+	s.Faults = []scenario.Fault{{At: 1, Type: "join", Node: 0}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.Validate()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		t.Errorf("Validate = %v, want the MaxN rejection", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Validate allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 

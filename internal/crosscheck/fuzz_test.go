@@ -2,15 +2,22 @@ package crosscheck
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ssrmin/internal/scenario"
 )
 
-// FuzzLoadRepros feeds arbitrary bytes to LoadRepros as a fixture file:
-// loading either fails with an error or succeeds — it never panics, and it
-// never accepts a scenario still carrying the retired live-backend keys
-// liveLegacy and liveScale. The committed corpus holds such a fixture.
+// FuzzLoadRepros feeds arbitrary bytes to LoadRepros as a fixture file
+// and Validates the scenario it loads: both either fail with an error or
+// succeed — they never panic — loading never accepts a scenario still
+// carrying the retired live-backend keys liveLegacy and liveScale, and a
+// scenario that validates has its ring size within [3, scenario.MaxN]
+// below K and finite link timings the engines accept (delay > 0,
+// jitter ≥ 0, refresh > 0). It never calls Run. The committed corpus
+// holds a fixture with the retired keys and one whose n exceeds MaxN.
 func FuzzLoadRepros(f *testing.F) {
 	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "repros", "dup-echo-seed1.json"))
 	if err != nil {
@@ -39,6 +46,19 @@ func FuzzLoadRepros(f *testing.F) {
 			if _, ok := raw.Scenario[key]; ok {
 				t.Fatalf("fixture with retired key %q loaded", key)
 			}
+		}
+		s := repros[0].Scenario
+		if s.Validate() != nil {
+			return
+		}
+		if s.N < 3 || s.N > scenario.MaxN || s.K <= s.N || s.Horizon <= 0 || s.Steps < 1 {
+			t.Fatalf("validated scenario out of range: n=%d K=%d horizon=%v steps=%d", s.N, s.K, s.Horizon, s.Steps)
+		}
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		if !(s.Link.Delay > 0) || !(s.Link.Jitter >= 0) || !(s.Refresh > 0) ||
+			!finite(s.Link.Delay) || !finite(s.Link.Jitter) || !finite(s.Refresh) {
+			t.Fatalf("validated scenario with bad timings: delay=%v jitter=%v refresh=%v",
+				s.Link.Delay, s.Link.Jitter, s.Refresh)
 		}
 	})
 }

@@ -26,37 +26,38 @@ func NewInjector(seed int64) *Injector {
 // Rand exposes the injector's RNG for custom draw functions.
 func (in *Injector) Rand() *rand.Rand { return in.rng }
 
+// Pick draws count distinct positions out of 0..n-1 (count clamped to n):
+// the victims of one state corruption, in the order their new states are
+// drawn. Every state corruptor picks through it — including executors
+// that plan a fault ahead and draw the states themselves — so one seed
+// hits the same victims everywhere.
+func (in *Injector) Pick(n, count int) []int {
+	return in.rng.Perm(n)[:min(count, n)]
+}
+
 // CorruptConfig overwrites count distinct random entries of cfg with
 // states drawn by draw. It mutates cfg in place and returns the indices
 // hit. count is clamped to len(cfg).
 func CorruptConfig[S comparable](in *Injector, cfg statemodel.Config[S], count int, draw func(*rand.Rand) S) []int {
-	if count > len(cfg) {
-		count = len(cfg)
-	}
-	perm := in.rng.Perm(len(cfg))[:count]
-	for _, i := range perm {
+	hit := in.Pick(len(cfg), count)
+	for _, i := range hit {
 		cfg[i] = draw(in.rng)
 	}
-	return perm
+	return hit
 }
 
 // CorruptStates overwrites the local states of count random ring members
-// of a CST ring. Only current members are targeted: corrupting a node
-// that churn has detached would be invisible (and, through a later join,
-// indistinguishable from the joiner's arbitrary start state anyway). On
-// a churn-free ring the draws are identical to a permutation over all
-// node ids.
+// of a CST ring and returns their ids. Only current members are targeted:
+// corrupting a node that churn has detached would be invisible (and,
+// through a later join, indistinguishable from the joiner's arbitrary
+// start state anyway). On a churn-free ring the draws are identical to a
+// permutation over all node ids.
 func CorruptStates[S comparable](in *Injector, r *cst.Ring[S], count int, draw func(*rand.Rand) S) []int {
 	members := r.Members()
-	if count > len(members) {
-		count = len(members)
-	}
-	perm := in.rng.Perm(len(members))[:count]
-	hit := make([]int, 0, count)
-	for _, mi := range perm {
-		i := members[mi]
-		r.Nodes[i].SetState(draw(in.rng))
-		hit = append(hit, i)
+	hit := in.Pick(len(members), count)
+	for j, mi := range hit {
+		hit[j] = members[mi]
+		r.Nodes[hit[j]].SetState(draw(in.rng))
 	}
 	return hit
 }

@@ -27,6 +27,29 @@ func TestEngineChurnClampsToOneWorker(t *testing.T) {
 	}
 }
 
+// TestScheduleInjectReachesJoiner: a pre-scheduled inject may name a
+// spare; it lands once a scheduled join has woken the spare, while an
+// inject into a node that left before its instant is dropped.
+func TestScheduleInjectReachesJoiner(t *testing.T) {
+	_, e := churnEngine(4, 7, 1, 1)
+	e.EnableTaps()
+	e.ScheduleJoin(1, 2, core.State{X: 3})
+	e.ScheduleLeave(1.5, 3)
+	e.ScheduleInject(2, 4, core.State{X: 5, RTS: true})
+	e.ScheduleInject(2, 3, core.State{X: 5, RTS: true})
+	e.RunUntil(2.5)
+	e.Stop()
+	var hit []int32
+	for _, tp := range e.Taps() {
+		if tp.Kind == TapInject {
+			hit = append(hit, tp.Src)
+		}
+	}
+	if !reflect.DeepEqual(hit, []int32{4}) {
+		t.Fatalf("injects landed on %v, want only the joiner 4", hit)
+	}
+}
+
 func TestEngineJoinExtendsRing(t *testing.T) {
 	_, e := churnEngine(5, 9, 2, 1)
 	e.ScheduleJoin(1.0, 2, core.State{X: 3})

@@ -422,12 +422,14 @@ func (e *Engine[S]) scheduleChurn(at float64, op churnOp[S]) {
 // ScheduleInject schedules a transient fault: at virtual time at, node's
 // state is overwritten with s (and announced, exactly like a live
 // Inject). Must be called before the first run; this is how crosscheck
-// and the tests pre-plan deterministic fault storms.
+// and the tests pre-plan deterministic fault storms. node may be a spare
+// that a scheduled join wakes before at; an inject into a node that is
+// not a ring member at that instant is dropped.
 func (e *Engine[S]) ScheduleInject(at float64, node int, s S) {
 	if e.frozen {
 		panic("runtime: ScheduleInject after the engine started")
 	}
-	if node < 0 || node >= e.n {
+	if node < 0 || node >= e.total {
 		panic(fmt.Sprintf("runtime: node %d out of range", node))
 	}
 	if at < 0 {

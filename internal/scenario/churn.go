@@ -15,14 +15,29 @@ import (
 // the ring shrinking below 3 members. Joined nodes get ids n, n+1, ... in
 // join order and are valid anchors for later events.
 func ChurnPlan(n int, faults []Fault) (joins, maxSize int, err error) {
+	return Replay(n, faults, nil)
+}
+
+// Ordered returns a copy of a fault script in injection order: by time,
+// simultaneous faults in script order.
+func Ordered(faults []Fault) []Fault {
+	out := append([]Fault(nil), faults...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
+}
+
+// Replay walks a fault script in injection order on an n-node ring,
+// tracking the membership its churn events produce, and calls visit (when
+// non-nil) with every fault and the ring members at the instant it
+// applies: in ring order from node 0, before a churn event's own change.
+// visit must not keep members. It returns what ChurnPlan does, failing
+// at the first unrealizable churn event.
+func Replay(n int, faults []Fault, visit func(f Fault, members []int)) (joins, maxSize int, err error) {
 	ring := make([]int, n)
 	for i := range ring {
 		ring[i] = i
 	}
 	maxSize = n
-
-	ordered := append([]Fault(nil), faults...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
 
 	idxOf := func(node int) int {
 		for i, v := range ring {
@@ -33,7 +48,10 @@ func ChurnPlan(n int, faults []Fault) (joins, maxSize int, err error) {
 		return -1
 	}
 
-	for _, f := range ordered {
+	for _, f := range Ordered(faults) {
+		if visit != nil {
+			visit(f, ring)
+		}
 		if !f.IsChurn() {
 			continue
 		}

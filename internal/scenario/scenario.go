@@ -12,7 +12,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ssrmin/internal/core"
 	"ssrmin/internal/cst"
@@ -275,136 +274,149 @@ func (s Scenario) Run() (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	link := msgnet.LinkParams{
-		Delay:       msgnet.Time(s.Link.Delay),
-		Jitter:      msgnet.Time(s.Link.Jitter),
-		LossProb:    s.Link.Loss,
-		DupProb:     s.Link.Dup,
-		CorruptProb: s.Link.Corrupt,
+	if s.Algorithm == "sstoken" {
+		a := dijkstra.New(s.N, s.K)
+		draw := func(rng *rand.Rand) dijkstra.State { return dijkstra.State{X: rng.Intn(s.K)} }
+		return run[dijkstra.State](s, a, a.InitialLegitimate(), draw, dijkstra.HasToken), nil
 	}
-	switch s.Algorithm {
-	case "ssrmin":
-		if s.Transform == "synchro" {
-			return runSynchro[core.State](s, newSSRminBundle(s), link)
-		}
-		return runGeneric[core.State](s, newSSRminBundle(s), link)
-	case "sstoken":
-		if s.Transform == "synchro" {
-			return runSynchro[dijkstra.State](s, newSSTokenBundle(s), link)
-		}
-		return runGeneric[dijkstra.State](s, newSSTokenBundle(s), link)
-	}
-	return Result{}, fmt.Errorf("scenario %q: unreachable algorithm", s.Name)
-}
-
-// bundle packages the per-algorithm pieces the generic runner needs.
-type bundle[S comparable] struct {
-	alg    statemodel.Algorithm[S]
-	init   statemodel.Config[S]
-	draw   func(*rand.Rand) S
-	holder func(statemodel.View[S]) bool
-}
-
-func newSSRminBundle(s Scenario) bundle[core.State] {
 	a := core.New(s.N, s.K)
-	draw := func(rng *rand.Rand) core.State {
-		return core.State{X: rng.Intn(s.K), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-	}
-	init := a.InitialLegitimate()
-	if s.RandomStart {
-		rng := rand.New(rand.NewSource(s.Seed))
-		init = make(statemodel.Config[core.State], s.N)
-		for i := range init {
-			init[i] = draw(rng)
-		}
-	}
-	return bundle[core.State]{alg: a, init: init, draw: draw, holder: core.HasToken}
+	return run[core.State](s, a, a.InitialLegitimate(), a.RandomState, core.HasToken), nil
 }
 
-func newSSTokenBundle(s Scenario) bundle[dijkstra.State] {
-	a := dijkstra.New(s.N, s.K)
-	draw := func(rng *rand.Rand) dijkstra.State { return dijkstra.State{X: rng.Intn(s.K)} }
-	init := a.InitialLegitimate()
-	if s.RandomStart {
-		rng := rand.New(rand.NewSource(s.Seed))
-		init = make(statemodel.Config[dijkstra.State], s.N)
-		for i := range init {
-			init[i] = draw(rng)
-		}
+// run executes a validated scenario for one algorithm, whose canonical
+// legitimate configuration is legit and whose arbitrary states draw draws.
+func run[S comparable](s Scenario, alg statemodel.Algorithm[S], legit statemodel.Config[S], draw func(*rand.Rand) S, holder func(statemodel.View[S]) bool) Result {
+	init := InitialConfig(s, legit, draw)
+	c := census{settle: s.SettleBefore, res: Result{Name: s.Name, LastBad: -1, Fractions: map[int]float64{}}}
+	if s.Transform == "synchro" {
+		ring := synchro.NewRing[S](alg, init, s.Link.params(), msgnet.Time(s.Refresh), s.Seed)
+		ring.Net.Observer = func(now msgnet.Time) { c.observe(now, ring.Census(holder)) }
+		ring.Net.Run(msgnet.Time(s.Horizon))
+		return c.result(ring.Net.Now(), ring.RuleExecutions(), ring.Net.Stats())
 	}
-	return bundle[dijkstra.State]{alg: a, init: init, draw: draw, holder: dijkstra.HasToken}
+	ring := NewRing(s, alg, init, draw, nil)
+	ring.Net.Observer = func(now msgnet.Time) { c.observe(now, ring.Census(holder)) }
+	inj := fault.NewInjector(s.Seed + 1)
+	for _, f := range Ordered(s.Faults) {
+		ring.Net.Run(msgnet.Time(f.At))
+		Apply(s, ring, f, inj, draw)
+	}
+	ring.Net.Run(msgnet.Time(s.Horizon))
+	return c.result(ring.Net.Now(), ring.RuleExecutions(), ring.Net.Stats())
 }
 
-func runGeneric[S comparable](s Scenario, b bundle[S], link msgnet.LinkParams) (Result, error) {
-	spare, _, err := ChurnPlan(s.N, s.Faults)
-	if err != nil {
-		return Result{}, fmt.Errorf("scenario %q: %w", s.Name, err)
+// census turns the census read after every event into a Result: the
+// timeline of the post-settle window and the instants outside [1,2].
+type census struct {
+	settle float64
+	tl     verify.Timeline
+	res    Result
+}
+
+func (c *census) observe(now msgnet.Time, count int) {
+	t := float64(now)
+	if t >= c.settle {
+		c.tl.Record(t, count)
 	}
-	ring := cst.NewRing[S](b.alg, b.init, cst.Options[S]{
-		Link:           link,
+	if count < 1 || count > 2 {
+		c.res.LastBad = t
+		if t >= c.settle {
+			c.res.Violations++
+		}
+	}
+}
+
+func (c *census) result(end msgnet.Time, rules int, net msgnet.Stats) Result {
+	c.tl.Close(float64(end))
+	c.res.MinCensus = c.tl.MinCount()
+	c.res.MaxCensus = c.tl.MaxCount()
+	for _, n := range c.tl.Counts() {
+		c.res.Fractions[n] = c.tl.Fraction(n)
+	}
+	c.res.RuleExecutions = rules
+	c.res.Net = net
+	return c.res
+}
+
+// The functions below are what every executor of a scenario's CST ring
+// shares — Run here and internal/crosscheck's message-passing tier — so
+// a fault script means the same thing wherever it runs.
+
+// InitialConfig returns the configuration a validated scenario starts
+// from: legit, or under RandomStart one draw per node, in node order,
+// from a stream seeded by Seed.
+func InitialConfig[S comparable](s Scenario, legit statemodel.Config[S], draw func(*rand.Rand) S) statemodel.Config[S] {
+	if !s.RandomStart {
+		return legit
+	}
+	rng := rand.New(rand.NewSource(s.Seed))
+	cfg := make(statemodel.Config[S], s.N)
+	for i := range cfg {
+		cfg[i] = draw(rng)
+	}
+	return cfg
+}
+
+// params is the link model every ring link of the scenario runs on.
+func (l Link) params() msgnet.LinkParams {
+	return msgnet.LinkParams{
+		Delay:       msgnet.Time(l.Delay),
+		Jitter:      msgnet.Time(l.Jitter),
+		LossProb:    l.Loss,
+		DupProb:     l.Dup,
+		CorruptProb: l.Corrupt,
+	}
+}
+
+// NewRing builds the CST ring a validated scenario runs on: its links,
+// refresh period, hold, seed and cache start, one dormant spare per join
+// of its churn plan, and — when links corrupt frames — a corruption that
+// replaces the payload with a draw. A non-nil arena is the event arena
+// the ring reuses.
+func NewRing[S comparable](s Scenario, alg statemodel.Algorithm[S], init statemodel.Config[S], draw func(*rand.Rand) S, arena *msgnet.Arena[S]) *cst.Ring[S] {
+	spare, _, _ := ChurnPlan(s.N, s.Faults) // the plan is validated
+	ring := cst.NewRing[S](alg, init, cst.Options[S]{
+		Link:           s.Link.params(),
 		Refresh:        msgnet.Time(s.Refresh),
 		Hold:           msgnet.Time(s.Hold),
 		Seed:           s.Seed,
 		CoherentCaches: !s.IncoherentCaches,
-		RandomState:    b.draw,
+		RandomState:    draw,
+		Arena:          arena,
 		Spare:          spare,
 	})
-	if link.CorruptProb > 0 {
-		ring.Net.Corrupt = func(rng *rand.Rand, payload S) S { return b.draw(rng) }
+	if s.Link.Corrupt > 0 {
+		ring.Net.Corrupt = func(rng *rand.Rand, _ S) S { return draw(rng) }
 	}
+	return ring
+}
 
-	var tl verify.Timeline
-	res := Result{Name: s.Name, LastBad: -1, Fractions: map[int]float64{}}
-	ring.Net.Observer = func(now msgnet.Time) {
-		c := ring.Census(b.holder)
-		if float64(now) >= s.SettleBefore {
-			tl.Record(float64(now), c)
-		}
-		if c < 1 || c > 2 {
-			res.LastBad = float64(now)
-			if float64(now) >= s.SettleBefore {
-				res.Violations++
-			}
-		}
+// Apply injects fault f into ring at the ring's current instant, drawing
+// from inj, and returns the ids a "states" fault overwrote (nil for every
+// other type). Faults must be applied in Ordered order, one Run(f.At)
+// before each.
+func Apply[S comparable](s Scenario, ring *cst.Ring[S], f Fault, inj *fault.Injector, draw func(*rand.Rand) S) []int {
+	switch f.Type {
+	case "states":
+		return fault.CorruptStates[S](inj, ring, f.Count, draw)
+	case "caches":
+		fault.CorruptCaches[S](inj, ring, f.Count, draw)
+	case "cut":
+		setEdge(ring.Net, f.Link, (f.Link+1)%s.N, false)
+	case "heal":
+		setEdge(ring.Net, f.Link, (f.Link+1)%s.N, true)
+	case "loss-on":
+		ring.Net.LossEnabled = true
+	case "loss-off":
+		ring.Net.LossEnabled = false
+	case "join":
+		ring.Join(f.Node, draw(inj.Rand()))
+	case "leave":
+		ring.Leave(f.Node)
+	case "splice":
+		ring.Splice(f.Node, f.Count)
 	}
-
-	faults := append([]Fault(nil), s.Faults...)
-	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At < faults[j].At })
-	inj := fault.NewInjector(s.Seed + 1)
-	for _, f := range faults {
-		ring.Net.Run(msgnet.Time(f.At))
-		switch f.Type {
-		case "states":
-			fault.CorruptStates[S](inj, ring, f.Count, b.draw)
-		case "caches":
-			fault.CorruptCaches[S](inj, ring, f.Count, b.draw)
-		case "cut":
-			setEdge(ring.Net, f.Link, (f.Link+1)%s.N, false)
-		case "heal":
-			setEdge(ring.Net, f.Link, (f.Link+1)%s.N, true)
-		case "loss-on":
-			ring.Net.LossEnabled = true
-		case "loss-off":
-			ring.Net.LossEnabled = false
-		case "join":
-			ring.Join(f.Node, b.draw(inj.Rand()))
-		case "leave":
-			ring.Leave(f.Node)
-		case "splice":
-			ring.Splice(f.Node, f.Count)
-		}
-	}
-	ring.Net.Run(msgnet.Time(s.Horizon))
-
-	tl.Close(float64(ring.Net.Now()))
-	res.MinCensus = tl.MinCount()
-	res.MaxCensus = tl.MaxCount()
-	for _, c := range tl.Counts() {
-		res.Fractions[c] = tl.Fraction(c)
-	}
-	res.RuleExecutions = ring.RuleExecutions()
-	res.Net = ring.Net.Stats()
-	return res, nil
+	return nil
 }
 
 // setEdge cuts or heals both directions of one ring edge, skipping
@@ -417,35 +429,6 @@ func setEdge[S comparable](net *msgnet.Network[S], a, b int, up bool) {
 	if net.HasLink(b, a) {
 		net.SetLinkUp(b, a, up)
 	}
-}
-
-// runSynchro executes the scenario under the α-synchronizer transform.
-func runSynchro[S comparable](s Scenario, b bundle[S], link msgnet.LinkParams) (Result, error) {
-	ring := synchro.NewRing[S](b.alg, b.init, link, msgnet.Time(s.Refresh), s.Seed)
-	var tl verify.Timeline
-	res := Result{Name: s.Name, LastBad: -1, Fractions: map[int]float64{}}
-	ring.Net.Observer = func(now msgnet.Time) {
-		c := ring.Census(b.holder)
-		if float64(now) >= s.SettleBefore {
-			tl.Record(float64(now), c)
-		}
-		if c < 1 || c > 2 {
-			res.LastBad = float64(now)
-			if float64(now) >= s.SettleBefore {
-				res.Violations++
-			}
-		}
-	}
-	ring.Net.Run(msgnet.Time(s.Horizon))
-	tl.Close(float64(ring.Net.Now()))
-	res.MinCensus = tl.MinCount()
-	res.MaxCensus = tl.MaxCount()
-	for _, c := range tl.Counts() {
-		res.Fractions[c] = tl.Fraction(c)
-	}
-	res.RuleExecutions = ring.RuleExecutions()
-	res.Net = ring.Net.Stats()
-	return res, nil
 }
 
 // WriteResult renders a result as indented JSON.

@@ -103,7 +103,7 @@ var (
 func RandomConfig(a *Algorithm, rng *rand.Rand) Config {
 	cfg := make(Config, a.N())
 	for i := range cfg {
-		cfg[i] = State{X: rng.Intn(a.K()), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
+		cfg[i] = a.RandomState(rng)
 	}
 	return cfg
 }
@@ -500,8 +500,7 @@ func NewMPSimulation(n int, opts ...Option) *MPSimulation {
 	if refresh == 0 {
 		refresh = 5 * delay
 	}
-	k := c.k
-	alg := core.New(n, k)
+	alg := core.New(n, c.k)
 	init := c.initial
 	if init == nil {
 		init = alg.InitialLegitimate()
@@ -516,9 +515,7 @@ func NewMPSimulation(n int, opts ...Option) *MPSimulation {
 		Hold:           msgnet.Time(c.hold.Seconds()),
 		Seed:           c.seedOr(0),
 		CoherentCaches: !c.incoherent,
-		RandomState: func(rng *rand.Rand) State {
-			return State{X: rng.Intn(k), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-		},
+		RandomState:    alg.RandomState,
 	})
 	m := &MPSimulation{alg: alg, ring: ring, obsv: c.observer()}
 	if o := m.obsv; o == nil {
@@ -629,8 +626,7 @@ func NewLiveRing(n int, opts ...Option) *LiveRing {
 	if refresh == 0 {
 		refresh = 5 * time.Millisecond
 	}
-	k := c.k
-	alg := core.New(n, k)
+	alg := core.New(n, c.k)
 	init := c.initial
 	if init == nil {
 		init = alg.InitialLegitimate()
@@ -645,9 +641,7 @@ func NewLiveRing(n int, opts ...Option) *LiveRing {
 		Workers:        c.workers,
 	}
 	if c.incoherent {
-		ropts.RandomState = func(rng *rand.Rand) State {
-			return State{X: rng.Intn(k), RTS: rng.Intn(2) == 1, TRA: rng.Intn(2) == 1}
-		}
+		ropts.RandomState = alg.RandomState
 	}
 	l := &LiveRing{alg: alg, eng: runtime.NewEngine[core.State](alg, init, ropts), obsv: c.observer()}
 	if l.obsv != nil {
