@@ -182,8 +182,8 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// script is the SSRmin CST scenario this one runs in its message-passing
-// tiers: the fields internal/scenario defines.
+// script is the part of the scenario that internal/scenario defines:
+// ring, counter space, horizon, link, refresh, start and fault script.
 func (s Scenario) script() scenario.Scenario {
 	return scenario.Scenario{
 		Name: s.Name, N: s.N, K: s.K, Horizon: s.Horizon, Link: s.Link, Refresh: s.Refresh,
