@@ -209,6 +209,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzLoadRepros -fuzztime 5s ./internal/crosscheck
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzArenaInvariants -fuzztime 5s ./internal/msgnet
+	$(GO) test -run '^$$' -fuzz FuzzTopology -fuzztime 5s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzEnabledRule -fuzztime 5s ./internal/core
 
 clean:

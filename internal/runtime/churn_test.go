@@ -153,6 +153,7 @@ func TestEngineChurnGuards(t *testing.T) {
 			}
 		}()
 		e.ScheduleLeave(1, 0)
+		e.RunUntil(5)
 	})
 	t.Run("shrink below 3", func(t *testing.T) {
 		_, e := churnEngine(4, 9, 0, 1)
