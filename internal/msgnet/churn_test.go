@@ -30,8 +30,8 @@ func TestRemoveLinkMissingIsNoop(t *testing.T) {
 	net.RemoveLink(1, 0) // post-start, still absent
 }
 
-// TestRemoveLinkAfterStartUpdatesCompiledTable: removal must be visible
-// through the compiled linkAt table, not only the construction map.
+// TestRemoveLinkAfterStartUpdatesCompiledTable: a removal after the
+// simulation started is visible to the next send.
 func TestRemoveLinkAfterStartUpdatesCompiledTable(t *testing.T) {
 	a := &chattyNode{to: 1, k: 0}
 	b := &chattyNode{}

@@ -23,6 +23,7 @@ package msgnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ssrmin/internal/obs"
 )
@@ -124,7 +125,9 @@ type event[P any] struct {
 	kind      evKind
 }
 
+// link is one directed link, held in its sender's outgoing list.
 type link struct {
+	to     int
 	params LinkParams
 	// busyUntil is the delivery time of the message currently in transit;
 	// the link accepts a new message only when now >= busyUntil.
@@ -220,12 +223,10 @@ type Stats struct {
 // Network is a discrete-event simulation instance over frame type P.
 type Network[P any] struct {
 	handlers []Handler[P]
-	links    map[[2]int]*link
-	// linkAt is the compiled link table — linkAt[from*n+to] — built when
-	// the simulation starts so the per-send map lookup leaves the hot
-	// path. Entries alias the map's *link values, so SetLinkUp outages
-	// are visible through both.
-	linkAt  []*link
+	// out[a] is node a's outgoing links, at most one per destination: a
+	// send scans its sender's few links, and the store grows with the
+	// number of links, not with the square of the node count.
+	out     [][]link
 	arena   *Arena[P]
 	now     Time
 	seq     uint64
@@ -266,7 +267,6 @@ type Network[P any] struct {
 func New[P any](handlers []Handler[P], seed int64) *Network[P] {
 	n := &Network[P]{
 		handlers:    handlers,
-		links:       make(map[[2]int]*link),
 		arena:       NewArena[P](),
 		rng:         rand.New(rand.NewSource(seed)),
 		LossEnabled: true,
@@ -301,20 +301,21 @@ func (n *Network[P]) AddNode(h Handler[P]) int {
 	return len(n.handlers) - 1
 }
 
-// AddLink installs a directed link from a to b.
+// AddLink installs a directed link from a to b, replacing an existing
+// one with a fresh (idle, up) link.
 func (n *Network[P]) AddLink(a, b int, p LinkParams) {
 	if p.Delay < 0 || p.Jitter < 0 || p.LossProb < 0 || p.LossProb > 1 ||
 		p.DupProb < 0 || p.DupProb > 1 || p.CorruptProb < 0 || p.CorruptProb > 1 {
 		panic(fmt.Sprintf("msgnet: bad link params %+v", p))
 	}
-	l := &link{params: p}
-	n.links[[2]int{a, b}] = l
-	if n.linkAt != nil {
-		nn := len(n.handlers)
-		if a >= 0 && a < nn && b >= 0 && b < nn {
-			n.linkAt[a*nn+b] = l
-		}
+	if l := n.linkFromTo(a, b); l != nil {
+		*l = link{to: b, params: p}
+		return
 	}
+	if a >= len(n.out) {
+		n.out = append(n.out, make([][]link, a+1-len(n.out))...)
+	}
+	n.out[a] = append(n.out[a], link{to: b, params: p})
 }
 
 // RingLinks installs bidirectional ring links between consecutive nodes
@@ -393,8 +394,8 @@ func (n *Network[P]) callbackCtx(node int) *Context[P] {
 // into a cut link are dropped (and counted as lost). Cutting both
 // directions of one ring edge simulates a cable cut / radio outage.
 func (n *Network[P]) SetLinkUp(a, b int, up bool) {
-	l, ok := n.links[[2]int{a, b}]
-	if !ok {
+	l := n.linkFromTo(a, b)
+	if l == nil {
 		panic(fmt.Sprintf("msgnet: no link %d->%d", a, b))
 	}
 	l.down = !up
@@ -403,8 +404,7 @@ func (n *Network[P]) SetLinkUp(a, b int, up bool) {
 // HasLink reports whether the directed link a->b currently exists (cut
 // links exist; removed links do not).
 func (n *Network[P]) HasLink(a, b int) bool {
-	_, ok := n.links[[2]int{a, b}]
-	return ok
+	return n.linkFromTo(a, b) != nil
 }
 
 // RemoveLink tears down the directed link from a to b (ring churn: the
@@ -415,12 +415,8 @@ func (n *Network[P]) HasLink(a, b int) bool {
 // link that does not exist is a no-op, so churn orchestration need not
 // track which edges survived earlier splices.
 func (n *Network[P]) RemoveLink(a, b int) {
-	delete(n.links, [2]int{a, b})
-	if n.linkAt != nil {
-		nn := len(n.handlers)
-		if a >= 0 && a < nn && b >= 0 && b < nn {
-			n.linkAt[a*nn+b] = nil
-		}
+	if n.HasLink(a, b) {
+		n.out[a] = slices.DeleteFunc(n.out[a], func(l link) bool { return l.to == b })
 	}
 }
 
@@ -451,20 +447,23 @@ func (n *Network[P]) StartTimer(node int, d Time, kind int) {
 	n.pushTimer(n.now+d, int32(node), int32(kind))
 }
 
-// linkFromTo resolves the directed link on the hot path: one bounds check
-// and one slice index once the table is compiled, with the construction
-// map as the pre-start fallback.
+// linkFromTo resolves the directed link from->to, or nil: a scan of the
+// sender's outgoing links (two on a ring), with no map and no allocation
+// on the send path. The pointer is valid until the next AddLink or
+// RemoveLink.
 //
 //allocgate:hot
 func (n *Network[P]) linkFromTo(from, to int) *link {
-	if n.linkAt != nil {
-		nn := len(n.handlers)
-		if from < 0 || from >= nn || to < 0 || to >= nn {
-			return nil
-		}
-		return n.linkAt[from*nn+to]
+	if from < 0 || from >= len(n.out) {
+		return nil
 	}
-	return n.links[[2]int{from, to}]
+	out := n.out[from]
+	for i := range out {
+		if out[i].to == to {
+			return &out[i]
+		}
+	}
+	return nil
 }
 
 //allocgate:hot
@@ -550,26 +549,12 @@ func (n *Network[P]) jitter(l *link) Time {
 	return Time(n.rng.Float64()) * l.params.Jitter
 }
 
-// compileLinks freezes the construction-time link map into the dense
-// from*n+to table. Runs once at start; iteration order is irrelevant
-// because every key writes a distinct slot.
-func (n *Network[P]) compileLinks() {
-	nn := len(n.handlers)
-	n.linkAt = make([]*link, nn*nn)
-	for key, l := range n.links {
-		if key[0] >= 0 && key[0] < nn && key[1] >= 0 && key[1] < nn {
-			n.linkAt[key[0]*nn+key[1]] = l
-		}
-	}
-}
-
 // start invokes Start on every handler (once).
 func (n *Network[P]) start() {
 	if n.started {
 		return
 	}
 	n.started = true
-	n.compileLinks()
 	for i := range n.handlers {
 		n.handlers[i].Start(n.callbackCtx(i))
 	}

@@ -381,8 +381,12 @@ func TestRingLinks(t *testing.T) {
 	nodes := []Handler[any]{&echoNode{}, &echoNode{}, &echoNode{}}
 	net := New(nodes, 1)
 	net.RingLinks(LinkParams{Delay: 0.1})
-	if len(net.links) != 6 {
-		t.Errorf("ring of 3 has %d directed links, want 6", len(net.links))
+	links := 0
+	for _, out := range net.out {
+		links += len(out)
+	}
+	if links != 6 {
+		t.Errorf("ring of 3 has %d directed links, want 6", links)
 	}
 }
 

@@ -151,8 +151,9 @@ func Load(r io.Reader) ([]Scenario, error) {
 }
 
 // MaxN bounds a scenario's ring size. Validate allocates the ring's
-// membership plan before running anything, so an unbounded n would let a
-// short file demand gigabytes; the shipped scenarios use n ≤ 6.
+// membership plan before running anything, and a run's memory grows
+// linearly with n, so an unbounded n would let a short file demand
+// gigabytes; the shipped scenarios use n ≤ 6.
 const MaxN = 1 << 20
 
 // CheckTimings rejects link timings no simulator can run: a delay or a

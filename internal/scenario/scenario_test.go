@@ -266,3 +266,20 @@ func TestValidateRejectsHugeN(t *testing.T) {
 		})
 	}
 }
+
+// TestLargeRingAllocatesLinearly: a 4096-node ring starts and runs 1 ms
+// with under 32 MiB allocated. msgnet's link store grows with the 2n
+// ring links; a dense n² table of link pointers alone would take
+// 128 MiB here, and MaxN would bound no memory.
+func TestLargeRingAllocatesLinearly(t *testing.T) {
+	s := Scenario{Name: "large", N: 4096, Horizon: 0.001, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mib >= 32 {
+		t.Fatalf("a 4096-node ring allocated %.1f MiB in 1 ms, want < 32", mib)
+	}
+}
