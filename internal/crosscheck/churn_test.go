@@ -255,34 +255,54 @@ func TestChurnTiersAgree(t *testing.T) {
 	}
 }
 
-// TestStatesFaultVictimsAgreeUnderChurn: after a join and a leave, a
-// states fault hits the same node ids in the msgnet and live tiers — the
-// ring's members at that instant, the joiner included and the leaver not.
+// TestStatesFaultVictimsAgreeUnderChurn: a states fault hits the same
+// node ids in the msgnet and live tiers. After a join and a leave those
+// are the ring's members at that instant, the joiner included and the
+// leaver not. After a caches fault, which the live tier cannot inject,
+// the live tier still makes the same injector draws, so a later states
+// fault picks the same victims.
 func TestStatesFaultVictimsAgreeUnderChurn(t *testing.T) {
-	hit := map[string][]int{}
-	hooks.injected = func(engine string, _ float64, nodes []int) {
-		hit[engine] = append(hit[engine], nodes...)
-	}
-	defer func() { hooks.injected = nil }()
-	s := Scenario{
-		Name: "states-after-churn", N: 6, K: 9, Seed: 1, Horizon: 3,
-		Engines: []string{EngineMsgnet, EngineLive},
-		Faults: []scenario.Fault{
+	for _, tc := range []struct {
+		name   string
+		seeds  []int64
+		faults []scenario.Fault
+		want   []int // sorted victims, when the fault hits every member
+	}{
+		{"after churn", []int64{1}, []scenario.Fault{
 			{At: 1, Type: "join", Node: 0},
 			{At: 1.5, Type: "leave", Node: 2},
 			{At: 2, Type: "states", Count: 6},
-		},
-	}
-	if _, err := Run(s); err != nil {
-		t.Fatal(err)
-	}
-	msg, live := hit[EngineMsgnet], hit[EngineLive]
-	if !slices.Equal(msg, live) {
-		t.Fatalf("states fault hit %v in msgnet but %v in live", msg, live)
-	}
-	got := slices.Clone(msg)
-	slices.Sort(got)
-	if !slices.Equal(got, []int{0, 1, 3, 4, 5, 6}) {
-		t.Fatalf("states fault hit %v, want the members 0 1 3 4 5 6", got)
+		}, []int{0, 1, 3, 4, 5, 6}},
+		{"after caches", []int64{1, 3}, []scenario.Fault{
+			{At: 1, Type: "caches", Count: 2},
+			{At: 2, Type: "states", Count: 3},
+		}, nil},
+	} {
+		for _, seed := range tc.seeds {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				hit := map[string][]int{}
+				hooks.injected = func(engine string, _ float64, nodes []int) {
+					hit[engine] = append(hit[engine], nodes...)
+				}
+				defer func() { hooks.injected = nil }()
+				s := Scenario{
+					Name: "states-victims", N: 6, K: 9, Seed: seed, Horizon: 3,
+					Engines: []string{EngineMsgnet, EngineLive},
+					Faults:  tc.faults,
+				}
+				if _, err := Run(s); err != nil {
+					t.Fatal(err)
+				}
+				msg, live := hit[EngineMsgnet], hit[EngineLive]
+				if len(msg) == 0 || !slices.Equal(msg, live) {
+					t.Fatalf("states fault hit %v in msgnet but %v in live", msg, live)
+				}
+				got := slices.Clone(msg)
+				slices.Sort(got)
+				if tc.want != nil && !slices.Equal(got, tc.want) {
+					t.Fatalf("states fault hit %v, want the members %v", got, tc.want)
+				}
+			})
+		}
 	}
 }

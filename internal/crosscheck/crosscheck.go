@@ -564,10 +564,17 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	// Pre-schedule the whole fault script at exact virtual instants, with
 	// the draws of the msgnet tier's injector: a states fault picks its
 	// victims among the members the churn plan has at that instant, then
-	// draws their states; a join draws the joiner's state.
+	// draws their states; a join draws the joiner's state. The engine has
+	// no cache injection, so a caches fault makes its draws and discards
+	// them, keeping later faults on the msgnet tier's stream.
 	inj := fault.NewInjector(sc.Seed + 1)
 	scenario.Replay(sc.N, sc.Faults, func(f scenario.Fault, members []int) {
 		switch f.Type {
+		case "caches":
+			for range f.Count {
+				inj.PickCache(len(members))
+				alg.RandomState(inj.Rand())
+			}
 		case "states":
 			hit := inj.Pick(len(members), f.Count)
 			for j, i := range hit {
