@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"ssrmin/internal/compose"
 	"ssrmin/internal/core"
 	"ssrmin/internal/cst"
 	"ssrmin/internal/dijkstra"
@@ -118,19 +119,15 @@ func runFig11(cfg runConfig) {
 }
 
 func runFig12(cfg runConfig) {
-	p := dijkstra.NewPair(5, 6)
-	init := make(statemodel.Config[dijkstra.PairState], 5)
-	for i := range init {
-		if i < 2 {
-			init[i] = dijkstra.PairState{A: 0, B: 1}
-		} else {
-			init[i] = dijkstra.PairState{A: 0, B: 0}
-		}
-	}
-	holderEither := func(v statemodel.View[dijkstra.PairState]) bool {
-		va := statemodel.View[dijkstra.State]{I: v.I, N: v.N, Self: dijkstra.State{X: v.Self.A}, Pred: dijkstra.State{X: v.Pred.A}, Succ: dijkstra.State{X: v.Succ.A}}
-		vb := statemodel.View[dijkstra.State]{I: v.I, N: v.N, Self: dijkstra.State{X: v.Self.B}, Pred: dijkstra.State{X: v.Pred.B}, Succ: dijkstra.State{X: v.Succ.B}}
-		return dijkstra.Guard(va) || dijkstra.Guard(vb)
+	// Two independent SSToken instances in one local state: A with its
+	// token at P_0, B staggered at P_2, both legitimate.
+	p := compose.New[dijkstra.State](dijkstra.New(5, 6), 2)
+	init := p.Pack(
+		statemodel.Config[dijkstra.State]{{X: 0}, {X: 0}, {X: 0}, {X: 0}, {X: 0}},
+		statemodel.Config[dijkstra.State]{{X: 1}, {X: 1}, {X: 0}, {X: 0}, {X: 0}},
+	)
+	holderEither := func(v statemodel.View[pairState]) bool {
+		return dijkstra.HasToken(p.Project(v, 0)) || dijkstra.HasToken(p.Project(v, 1))
 	}
 	tb := newTable("seed", "0 holders", "1 holder", "2 holders", "min census")
 	seeds := []int64{1, 2, 3, 4, 5}
@@ -140,12 +137,12 @@ func runFig12(cfg runConfig) {
 	// Each seed is an independent simulation, so the sweep fans out over
 	// parsweep with one reusable event arena per worker; rows come back
 	// in seed order, so the table is identical to the sequential run.
-	pool := parsweep.NewPool(msgnet.NewArena[dijkstra.PairState])
+	pool := parsweep.NewPool(msgnet.NewArena[pairState])
 	type row struct {
 		tl verify.Timeline
 	}
-	rows := parsweep.MapWith(len(seeds), 0, pool, func(i int, arena *msgnet.Arena[dijkstra.PairState]) row {
-		r := cst.NewRing[dijkstra.PairState](p, init, cst.Options[dijkstra.PairState]{
+	rows := parsweep.MapWith(len(seeds), 0, pool, func(i int, arena *msgnet.Arena[pairState]) row {
+		r := cst.NewRing[pairState](p, init, cst.Options[pairState]{
 			Link:           msgnet.LinkParams{Delay: mpDelay, Jitter: 0.005},
 			Refresh:        mpRefresh,
 			Hold:           0.02,
@@ -170,6 +167,9 @@ func runFig12(cfg runConfig) {
 	fmt.Println("tokens are in flight simultaneously (census 0) — uncoordinated")
 	fmt.Println("redundancy does not give mutual inclusion (Figure 12).")
 }
+
+// pairState is the local state of two composed SSToken instances.
+type pairState = compose.MultiState[dijkstra.State]
 
 func runFig13(cfg runConfig) {
 	tb := newTable("seed", "loss", "dwell", "0 holders", "1 holder", "2 holders", "violations")

@@ -187,115 +187,3 @@ func (a *Algorithm) AllStates() []State {
 // Altisen–Devismes–Dubois–Petit (2019), which Lemma 8 of the paper relies
 // on.
 func (a *Algorithm) ConvergenceBound() int { return 3 * a.n * (a.n - 1) / 2 }
-
-// Pair runs two independent SSToken instances side by side in one local
-// state — the baseline of Figure 12: even with two tokens circulating
-// independently, the message-passing model has instants with no token at
-// all when both happen to be in flight.
-type Pair struct {
-	n, k int
-}
-
-// PairState carries the counters of both instances.
-type PairState struct {
-	// A is instance 1's counter, B instance 2's.
-	A, B int
-}
-
-func (s PairState) String() string { return fmt.Sprintf("%d|%d", s.A, s.B) }
-
-var _ statemodel.Algorithm[PairState] = (*Pair)(nil)
-
-// NewPair returns two independent SSToken instances over one ring.
-func NewPair(n, k int) *Pair {
-	if n < 2 || k <= n {
-		panic(fmt.Sprintf("dijkstra: invalid pair parameters n=%d K=%d", n, k))
-	}
-	return &Pair{n: n, k: k}
-}
-
-// Name implements statemodel.Algorithm.
-func (p *Pair) Name() string { return fmt.Sprintf("sstoken-pair(n=%d,K=%d)", p.n, p.k) }
-
-// UniformViews implements statemodel.PositionUniform: both component
-// instances read the position only through Bottom().
-func (p *Pair) UniformViews() {}
-
-// N implements statemodel.Algorithm.
-func (p *Pair) N() int { return p.n }
-
-// Rules implements statemodel.Algorithm. Rule 1 moves instance A, rule 2
-// instance B, rule 3 both at once; a process is enabled by the smallest
-// rule covering exactly its enabled instances, so the rule priority
-// convention of statemodel is preserved while both instances stay
-// independent.
-func (p *Pair) Rules() int { return 3 }
-
-func (p *Pair) split(v statemodel.View[PairState]) (a, b statemodel.View[State]) {
-	a = statemodel.View[State]{I: v.I, N: v.N, Self: State{v.Self.A}, Pred: State{v.Pred.A}, Succ: State{v.Succ.A}}
-	b = statemodel.View[State]{I: v.I, N: v.N, Self: State{v.Self.B}, Pred: State{v.Pred.B}, Succ: State{v.Succ.B}}
-	return a, b
-}
-
-// EnabledRule implements statemodel.Algorithm.
-func (p *Pair) EnabledRule(v statemodel.View[PairState]) int {
-	va, vb := p.split(v)
-	ga, gb := Guard(va), Guard(vb)
-	switch {
-	case ga && gb:
-		return 3
-	case ga:
-		return 1
-	case gb:
-		return 2
-	}
-	return 0
-}
-
-// Apply implements statemodel.Algorithm.
-func (p *Pair) Apply(v statemodel.View[PairState], rule int) PairState {
-	va, vb := p.split(v)
-	next := v.Self
-	if rule == 1 || rule == 3 {
-		next.A = Command(va, p.k).X
-	}
-	if rule == 2 || rule == 3 {
-		next.B = Command(vb, p.k).X
-	}
-	return next
-}
-
-// TokenHoldersA returns the indices holding instance A's token.
-func (p *Pair) TokenHoldersA(c statemodel.Config[PairState]) []int {
-	var holders []int
-	for i := range c {
-		va, _ := p.split(c.View(i))
-		if Guard(va) {
-			holders = append(holders, i)
-		}
-	}
-	return holders
-}
-
-// TokenHoldersB returns the indices holding instance B's token.
-func (p *Pair) TokenHoldersB(c statemodel.Config[PairState]) []int {
-	var holders []int
-	for i := range c {
-		_, vb := p.split(c.View(i))
-		if Guard(vb) {
-			holders = append(holders, i)
-		}
-	}
-	return holders
-}
-
-// AllStates enumerates the K² pair states.
-func (p *Pair) AllStates() []PairState {
-	out := make([]PairState, 0, p.k*p.k)
-	for a := 0; a < p.k; a++ {
-		for b := 0; b < p.k; b++ {
-			out = append(out, PairState{A: a, B: b})
-		}
-	}
-	return out
-}

@@ -245,66 +245,10 @@ func TestTokenCountNeverIncreases(t *testing.T) {
 	}
 }
 
-func TestPairIndependence(t *testing.T) {
-	// The pair composition must behave exactly like two independent
-	// SSToken instances: project each step and compare against two
-	// reference simulations driven by the same schedule.
-	p := NewPair(4, 5)
-	ref := New(4, 5)
-	rng := rand.New(rand.NewSource(3))
-
-	pc := make(statemodel.Config[PairState], 4)
-	ca := make(statemodel.Config[State], 4)
-	cb := make(statemodel.Config[State], 4)
-	for i := range pc {
-		a, b := rng.Intn(5), rng.Intn(5)
-		pc[i] = PairState{A: a, B: b}
-		ca[i] = State{X: a}
-		cb[i] = State{X: b}
-	}
-
-	for step := 0; step < 200; step++ {
-		moves := statemodel.Enabled[PairState](p, pc)
-		if len(moves) == 0 {
-			t.Fatal("pair deadlocked")
-		}
-		sel := []statemodel.Move{moves[rng.Intn(len(moves))]}
-		proc, rule := sel[0].Process, sel[0].Rule
-		pc = statemodel.Apply[PairState](p, pc, sel)
-		if rule == 1 || rule == 3 {
-			ca = statemodel.Apply[State](ref, ca, []statemodel.Move{{Process: proc, Rule: 1}})
-		}
-		if rule == 2 || rule == 3 {
-			cb = statemodel.Apply[State](ref, cb, []statemodel.Move{{Process: proc, Rule: 1}})
-		}
-		for i := range pc {
-			if pc[i].A != ca[i].X || pc[i].B != cb[i].X {
-				t.Fatalf("step %d: pair diverged from reference at %d: %v vs %v/%v", step, i, pc[i], ca[i], cb[i])
-			}
-		}
-	}
-}
-
-func TestPairTokenHolders(t *testing.T) {
-	p := NewPair(3, 4)
-	pc := statemodel.Config[PairState]{{A: 0, B: 1}, {A: 0, B: 1}, {A: 0, B: 0}}
-	// Instance A: all equal -> token at P0. Instance B: (1,1,0) -> token at P2.
-	if got := p.TokenHoldersA(pc); len(got) != 1 || got[0] != 0 {
-		t.Errorf("TokenHoldersA = %v, want [0]", got)
-	}
-	if got := p.TokenHoldersB(pc); len(got) != 1 || got[0] != 2 {
-		t.Errorf("TokenHoldersB = %v, want [2]", got)
-	}
-}
-
 func TestAllStates(t *testing.T) {
 	a := New(3, 7)
 	if got := len(a.AllStates()); got != 7 {
 		t.Errorf("AllStates() has %d entries, want 7", got)
-	}
-	p := NewPair(3, 4)
-	if got := len(p.AllStates()); got != 16 {
-		t.Errorf("pair AllStates() has %d entries, want 16", got)
 	}
 }
 
@@ -324,13 +268,6 @@ func TestAccessorsAndStrings(t *testing.T) {
 	}
 	if (State{X: 3}).String() != "3" {
 		t.Error("State.String wrong")
-	}
-	p := NewPair(4, 5)
-	if p.Name() != "sstoken-pair(n=4,K=5)" || p.N() != 4 || p.Rules() != 3 {
-		t.Errorf("pair accessors: %q %d %d", p.Name(), p.N(), p.Rules())
-	}
-	if (PairState{A: 1, B: 2}).String() != "1|2" {
-		t.Error("PairState.String wrong")
 	}
 }
 
@@ -353,36 +290,4 @@ func TestApplyBadRulePanics(t *testing.T) {
 		}
 	}()
 	a.Apply(v, 2)
-}
-
-func TestNewPairValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPair(1, 5) accepted")
-		}
-	}()
-	NewPair(1, 5)
-}
-
-func TestPairSingleInstanceRules(t *testing.T) {
-	p := NewPair(3, 4)
-	// Only instance B enabled at P1: A equal, B differs.
-	v := statemodel.View[PairState]{I: 1, N: 3,
-		Self: PairState{A: 0, B: 0}, Pred: PairState{A: 0, B: 1}, Succ: PairState{}}
-	if r := p.EnabledRule(v); r != 2 {
-		t.Fatalf("rule = %d, want 2 (B only)", r)
-	}
-	next := p.Apply(v, 2)
-	if next.A != 0 || next.B != 1 {
-		t.Fatalf("Apply(B) = %v", next)
-	}
-	// Only instance A enabled.
-	v.Pred = PairState{A: 1, B: 0}
-	if r := p.EnabledRule(v); r != 1 {
-		t.Fatalf("rule = %d, want 1 (A only)", r)
-	}
-	next = p.Apply(v, 1)
-	if next.A != 1 || next.B != 0 {
-		t.Fatalf("Apply(A) = %v", next)
-	}
 }
