@@ -28,20 +28,28 @@ const maxViolations = 64
 // where that bookkeeping and the paper's model disagree, as the
 // duplicated-delivery bug did.
 type LinkMonitor struct {
-	links      map[[2]int]*linkOccupancy
+	// out[from] holds the occupancy of every link out of sender from the
+	// tap stream has shown, found by a scan of the sender's few links as
+	// msgnet finds its own: two on a ring, one more for a splice edge or
+	// a joiner. Both grow on first sight of a link, so the monitor needs
+	// no node count and takes joiner ids beyond the founding ring.
+	out        [][]linkOccupancy
 	violations []Violation
 	truncated  int
 }
 
 type linkOccupancy struct {
+	to int // the link's receiver
 	// outstanding counts admitted frames (sends + scheduled duplicates)
 	// not yet delivered.
 	outstanding int
-	// pending records admissions that happened while frames were still
-	// outstanding; each is confirmed as a violation by the first
-	// outstanding delivery strictly after its instant, or cleared by
-	// deliveries at exactly its instant.
+	// pending[head:] records admissions that happened while frames were
+	// still outstanding, oldest first; each is confirmed as a violation by
+	// the first outstanding delivery strictly after its instant, or
+	// cleared by deliveries at exactly its instant. The queue rewinds to
+	// its start whenever it empties, so it stops growing.
 	pending []pendingAdmission
+	head    int
 }
 
 type pendingAdmission struct {
@@ -50,24 +58,33 @@ type pendingAdmission struct {
 }
 
 // NewLinkMonitor returns an empty monitor; install its Tap on a Network.
-func NewLinkMonitor() *LinkMonitor {
-	return &LinkMonitor{links: map[[2]int]*linkOccupancy{}}
+func NewLinkMonitor() *LinkMonitor { return &LinkMonitor{} }
+
+// link returns the occupancy of the directed link from->to, adding an
+// idle one on first sight. The pointer is valid until the next call.
+func (m *LinkMonitor) link(from, to int) *linkOccupancy {
+	if from >= len(m.out) {
+		m.out = append(m.out, make([][]linkOccupancy, from+1-len(m.out))...)
+	}
+	out := m.out[from]
+	for i := range out {
+		if out[i].to == to {
+			return &out[i]
+		}
+	}
+	m.out[from] = append(out, linkOccupancy{to: to})
+	return &m.out[from][len(out)]
 }
 
 // Tap consumes one network tap event. Install as (or call from) the
-// Network's Tap hook.
+// Network's Tap hook. Node ids are msgnet's, non-negative.
 func (m *LinkMonitor) Tap(e msgnet.TapEvent) {
 	switch e.Kind {
 	case msgnet.TapSend, msgnet.TapDup, msgnet.TapDeliver:
 	default:
 		return
 	}
-	key := [2]int{e.From, e.Node}
-	l := m.links[key]
-	if l == nil {
-		l = &linkOccupancy{}
-		m.links[key] = l
-	}
+	l := m.link(e.From, e.Node)
 	switch e.Kind {
 	case msgnet.TapSend:
 		if l.outstanding > 0 {
@@ -91,20 +108,23 @@ func (m *LinkMonitor) Tap(e msgnet.TapEvent) {
 			})
 			return
 		}
-		if len(l.pending) > 0 {
-			p := &l.pending[0]
+		if l.head < len(l.pending) {
+			p := &l.pending[l.head]
 			if e.At > p.at {
 				m.report(Violation{
 					Engine: EngineMsgnet, Kind: "link", At: float64(p.at),
 					Detail: fmt.Sprintf("link %d->%d: send admitted at t=%v while a frame still in transit arrived at t=%v (one-message-per-direction rule)",
 						e.From, e.Node, p.at, e.At),
 				})
-				l.pending = l.pending[1:]
+				l.head++
 			} else {
 				p.remaining--
 				if p.remaining == 0 {
-					l.pending = l.pending[1:]
+					l.head++
 				}
+			}
+			if l.head == len(l.pending) {
+				l.pending, l.head = l.pending[:0], 0
 			}
 		}
 		l.outstanding--
