@@ -108,16 +108,27 @@ func (sh *engShard[S]) open(horizon float64) {
 	sh.horizon, sh.due, sh.cur, sh.fill = horizon, due, 0, 0
 }
 
-// sortRun sorts run, whose times lie in [lo, hi), by (at, key2). A
-// counting pass and an in-place permutation (American flag sort) file
-// the records into equal-width time buckets, and a comparison sort
-// finishes each bucket. Event times spread evenly over an epoch, so the
-// buckets hold a few records each and the sort is close to linear; a
-// skewed run (every node's t=0 announcement) only makes some buckets
-// larger, never the result different.
+// smallRun bounds the runs and buckets sortRun finishes by insertion
+// sort. A tiny ring's whole epoch is a run of about 20 records, which
+// needs no bucket pass, and the buckets of a large run hold about four.
+const smallRun = 24
+
+// sortRun sorts run, whose times lie in [lo, hi), by (at, key2). A small
+// run is insertion-sorted directly. A larger one is filed into
+// equal-width time buckets by a counting pass and an in-place
+// permutation (American flag sort), and each bucket is finished by
+// insertion sort, or by a comparison sort when it is large. Event times
+// spread evenly over an epoch, so the buckets hold a few records each and
+// the sort is close to linear; a skewed run (every node's t=0
+// announcement) only makes some buckets larger, never the result
+// different.
 //
 //allocgate:hot
 func (sh *engShard[S]) sortRun(run []eventRec[S], lo, hi float64) {
+	if len(run) <= smallRun {
+		insertionSort(run)
+		return
+	}
 	nb := len(run)/4 + 1
 	for len(sh.bkt) < 2*(nb+1) {
 		sh.bkt = append(sh.bkt, 0) // grows to the largest run, then stays
@@ -145,7 +156,28 @@ func (sh *engShard[S]) sortRun(run []eventRec[S], lo, hi float64) {
 		}
 	}
 	for b := 0; b < nb; b++ {
-		slices.SortFunc(run[start[b]:start[b+1]], cmpRec[S])
+		if part := run[start[b]:start[b+1]]; len(part) <= smallRun {
+			insertionSort(part)
+		} else {
+			slices.SortFunc(part, cmpRec[S])
+		}
+	}
+}
+
+// insertionSort sorts a short run by (at, key2) in place.
+//
+//allocgate:hot
+func insertionSort[S comparable](run []eventRec[S]) {
+	for i := 1; i < len(run); i++ {
+		if !recLess(&run[i], &run[i-1]) {
+			continue
+		}
+		rec := run[i]
+		j := i - 1
+		for ; j > 0 && recLess(&rec, &run[j-1]); j-- {
+		}
+		copy(run[j+1:i+1], run[j:i])
+		run[j] = rec
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -168,6 +169,65 @@ func TestRunQueueOrder(t *testing.T) {
 	}
 	if soon == 0 {
 		t.Fatal("no push fell due inside its own epoch; the soon heap went untested")
+	}
+}
+
+// TestSortRunMatchesSortFunc: over random runs of 0–300 records — uniform
+// times, all-equal times with distinct key2, and one skewed bucket holding
+// most of the run — sortRun yields exactly the order slices.SortFunc with
+// cmpRec gives, across the small-run path, insertion-sorted buckets and
+// comparison-sorted large buckets, and allocates nothing once its bucket
+// offsets have grown.
+func TestSortRunMatchesSortFunc(t *testing.T) {
+	const lo, hi = 2.0, 3.0
+	var rng prng = 11
+	uniform := func(int, int) float64 { return lo + (hi-lo)*rng.float64() }
+	skewed := func(i, n int) float64 {
+		if i < n/5 {
+			return lo + (hi-lo)*rng.float64()
+		}
+		return lo + 0.25 + 1e-3*rng.float64()
+	}
+	shapes := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"uniform", uniform},
+		{"equal", func(int, int) float64 { return lo + 0.5 }},
+		{"skewed", skewed},
+	}
+	sh := &engShard[int]{}
+	for _, shape := range shapes {
+		name, at := shape.name, shape.at
+		for trial := 0; trial < 200; trial++ {
+			n := int(rng.next() % 301)
+			if trial < 40 {
+				n = trial // every small-run length, and the switch to buckets
+			}
+			run := make([]eventRec[int], n)
+			for i := range run {
+				run[i] = eventRec[int]{at: at(i, n), key2: rng.next(), payload: i}
+			}
+			want := slices.Clone(run)
+			slices.SortFunc(want, cmpRec[int])
+			sh.sortRun(run, lo, hi)
+			if !slices.Equal(run, want) {
+				t.Fatalf("%s, %d records: sortRun order differs from slices.SortFunc", name, n)
+			}
+		}
+	}
+	run := make([]eventRec[int], 300)
+	scratch := make([]eventRec[int], len(run))
+	for i := range run {
+		run[i] = eventRec[int]{at: skewed(i, len(run)), key2: rng.next()}
+	}
+	for _, n := range []int{smallRun, len(run)} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			copy(scratch, run[:n])
+			sh.sortRun(scratch[:n], lo, hi)
+		}); allocs != 0 {
+			t.Errorf("sortRun of %d records: %v allocs, want 0", n, allocs)
+		}
 	}
 }
 
