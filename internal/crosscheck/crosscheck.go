@@ -548,13 +548,14 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 		Workers:        sc.LiveWorkers,
 		Spare:          spare,
 	})
+	// The recording predicate is core.HasToken; installed even without an
+	// observer, it lets the census sampling below read the shard-local
+	// accumulators and the holders read the recorded bits, instead of
+	// rescanning every node each Delay tick.
+	lh := newLiveHolders(sc.N + spare)
+	eng.SetPrivilegeCallback(lh.holds, nil)
 	if o != nil {
-		eng.SetObserver(o, core.HasToken)
-	} else {
-		// Install the predicate even without an observer, so the census
-		// sampling below reads the shard-local accumulators instead of
-		// rescanning every node each Delay tick.
-		eng.SetPrivilegeCallback(core.HasToken, nil)
+		eng.SetObserver(o, nil)
 	}
 
 	chk, sep := newMonitors(EngineLive, sc.Settle, sc.MaxSeparation)
@@ -594,33 +595,35 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	})
 	faults := scenario.Ordered(sc.Faults)
 
-	var members, primaries, secondaries []int
+	var members []int
 	membersStale := true
-	fi := 0
+	fi, ci := 0, 0
 	for eng.Now() < sc.Horizon {
 		eng.RunUntil(eng.Now() + sc.Link.Delay)
 		now := eng.Now()
 		for fi < len(faults) && faults[fi].At <= now {
 			chk.perturb(faults[fi].At)
-			if faults[fi].IsChurn() {
-				membersStale = true
-			}
 			fi++
 		}
-		census, tracked := eng.TrackedCensus()
-		if !tracked {
-			census = eng.Census(core.HasToken)
+		// The engine applies a churn op at the start of the first epoch
+		// whose horizon passes the op's instant, so by now it has applied
+		// exactly the ops before now.
+		for ci < len(faults) && faults[ci].At < now {
+			if faults[ci].IsChurn() {
+				membersStale = true
+			}
+			ci++
 		}
+		census, _ := eng.TrackedCensus()
 		chk.observe(now, census)
 		if membersStale {
 			members = eng.Members()
 			membersStale = false
 		}
-		// The monitor keeps no reference to the holder slices, so the two
-		// buffers are reused every tick.
-		primaries = eng.AppendHolders(primaries[:0], core.HasPrimary)
-		secondaries = eng.AppendHolders(secondaries[:0], core.HasSecondary)
-		sep.Observe(now, members, primaries, secondaries)
+		lh.observe(now, members, sep)
+		if hooks.live != nil {
+			hooks.live(lh, members, eng)
+		}
 	}
 	eng.Stop()
 
@@ -684,12 +687,15 @@ func newMonitors(engine string, grace float64, maxSep int) (*censusChecker, *Sep
 // hooks are test seams, all nil outside tests: monitors adjusts every
 // engine's checkers as they are built; state and msgnet see the holder
 // tracker after every tracked observation together with the configuration
-// or ring it summarizes; injected sees the victims of every states fault
-// in the message-passing tiers.
+// or ring it summarizes; live sees the recorded holder bits and the
+// membership the live tier used at every tick, with the engine they
+// describe; injected sees the victims of every states fault in the
+// message-passing tiers.
 var hooks struct {
 	monitors func(*censusChecker, *SeparationMonitor)
 	state    func(*holderTracker, statemodel.Config[core.State])
 	msgnet   func(*holderTracker, *cst.Ring[core.State])
+	live     func(*liveHolders, []int, *runtime.Engine[core.State])
 	injected func(engine string, at float64, nodes []int)
 }
 

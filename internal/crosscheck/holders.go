@@ -1,6 +1,8 @@
 // Incremental holder tracking: the census and separation monitors of the
 // deterministic tiers read their inputs from a holderTracker instead of
-// rescanning every node after every event.
+// rescanning every node after every event, and the live tier's
+// separation monitor reads the holder bits its privilege predicate
+// records.
 package crosscheck
 
 import (
@@ -160,5 +162,49 @@ func observeTracked(t float64, h *holderTracker, eval func(int) uint8, chk *cens
 	chk.observe(t, h.census)
 	if p, s := h.singletons(); p >= 0 && s >= 0 {
 		sep.observe(t, p, s, h.distance(p, s))
+	}
+}
+
+// liveHolders records the holder bits of the live tier's nodes. Its holds
+// method is the privilege predicate installed on the engine, which
+// evaluates it on every view change: at start-up, on a joiner's wake and
+// after every event that touches a node's state or caches. A member's
+// bits therefore always describe its current view, and a tick reads the
+// holders from them instead of re-evaluating every view.
+type liveHolders struct {
+	bits []uint8
+}
+
+func newLiveHolders(nodes int) *liveHolders {
+	return &liveHolders{bits: make([]uint8, nodes)}
+}
+
+// holds is core.HasToken, recording the bits of the view's node. With
+// more than one worker the engine calls it concurrently, each worker on
+// the nodes of its own arc, so every node's bits have one writer.
+func (l *liveHolders) holds(v statemodel.View[core.State]) bool {
+	b := holderBits(v)
+	l.bits[v.I] = b
+	return b != 0
+}
+
+// observe feeds one instant to the separation monitor: the primary and
+// secondary holders among members (the membership in ring order), when
+// each token has exactly one.
+func (l *liveHolders) observe(t float64, members []int, sep *SeparationMonitor) {
+	var nPrimary, nSecond, ip, is int
+	for idx, id := range members {
+		b := l.bits[id]
+		if b&bitPrimary != 0 {
+			nPrimary++
+			ip = idx
+		}
+		if b&bitSecondary != 0 {
+			nSecond++
+			is = idx
+		}
+	}
+	if nPrimary == 1 && nSecond == 1 {
+		sep.observe(t, members[ip], members[is], hops(ip, is, len(members)))
 	}
 }

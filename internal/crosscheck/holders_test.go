@@ -3,10 +3,12 @@ package crosscheck
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
 	"ssrmin/internal/cst"
+	"ssrmin/internal/runtime"
 	"ssrmin/internal/scenario"
 	"ssrmin/internal/statemodel"
 	"ssrmin/internal/verify"
@@ -242,4 +244,76 @@ func TestHolderTrackerMarks(t *testing.T) {
 	if d := h.distance(0, 3); d != -1 {
 		t.Fatalf("distance to a non-member = %d", d)
 	}
+}
+
+// TestLiveBitsMatchHolders checks, at every tick of randomized live-tier
+// storm and churn runs on one worker and (without churn) on two, that the
+// membership the tick used is the engine's and that the recorded holder
+// bits of its members give exactly the engine's full-scan holder sets. One
+// fixed scenario joins a node at an instant that ties exactly with a
+// tick, which the engine applies only in the epoch after that tick.
+func TestLiveBitsMatchHolders(t *testing.T) {
+	var ticks int
+	var where string
+	hooks.live = func(l *liveHolders, members []int, eng *runtime.Engine[core.State]) {
+		ticks++
+		if want := eng.Members(); !slices.Equal(members, want) {
+			t.Fatalf("%s t=%v: tick members %v, engine members %v", where, eng.Now(), members, want)
+		}
+		var prim, sec []int
+		for _, id := range members {
+			if l.bits[id]&bitPrimary != 0 {
+				prim = append(prim, id)
+			}
+			if l.bits[id]&bitSecondary != 0 {
+				sec = append(sec, id)
+			}
+		}
+		slices.Sort(prim)
+		slices.Sort(sec)
+		if wp, ws := eng.Holders(core.HasPrimary), eng.Holders(core.HasSecondary); !slices.Equal(prim, wp) || !slices.Equal(sec, ws) {
+			t.Fatalf("%s t=%v: recorded holders %v/%v, full scan %v/%v", where, eng.Now(), prim, sec, wp, ws)
+		}
+	}
+	defer func() { hooks.live = nil }()
+
+	tie := 0.0
+	for range 150 {
+		tie += 0.01 // the live tier's tick instants, accumulated as it does
+	}
+	scs := []Scenario{{
+		Name: "join-on-tick", N: 5, K: 14, Seed: 3, Horizon: 3, Settle: 2,
+		Link:    scenario.Link{Delay: 0.01, Jitter: 0.002},
+		Faults:  []scenario.Fault{{At: tie, Type: "join", Node: 2}},
+		Engines: []string{EngineLive},
+	}}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; len(scs) < 40; i++ {
+		sc := randomScenario(rng, i)
+		sc.Engines = []string{EngineLive}
+		sc.LiveWorkers = 1
+		if !slices.ContainsFunc(sc.Faults, scenario.Fault.IsChurn) {
+			sc.LiveWorkers = 1 + i%2
+		}
+		if sc.Validate() == nil {
+			scs = append(scs, sc)
+		}
+	}
+	churned, twoWorkers := 0, 0
+	for _, sc := range scs {
+		where = fmt.Sprintf("%s w=%d %+v", sc.Name, sc.LiveWorkers, sc.Faults)
+		if _, err := Run(sc); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(sc.Faults, scenario.Fault.IsChurn) {
+			churned++
+		}
+		if sc.LiveWorkers == 2 {
+			twoWorkers++
+		}
+	}
+	if ticks == 0 || churned < 2 || twoWorkers == 0 {
+		t.Fatalf("%d ticks over %d churn scenarios and %d two-worker runs", ticks, churned, twoWorkers)
+	}
+	t.Logf("%d ticks, %d churn scenarios, %d two-worker runs", ticks, churned, twoWorkers)
 }

@@ -902,7 +902,7 @@ func (e *Engine[S]) wake(at float64, j int32, state S) {
 // Each read tests paced() before it declares anything its do closure
 // captures: a captured variable lives on the heap from its declaration
 // on, so only the paced path pays for the closure, and an unpaced
-// sample of Now, TrackedCensus or AppendHolders allocates nothing. (A
+// sample of Now or TrackedCensus allocates nothing. (A
 // generic helper taking the read's body as a method expression did
 // allocate on the unpaced path, so each read spells the test out.)
 // ---------------------------------------------------------------------------
@@ -961,23 +961,16 @@ func (e *Engine[S]) trackedCensusNow() int {
 
 // Holders returns the ids of nodes whose view satisfies holder.
 func (e *Engine[S]) Holders(holder func(statemodel.View[S]) bool) []int {
-	return e.AppendHolders(nil, holder)
-}
-
-// AppendHolders appends the ids of nodes whose view satisfies holder to
-// dst and returns the extended slice. A caller sampling every tick
-// passes the previous result resliced to zero length and, outside paced
-// mode, allocates nothing once the buffer is large enough.
-func (e *Engine[S]) AppendHolders(dst []int, holder func(statemodel.View[S]) bool) []int {
 	if !e.paced() {
-		return e.holdersNow(holder, dst)
+		return e.holdersNow(holder)
 	}
-	out := dst
-	e.do(func() { out = e.holdersNow(holder, out) })
+	var out []int
+	e.do(func() { out = e.holdersNow(holder) })
 	return out
 }
 
-func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool, out []int) []int {
+func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool) []int {
+	var out []int
 	for i := range e.nodes {
 		if e.ring.Pred[i] < 0 {
 			continue

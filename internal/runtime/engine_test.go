@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,28 +48,6 @@ func sampleCensus(e *Engine[core.State], horizon float64) (minC, maxC int, seen 
 	return minC, maxC, seen
 }
 
-// TestEngineAppendHolders: AppendHolders extends dst with exactly the
-// ids Holders returns, and a reused buffer makes the per-tick sample
-// allocation-free.
-func TestEngineAppendHolders(t *testing.T) {
-	_, e := newSSRminEngine(12, 13, engineOpts(1, 1))
-	e.RunUntil(0.3)
-	want := e.Holders(core.HasToken)
-	if len(want) == 0 {
-		t.Fatal("no holders in a legitimate ring")
-	}
-	got := e.AppendHolders([]int{-1}, core.HasToken)
-	if !reflect.DeepEqual(got, append([]int{-1}, want...)) {
-		t.Fatalf("AppendHolders = %v, want -1 followed by %v", got, want)
-	}
-	buf := make([]int, 0, 12)
-	if allocs := testing.AllocsPerRun(20, func() {
-		buf = e.AppendHolders(buf[:0], core.HasToken)
-	}); allocs != 0 {
-		t.Errorf("AppendHolders into a reused buffer: %v allocs per call, want 0", allocs)
-	}
-}
-
 // TestEngineEpochsAllocateNothing measures the epoch loop's 0 allocs/op
 // at run time, on one worker and on two: allocgate reads the compiler's
 // escape analysis, which cannot see a non-escaping map or slice that
@@ -90,23 +67,19 @@ func TestEngineEpochsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestEngineUnpacedTickAllocs: the soak live tier's per-tick sample —
-// Now, TrackedCensus and two AppendHolders into reused buffers — reads
-// the engine directly when the pacer is not running and allocates
-// nothing.
+// TestEngineUnpacedTickAllocs: the soak live tier's per-tick sample of
+// the engine — Now and TrackedCensus — reads the engine directly when the
+// pacer is not running and allocates nothing.
 func TestEngineUnpacedTickAllocs(t *testing.T) {
 	_, e := newSSRminEngine(12, 13, engineOpts(1, 2))
 	defer e.Stop()
 	e.SetPrivilegeCallback(core.HasToken, nil)
 	e.RunUntil(0.3)
-	primaries, secondaries := make([]int, 0, 12), make([]int, 0, 12)
 	if allocs := testing.AllocsPerRun(20, func() {
 		_ = e.Now()
 		if _, ok := e.TrackedCensus(); !ok {
 			t.Fatal("TrackedCensus untracked with a privilege predicate installed")
 		}
-		primaries = e.AppendHolders(primaries[:0], core.HasPrimary)
-		secondaries = e.AppendHolders(secondaries[:0], core.HasSecondary)
 	}); allocs != 0 {
 		t.Errorf("one unpaced tick sample: %v allocs, want 0", allocs)
 	}
