@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build test test-race test-race-core test-short cover bench \
         bench-test bench-check bench-obs bench-msgnet bench-runtime bench-batch \
-        bench-smoke experiments \
+        bench-soak bench-smoke experiments \
         experiments-quick modelcheck modelcheck-n5 modelcheck-n6 examples fmt vet lint \
         fuzz-short soak-short digests clean
 
@@ -87,11 +87,21 @@ bench-batch:
 	  -benchmem -count 3 ./internal/bitslice \
 	  | $(GO) run ./cmd/benchjson -o BENCH_batch.json
 
+# Record the differential soak's tiers: one soak-mix storm scenario
+# (n=8, 40 s horizon) through each tier alone — state, msgnet, live — and
+# the msgnet tier's LinkMonitor alone, in ns per tap of a recorded tap
+# stream, in BENCH_soak.json.
+bench-soak:
+	$(GO) test -run '^$$' -bench 'SoakScenario|LinkMonitorTap' -benchmem -count 3 \
+	  ./internal/crosscheck \
+	  | $(GO) run ./cmd/benchjson -o BENCH_soak.json
+
 # CI guard against silent perf rot: re-run the tracked benchmarks
 # briefly (-benchtime 20x keeps the whole sweep under a second) and
 # compare ns/op against the committed records (the bitslice layer
 # micro-benchmarks run for 20ms each instead: a handful of sub-microsecond
-# iterations would time the timer). Shared-runner noise is
+# iterations would time the timer; so does the LinkMonitor tap
+# benchmark). Shared-runner noise is
 # huge at this length, so the threshold is deliberately generous — this
 # catches order-of-magnitude rot (a debug print, an accidental O(n^2)),
 # not percent drift.
@@ -113,6 +123,13 @@ bench-smoke:
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_batch_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_batch.json /tmp/bench_batch_smoke.json
+	{ $(GO) test -run '^$$' -bench 'SoakScenario' -benchmem -benchtime 3x \
+	    ./internal/crosscheck; \
+	  $(GO) test -run '^$$' -bench 'LinkMonitorTap' -benchmem -benchtime 20ms \
+	    ./internal/crosscheck; } \
+	  | $(GO) run ./cmd/benchjson -o /tmp/bench_soak_smoke.json
+	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
+	  BENCH_soak.json /tmp/bench_soak_smoke.json
 
 # Regenerate every paper artifact + extension ablations (see EXPERIMENTS.md).
 experiments:
