@@ -217,14 +217,14 @@ func TestSortRunMatchesSortFunc(t *testing.T) {
 		}
 	}
 	run := make([]eventRec[int], 300)
-	scratch := make([]eventRec[int], len(run))
+	buf := make([]eventRec[int], len(run))
 	for i := range run {
 		run[i] = eventRec[int]{at: skewed(i, len(run)), key2: rng.next()}
 	}
 	for _, n := range []int{smallRun, len(run)} {
 		if allocs := testing.AllocsPerRun(20, func() {
-			copy(scratch, run[:n])
-			sh.sortRun(scratch[:n], lo, hi)
+			copy(buf, run[:n])
+			sh.sortRun(buf[:n], lo, hi)
 		}); allocs != 0 {
 			t.Errorf("sortRun of %d records: %v allocs, want 0", n, allocs)
 		}
