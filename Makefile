@@ -130,6 +130,10 @@ bench-smoke:
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_soak_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_soak.json /tmp/bench_soak_smoke.json
+	$(GO) test -run '^$$' -bench 'ModelCheck|ParallelSweep' -benchmem -benchtime 20x . \
+	  | $(GO) run ./cmd/benchjson -o /tmp/bench_check_smoke.json
+	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
+	  BENCH_check.json /tmp/bench_check_smoke.json
 
 # Regenerate every paper artifact + extension ablations (see EXPERIMENTS.md).
 experiments:
@@ -146,13 +150,13 @@ modelcheck:
 
 # The big instance: 24^5 ≈ 7.96M configurations, explored as 1.33M
 # digit-shift representatives: ~5 MiB bookkeeping (a 4-byte distance memo
-# per representative), about a second of CPU (-workers sets the worker
-# count).
+# per representative), about half a second on two cores (-workers sets
+# the worker count).
 modelcheck-n5:
 	$(GO) run ./cmd/modelcheck -n 5 -k 6
 
 # E8's fourth exact point, kept out of `all`: 28^6 ≈ 482M configurations,
-# 68.8M representatives, ~280 MiB of bookkeeping and about a minute on two
+# 68.8M representatives, ~280 MiB of bookkeeping and about 35 s on two
 # cores. SSRMIN_EXHAUSTIVE_N6=1 go test -run TestSSRminN6K7Engine
 # ./internal/check pins its values.
 modelcheck-n6:

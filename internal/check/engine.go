@@ -16,6 +16,7 @@ package check
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -123,15 +124,18 @@ func (e *Engine[S]) CheckNoDeadlock() (counterexample statemodel.Config[S], ok b
 			if found.Load() != 0 {
 				return
 			}
+			rule := e.rule[0] // the bottom class, then every other
+			pd, sd := digits[n-1], digits[0]
 			for i := 0; i < n; i++ {
-				t := (digits[(i+n-1)%n]*q+digits[i])*q + digits[(i+1)%n]
-				class := 0
-				if i != 0 {
-					class = 1
+				ud := digits[0]
+				if i+1 < n {
+					ud = digits[i+1]
 				}
-				if e.rule[class][t] != 0 {
+				if rule[(pd*q+sd)*q+ud] != 0 {
 					return
 				}
+				pd, sd = sd, ud
+				rule = e.rule[1]
 			}
 			found.CompareAndSwap(0, id+1)
 		})
@@ -312,14 +316,16 @@ func (e *Engine[S]) ExportDOT(w io.Writer, name string, keep *IDSet) (nodes, edg
 	return nodes, edges, err
 }
 
-// dfsFrame is one configuration on a worker's DFS stack: its illegitimate
-// successors occupy slab[lo:hi], slab[next] is the next one to visit, and
-// best is the largest distance seen among the visited ones (-1 for a
-// configuration without any permitted move, which is terminal).
+// dfsFrame is one configuration on a worker's DFS stack: its unfinished
+// successors occupy slab[lo:hi] and slab[next] is the next one to visit;
+// deg is its out-degree (its distinct illegitimate successors, finished
+// ones included), and best is the largest distance seen among the
+// finished ones (-1 for a configuration without any permitted move, which
+// is terminal).
 type dfsFrame struct {
 	id           uint64
 	lo, hi, next int
-	best         int32
+	best, deg    int32
 }
 
 // dfsWorker is one worker's private DFS state over the shared memo.
@@ -342,25 +348,62 @@ type dfsWorker[S comparable] struct {
 }
 
 // push expands the representative id, whose digits are given, onto the
-// stack. Successors are canonicalised, and legitimate ones are dropped
-// from the slab: they contribute distance 0 and no edge.
+// stack in one pass over the daemon's subsets: each distinct successor is
+// built from the subset sums, canonicalised when it leaves the
+// representative prefix and dropped when legitimate (distance 0, no
+// edge). A successor whose memo entry is already final counts towards the
+// frame's best on the spot; only the unfinished ones go on the slab, in
+// mask order, for run to visit. The subset sums reuse w.sums, which
+// newWorker sizes for every process moving at once.
+//
+// Every nonzero delta moves its own digit without carries, so distinct
+// subsets of nonzero movers give distinct IDs. A zero delta (a rule
+// mapping a state to itself) makes every subset containing it repeat the
+// subset without it, and every subset of zero movers repeat id itself:
+// such a subset is skipped unless it is the first to reach its ID, so each
+// successor appears once, at its first subset in mask order.
+//
+//allocgate:hot
 func (w *dfsWorker[S]) push(id uint64, digits []int) {
-	w.movers = w.e.enabledMoves(digits, w.ruleMask, w.movers[:0])
-	lo := len(w.slab)
-	w.slab, w.sums = distinctSuccessors(id, w.movers, w.slab, w.sums)
-	f := dfsFrame{id: id, lo: lo, next: lo}
-	if len(w.slab) == lo {
-		f.best = -1
-	}
-	k := lo
-	for _, v := range w.slab[lo:] {
-		if v = w.e.sym.canon(v); !w.lam.has(v) {
-			w.slab[k] = v
-			k++
+	e := w.e
+	movers := e.enabledMoves(digits, w.ruleMask, w.movers[:0])
+	w.movers = movers
+	f := dfsFrame{id: id, lo: len(w.slab), best: -1}
+	if m := len(movers); m > 0 {
+		if m > maxSubsetMoves {
+			panic("check: too many enabled processes for subset enumeration")
+		}
+		f.best = 0
+		zero := 0
+		for b := range movers {
+			if movers[b].delta == 0 {
+				zero |= 1 << uint(b)
+			}
+		}
+		self := zero & -zero // the first subset reaching id itself
+		sums, span, lam, memo := w.sums, e.sym.span, w.lam, w.memo
+		for mask := 1; mask < 1<<uint(m); mask++ {
+			d := sums[mask&(mask-1)] + movers[bits.TrailingZeros32(uint32(mask))].delta
+			sums[mask] = d
+			if mask&zero != 0 && mask != self {
+				continue
+			}
+			v := uint64(int64(id) + d)
+			if v >= span {
+				v = e.sym.canon(v)
+			}
+			if lam.has(v) {
+				continue
+			}
+			f.deg++
+			if md := atomic.LoadInt32(&memo[v]); md != 0 {
+				f.best = max(f.best, md-1)
+				continue
+			}
+			w.slab = append(w.slab, v)
 		}
 	}
-	w.slab = w.slab[:k]
-	f.hi = k
+	f.next, f.hi = f.lo, len(w.slab)
 	w.stack = append(w.stack, f)
 	w.gray.set(id)
 	if len(w.stack) > w.peak {
@@ -372,10 +415,14 @@ func (w *dfsWorker[S]) push(id uint64, digits []int) {
 // reaches. It returns the first configuration it meets again while still
 // on its own stack — one that lies on a cycle — and found = true; a run
 // abandoned because another worker found a cycle returns found = false.
+// A slab entry is re-checked against the memo when visited, since a
+// sibling's subtree or another worker may have finished it since push.
 //
 // Two workers may expand the same configuration at once. Both compute the
 // same deterministic distance; the compare-and-swap admits one value and
 // only its winner counts the configuration's edges.
+//
+//allocgate:hot
 func (w *dfsWorker[S]) run(root uint64, digits []int) (cycle uint64, found bool) {
 	w.push(root, digits)
 	for len(w.stack) > 0 {
@@ -401,7 +448,7 @@ func (w *dfsWorker[S]) run(root uint64, digits []int) (cycle uint64, found bool)
 		}
 		d := f.best + 1
 		if atomic.CompareAndSwapInt32(&w.memo[f.id], 0, d+1) {
-			w.edges += uint64(f.hi - f.lo)
+			w.edges += uint64(f.deg)
 		}
 		w.gray.clear(f.id)
 		w.slab = w.slab[:f.lo]
@@ -411,6 +458,17 @@ func (w *dfsWorker[S]) run(root uint64, digits []int) (cycle uint64, found bool)
 		}
 	}
 	return 0, false
+}
+
+// newWorker returns a DFS worker over the shared memo and stop flag, its
+// subset-sum scratch sized for every process moving at once.
+func (e *Engine[S]) newWorker(lam *IDSet, ruleMask uint32, memo []int32, stop *atomic.Bool) *dfsWorker[S] {
+	return &dfsWorker[S]{
+		e: e, lam: lam, ruleMask: ruleMask, memo: memo, stop: stop,
+		gray:   newIDSet(e.sym.span),
+		sums:   make([]int64, 1<<uint(e.n)),
+		digits: make([]int, e.n),
+	}
 }
 
 // bytes is the worker's private bookkeeping footprint.
@@ -433,14 +491,7 @@ func (e *Engine[S]) convergence(lam *IDSet, ruleMask uint32) (ConvergenceReport[
 	rep := ConvergenceReport[S]{Converges: true, Illegitimate: e.total - lam.Count()}
 	memo := make([]int32, span)
 	var stop atomic.Bool
-	newWorker := func() *dfsWorker[S] {
-		return &dfsWorker[S]{
-			e: e, lam: lam, ruleMask: ruleMask, memo: memo, stop: &stop,
-			gray:   newIDSet(span),
-			sums:   make([]int64, 1<<uint(e.n)),
-			digits: make([]int, e.n),
-		}
-	}
+	newWorker := func() *dfsWorker[S] { return e.newWorker(lam, ruleMask, memo, &stop) }
 	// roots walks [lo, hi) and runs w from every illegitimate
 	// representative not yet finalized, until a cycle is found.
 	roots := func(w *dfsWorker[S], lo, hi uint64) (cycle uint64, found bool) {

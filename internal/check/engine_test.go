@@ -304,7 +304,7 @@ type exhaustive struct {
 
 // TestSSRminN5K6Engine is the headline instance: the exhaustive n=5, K=6
 // run (24⁵ ≈ 7.96M configurations, 1.33M representatives) pinned to its
-// exact values. It takes about a second on two cores, so it only runs
+// exact values. It takes about half a second on two cores, so it only runs
 // when SSRMIN_EXHAUSTIVE_N5 is set (make modelcheck-n5 / CI soak).
 func TestSSRminN5K6Engine(t *testing.T) {
 	exhaustiveSSRmin(t, exhaustive{
@@ -315,7 +315,7 @@ func TestSSRminN5K6Engine(t *testing.T) {
 
 // TestSSRminN6K7Engine is E8's fourth exact point: n=6, K=7 (28⁶ ≈ 482M
 // configurations, 68.8M representatives, a ~275 MB distance memo). It
-// takes about a minute on two cores, so it only runs when
+// takes about 40 s on two cores, so it only runs when
 // SSRMIN_EXHAUSTIVE_N6 is set (make modelcheck-n6).
 func TestSSRminN6K7Engine(t *testing.T) {
 	exhaustiveSSRmin(t, exhaustive{

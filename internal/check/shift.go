@@ -35,12 +35,16 @@ func (s *shift) canon(id uint64) uint64 {
 }
 
 // rotate adds d (mod q) to every digit of id; d = c·b applies the shift c
-// times.
+// times. d lies in [0, q), so each digit wraps by one subtraction.
 func (s *shift) rotate(id uint64, d int) uint64 {
 	q := uint64(s.q)
 	var out, place uint64 = 0, 1
 	for i := 0; i < s.n; i++ {
-		out += uint64((int(id%q)+d)%s.q) * place
+		x := id%q + uint64(d)
+		if x >= q {
+			x -= q
+		}
+		out += x * place
 		id /= q
 		place *= q
 	}

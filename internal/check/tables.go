@@ -191,23 +191,30 @@ type mover struct {
 
 // enabledMoves appends the moves of the configuration with the given
 // digits that are permitted by ruleMask, in increasing position order.
+// The (pred, self, succ) triple rolls along the ring one digit at a time.
+// Rule numbers start at 1, so with bit 0 of the mask cleared one probe
+// rejects both a disabled process (rule 0) and a rule outside the mask.
+//
+//allocgate:hot
 func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, buf []mover) []mover {
 	q, n := e.q, e.n
+	ruleMask &^= 1
+	rule, next := e.rule[0], e.next[0] // the bottom class, then every other
+	pd, sd := digits[n-1], digits[0]
 	for i := 0; i < n; i++ {
-		sd := digits[i]
-		t := (digits[(i+n-1)%n]*q+sd)*q + digits[(i+1)%n]
-		class := 0
-		if i != 0 {
-			class = 1
+		ud := digits[0]
+		if i+1 < n {
+			ud = digits[i+1]
 		}
-		r := e.rule[class][t]
-		if r == 0 || ruleMask&(1<<uint(r)) == 0 {
-			continue
+		t := (pd*q+sd)*q + ud
+		if r := rule[t]; ruleMask&(1<<r) != 0 {
+			buf = append(buf, mover{
+				delta: (int64(next[t]) - int64(sd)) * int64(e.pow[i]),
+				rule:  r,
+			})
 		}
-		buf = append(buf, mover{
-			delta: (int64(e.next[class][t]) - int64(sd)) * int64(e.pow[i]),
-			rule:  r,
-		})
+		pd, sd = sd, ud
+		rule, next = e.rule[1], e.next[1]
 	}
 	return buf
 }
@@ -219,7 +226,11 @@ func (e *Engine[S]) enabledMoves(digits []int, ruleMask uint32, buf []mover) []m
 // distinct IDs whenever no delta is zero — the common case, needing no
 // dedup; a zero delta (a rule mapping a state to itself) falls back to a
 // linear dedup. Either way each successor appears once, at its first
-// subset in mask order.
+// subset in mask order. The DFS expands with its own single pass
+// (dfsWorker.push); this is the successor relation of WorstPath and
+// ExportDOT.
+//
+//allocgate:hot
 func distinctSuccessors(id uint64, movers []mover, buf []uint64, sums []int64) ([]uint64, []int64) {
 	e := len(movers)
 	if e == 0 {
@@ -229,6 +240,7 @@ func distinctSuccessors(id uint64, movers []mover, buf []uint64, sums []int64) (
 		panic("check: too many enabled processes for subset enumeration")
 	}
 	if len(sums) < 1<<uint(e) {
+		//lint:ignore allocgate the subset-sum scratch grows to 2^e once per caller buffer and is reused
 		sums = make([]int64, 1<<uint(e))
 	}
 	anyZero := false

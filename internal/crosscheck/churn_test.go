@@ -119,12 +119,11 @@ func TestGracedSettleDeadlineInclusive(t *testing.T) {
 	}
 
 	sep := NewSeparationMonitor(EngineMsgnet, 1, chk.windows)
-	members := []int{0, 1, 2, 3, 4, 5}
-	sep.Observe(15, members, []int{0}, []int{3}) // same deadline, same verdict
+	sep.observe(15, 0, 3, 3) // same deadline, same verdict
 	if len(sep.violations) != 0 {
 		t.Fatalf("separation violation at the settle deadline: %v", sep.violations)
 	}
-	sep.Observe(15.000001, members, []int{0}, []int{3})
+	sep.observe(15.000001, 0, 3, 3)
 	if len(sep.violations) != 1 {
 		t.Fatalf("no separation violation past the deadline: %v", sep.violations)
 	}
@@ -133,23 +132,23 @@ func TestGracedSettleDeadlineInclusive(t *testing.T) {
 func TestSeparationMonitorSemantics(t *testing.T) {
 	w := &settleWindows{grace: 1}
 	m := NewSeparationMonitor(EngineState, 1, w)
-	members := []int{0, 1, 2, 3, 4}
+	if d := hops(0, 4, 5); d != 1 {
+		t.Fatalf("positions 0 and 4 of a 5-ring are %d hops apart, want 1 (wraparound)", d)
+	}
 
-	m.Observe(5, members, []int{0}, []int{4}) // wraparound neighbors: distance 1
-	m.Observe(6, members, []int{2}, []int{2}) // same holder: distance 0
-	m.Observe(7, members, []int{0, 1}, []int{2})
-	m.Observe(7.5, members, []int{0}, nil) // non-singleton sets: skipped
-	m.Observe(8, members, []int{9}, []int{0})
+	m.observe(5, 0, 4, 1)  // wraparound neighbours: distance 1
+	m.observe(6, 2, 2, 0)  // same holder: distance 0
+	m.observe(8, 9, 0, -1) // a holder off the ring: skipped
 	if m.observed != 2 || len(m.violations) != 0 {
 		t.Fatalf("observed=%d violations=%v, want 2 clean observations", m.observed, m.violations)
 	}
 
-	m.Observe(9, members, []int{0}, []int{2}) // distance 2: a token escaped
+	m.observe(9, 0, 2, 2) // distance 2: a token escaped
 	if len(m.violations) != 1 || m.violations[0].Kind != "separation" {
 		t.Fatalf("violations = %v, want one separation violation", m.violations)
 	}
 	w.perturb(10)
-	m.Observe(10.5, members, []int{0}, []int{2}) // same distance, but graced
+	m.observe(10.5, 0, 2, 2) // same distance, but graced
 	if len(m.violations) != 1 {
 		t.Fatalf("graced observation reported: %v", m.violations)
 	}

@@ -146,7 +146,8 @@ func (h *holderTracker) setMembers(members []int) {
 	h.size = len(members)
 }
 
-// distance is ringDistance over the recorded membership.
+// distance returns the minimal hop count between nodes a and b along the
+// recorded membership, or -1 if either node is not a member.
 func (h *holderTracker) distance(a, b int) int {
 	ia, ib := int(h.pos[a]), int(h.pos[b])
 	if ia < 0 || ib < 0 {

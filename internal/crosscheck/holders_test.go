@@ -58,6 +58,17 @@ func randomScenario(rng *rand.Rand, i int) Scenario {
 	}
 }
 
+// ringDistance is the full-scan reference for holderTracker.distance: the
+// minimal hop count between nodes a and b along the ring given by members
+// (the membership in ring order), or -1 if either node is not a member.
+func ringDistance(members []int, a, b int) int {
+	ia, ib := slices.Index(members, a), slices.Index(members, b)
+	if ia < 0 || ib < 0 {
+		return -1
+	}
+	return hops(ia, ib, len(members))
+}
+
 // wantSingleton is the singleton holder of a full-scan holder set, or -1.
 func wantSingleton(holders []int) int {
 	if len(holders) == 1 {

@@ -58,19 +58,10 @@ func NewSeparationMonitor(engine string, max int, w *settleWindows) *SeparationM
 	return &SeparationMonitor{engine: engine, max: max, windows: w, maxSeen: -1}
 }
 
-// Observe feeds one instant: the ring membership in ring order and the
-// primary/secondary holder sets. Holder sets that are not singletons are
-// skipped, as is a holder that is not (yet) a ring member mid-churn.
-func (m *SeparationMonitor) Observe(t float64, members, primaries, secondaries []int) {
-	if len(primaries) != 1 || len(secondaries) != 1 {
-		return
-	}
-	p, s := primaries[0], secondaries[0]
-	m.observe(t, p, s, ringDistance(members, p, s))
-}
-
 // observe feeds one instant with singleton holders p and s dist hops
-// apart (-1: a holder is not a ring member).
+// apart (-1: a holder is not a ring member, as mid-churn). Every tier
+// feeds it through observeTracked, which skips instants whose holder sets
+// are not singletons.
 func (m *SeparationMonitor) observe(t float64, p, s, dist int) {
 	if dist < 0 {
 		return
@@ -107,25 +98,6 @@ func (m *SeparationMonitor) finish(res *EngineResult) {
 			Detail: fmt.Sprintf("%d further separation violations truncated", m.truncated),
 		})
 	}
-}
-
-// ringDistance returns the minimal hop count between nodes a and b along
-// the ring given by members (the membership in ring order), or -1 if
-// either node is not a member.
-func ringDistance(members []int, a, b int) int {
-	ia, ib := -1, -1
-	for i, v := range members {
-		if v == a {
-			ia = i
-		}
-		if v == b {
-			ib = i
-		}
-	}
-	if ia < 0 || ib < 0 {
-		return -1
-	}
-	return hops(ia, ib, len(members))
 }
 
 // hops is the minimal hop count between positions ia and ib on a ring of

@@ -45,6 +45,7 @@ var AllocGate = &Analyzer{
 		"ssrmin/internal/bitslice",
 		"ssrmin/internal/statemodel",
 		"ssrmin/internal/daemon",
+		"ssrmin/internal/check",
 	},
 	Run: runAllocGate,
 }

@@ -9,9 +9,9 @@
 // lines; the inline keys mean a comparison never dereferences back into
 // the slot slab; and sifts move a hole instead of swapping, writing each
 // displaced entry exactly once and touching no other memory. The price
-// is that remove (cancellation) scans the heap for its entry — O(live
-// events) — which is fine because the simulator never cancels: delivery
-// and timer events always fire.
+// is that the heap keeps no per-slot positions, so an event cannot be
+// cancelled in place; the simulator never cancels: delivery and timer
+// events always fire.
 package msgnet
 
 import "fmt"
@@ -152,33 +152,6 @@ func (a *Arena[P]) popInto(e *event[P]) {
 		a.down(0, moved)
 	}
 	a.release(s)
-}
-
-// remove cancels the scheduled event in slot s (which must be live) and
-// returns it, releasing the slot. It scans the heap for the entry — the
-// hot loop never cancels, so cancellation pays for the sift paths'
-// freedom from position bookkeeping.
-func (a *Arena[P]) remove(s int32) event[P] {
-	e := a.slots[s]
-	i := 0
-	for a.heap[i].slot != s {
-		i++
-	}
-	last := len(a.heap) - 1
-	moved := a.heap[last]
-	a.heap = a.heap[:last]
-	if i != last {
-		// moved may belong above or below the hole; try both directions
-		// (at most one sift actually moves it).
-		a.down(i, moved)
-		j := 0
-		for a.heap[j].slot != moved.slot {
-			j++
-		}
-		a.up(j, moved)
-	}
-	a.release(s)
-	return e
 }
 
 // up sifts entry e toward the root starting from the hole at heap index
