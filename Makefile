@@ -46,7 +46,7 @@ bench-test:
 # Track the model checker's perf trajectory: run the checker + sweep
 # benchmarks and record (name, ns/op, allocs/op) in BENCH_check.json.
 bench-check:
-	$(GO) test -run '^$$' -bench 'ModelCheck|ParallelSweep' -benchmem . \
+	$(GO) test -run '^$$' -bench 'ModelCheck|ParallelSweep' -benchmem -count 3 . \
 	  | $(GO) run ./cmd/benchjson -o BENCH_check.json
 
 # Record the instrumentation layer's no-op-sink overhead on the hot paths
@@ -65,13 +65,13 @@ bench-msgnet:
 
 # Record the sharded event-loop runtime: virtual-time engine throughput at
 # n=10k and n=100k on one worker and on one per CPU, plus a Refresh <
-# Delay row, and the event-queue layer alone (one engine-100k-shaped
-# epoch), in BENCH_runtime.json. The acceptance bar is >= 100k nodes
-# sustained.
+# Delay row, and the event-queue layer alone (internal/evq, one
+# engine-100k-shaped epoch), in BENCH_runtime.json. The acceptance bar
+# is >= 100k nodes sustained.
 bench-runtime:
 	{ $(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -count 3 . ; \
 	  $(GO) test -run '^$$' -bench 'RuntimeQueue' -benchmem -count 3 \
-	    ./internal/runtime; } \
+	    ./internal/evq; } \
 	  | $(GO) run ./cmd/benchjson -o BENCH_runtime.json
 
 # Record the bit-sliced batch simulator: 64-lane SSRmin convergence
@@ -112,7 +112,7 @@ bench-smoke:
 	  BENCH_msgnet.json /tmp/bench_msgnet_smoke.json
 	{ $(GO) test -run '^$$' -bench 'RuntimeEngine' -benchmem -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -bench 'RuntimeQueue' -benchmem -benchtime 3x \
-	    ./internal/runtime; } \
+	    ./internal/evq; } \
 	  | $(GO) run ./cmd/benchjson -o /tmp/bench_runtime_smoke.json
 	$(GO) run ./cmd/benchjson -compare -max-regress 400 \
 	  BENCH_runtime.json /tmp/bench_runtime_smoke.json
@@ -229,7 +229,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzBitsliceStep -fuzztime 5s ./internal/bitslice
 	$(GO) test -run '^$$' -fuzz FuzzLoadRepros -fuzztime 5s ./internal/crosscheck
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 5s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzArenaInvariants -fuzztime 5s ./internal/msgnet
+	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 5s ./internal/evq
 	$(GO) test -run '^$$' -fuzz FuzzTopology -fuzztime 5s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzEnabledRule -fuzztime 5s ./internal/core
 

@@ -39,6 +39,7 @@ var AllocGate = &Analyzer{
 	Name: "allocgate",
 	Doc:  "//allocgate:hot functions must not gain heap allocations (compiler escape analysis as a lint gate)",
 	Packages: []string{
+		"ssrmin/internal/evq",
 		"ssrmin/internal/msgnet",
 		"ssrmin/internal/cst",
 		"ssrmin/internal/runtime",

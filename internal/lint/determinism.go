@@ -23,6 +23,7 @@ var Determinism = &Analyzer{
 		"ssrmin/internal/trace",
 		"ssrmin/internal/report",
 		"ssrmin/internal/stats",
+		"ssrmin/internal/evq",
 		"ssrmin/internal/msgnet",
 		"ssrmin/internal/check",
 	},

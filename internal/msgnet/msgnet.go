@@ -12,19 +12,24 @@
 // reported so callers can count suppressions). This back-pressure is what
 // keeps the cached sensornet transform's echo storm finite.
 //
-// The event queue is a zero-allocation arena (see Arena): value-typed
-// events in an index-based 4-ary heap with an intrusive free list,
-// payloads held as the concrete type parameter P instead of boxed in
-// `any`. Events pop in (at, seq) order, so equal-time events fire in
-// scheduling order and every seeded trace is reproducible;
+// Events run on internal/evq, the epoch run queue the live engine's
+// shards use too. An epoch opens at the earliest pending event and is as
+// wide as the smallest link delay, so deliveries always land in a later
+// epoch and only short timers take the queue's in-epoch heap. Events
+// are value records with the payload held as the concrete type parameter
+// P instead of boxed in `any`, so a simulated message costs no heap
+// allocation. Events fire in (at, seq) order, so equal-time events fire
+// in scheduling order and every seeded trace is reproducible;
 // testdata/digests/msgnet-taps.sha256 pins 40 of them (digest_test.go).
 package msgnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
+	"ssrmin/internal/evq"
 	"ssrmin/internal/obs"
 )
 
@@ -109,21 +114,37 @@ const (
 	evDeliver
 )
 
-// event is one scheduled occurrence. It is a value type: the arena
-// stores events in place and recycles the slots, so a simulated message
-// costs no heap allocation.
+// event is the body of one scheduled occurrence; its evq.Rec carries the
+// time and the sequence number that breaks ties.
 type event[P any] struct {
-	at   Time
-	seq  uint64 // tiebreaker for determinism
-	load P      // payload (evDeliver)
-	// next links free arena slots (intrusive free list); pos marks the
-	// slot live (livePos) or free (freePos).
-	next, pos int32
-	node      int32 // destination node
-	from      int32 // sender (evDeliver)
-	tkind     int32 // timer kind (evTimer)
-	kind      evKind
+	load P     // payload (evDeliver)
+	node int32 // destination node
+	arg  int32 // sender (evDeliver) or timer kind (evTimer)
+	kind evKind
 }
+
+// Arena is the reusable storage of a network's event queue. Arenas are
+// reusable across simulations via Network.UseArena (reset, not
+// reallocated), which is how parsweep worker pools keep an N-seed sweep
+// at near-zero steady-state allocation. An Arena must never be shared by
+// two live networks at once.
+type Arena[P any] struct {
+	q evq.Queue[event[P]]
+}
+
+// NewArena returns an empty arena.
+func NewArena[P any]() *Arena[P] { return &Arena[P]{} }
+
+// Len returns the number of scheduled events.
+func (a *Arena[P]) Len() int { return a.q.Len() }
+
+// Cap returns the number of events the arena's storage has grown to;
+// Reset keeps it.
+func (a *Arena[P]) Cap() int { return a.q.Cap() }
+
+// Reset empties the arena for reuse, keeping its storage. Stored events
+// are zeroed so payloads from the previous simulation are not retained.
+func (a *Arena[P]) Reset() { a.q.Reset() }
 
 // link is one directed link, held in its sender's outgoing list.
 type link struct {
@@ -226,12 +247,15 @@ type Network[P any] struct {
 	// out[a] is node a's outgoing links, at most one per destination: a
 	// send scans its sender's few links, and the store grows with the
 	// number of links, not with the square of the node count.
-	out     [][]link
-	arena   *Arena[P]
-	now     Time
-	seq     uint64
-	rng     *rand.Rand
-	started bool
+	out   [][]link
+	arena *Arena[P]
+	// lookahead is the smallest Delay of any link added: the width of an
+	// event-queue epoch (+Inf while there are no links).
+	lookahead Time
+	now       Time
+	seq       uint64
+	rng       *rand.Rand
+	started   bool
 	// ctx is the reusable callback context handed to every handler
 	// callback.
 	ctx Context[P]
@@ -268,6 +292,7 @@ func New[P any](handlers []Handler[P], seed int64) *Network[P] {
 	n := &Network[P]{
 		handlers:    handlers,
 		arena:       NewArena[P](),
+		lookahead:   Time(math.Inf(1)),
 		rng:         rand.New(rand.NewSource(seed)),
 		LossEnabled: true,
 	}
@@ -276,7 +301,7 @@ func New[P any](handlers []Handler[P], seed int64) *Network[P] {
 }
 
 // UseArena installs a caller-owned event arena (e.g. one drawn from a
-// parsweep.Pool) so consecutive simulations reuse the same slot storage
+// parsweep.Pool) so consecutive simulations reuse the same queue storage
 // instead of growing a fresh one. The arena is Reset. It must be called
 // before any event is scheduled.
 func (n *Network[P]) UseArena(a *Arena[P]) {
@@ -308,6 +333,7 @@ func (n *Network[P]) AddLink(a, b int, p LinkParams) {
 		p.DupProb < 0 || p.DupProb > 1 || p.CorruptProb < 0 || p.CorruptProb > 1 {
 		panic(fmt.Sprintf("msgnet: bad link params %+v", p))
 	}
+	n.lookahead = min(n.lookahead, p.Delay)
 	if l := n.linkFromTo(a, b); l != nil {
 		*l = link{to: b, params: p}
 		return
@@ -335,51 +361,26 @@ func (n *Network[P]) Stats() Stats { return n.stats }
 // Now returns current simulated time.
 func (n *Network[P]) Now() Time { return n.now }
 
-// pushDeliver schedules a delivery without staging the event on the
-// caller's stack: the fields are written straight into the recycled
-// arena slot.
+// pushDeliver schedules a delivery of *payload from `from` to `to`.
 //
 //allocgate:hot
 func (n *Network[P]) pushDeliver(at Time, to, from int32, payload *P) {
-	seq := n.seq
-	n.seq++
-	a := n.arena
-	s := a.alloc()
-	sl := &a.slots[s]
-	sl.at = at
-	sl.seq = seq
-	sl.load = *payload
-	sl.next = freePos
-	sl.pos = livePos
-	sl.node = to
-	sl.from = from
-	sl.tkind = 0
-	sl.kind = evDeliver
-	a.heap = append(a.heap, heapEntry{})
-	a.up(len(a.heap)-1, heapEntry{at: at, seq: seq, slot: s})
+	n.push(at, event[P]{load: *payload, node: to, arg: from, kind: evDeliver})
 }
 
-// pushTimer is pushDeliver for timer events.
+// pushTimer schedules a timer of kind tkind for node.
 //
 //allocgate:hot
 func (n *Network[P]) pushTimer(at Time, node, tkind int32) {
-	seq := n.seq
+	n.push(at, event[P]{node: node, arg: tkind, kind: evTimer})
+}
+
+// push files one event under the next sequence number.
+//
+//allocgate:hot
+func (n *Network[P]) push(at Time, e event[P]) {
+	n.arena.q.Push(evq.Rec[event[P]]{At: float64(at), Key: n.seq, Body: e})
 	n.seq++
-	a := n.arena
-	s := a.alloc()
-	sl := &a.slots[s]
-	var zero P
-	sl.at = at
-	sl.seq = seq
-	sl.load = zero
-	sl.next = freePos
-	sl.pos = livePos
-	sl.node = node
-	sl.from = 0
-	sl.tkind = tkind
-	sl.kind = evTimer
-	a.heap = append(a.heap, heapEntry{})
-	a.up(len(a.heap)-1, heapEntry{at: at, seq: seq, slot: s})
 }
 
 // callbackCtx returns the network's one reusable Context, pointed at node.
@@ -563,41 +564,30 @@ func (n *Network[P]) start() {
 	}
 }
 
-// Step processes the next event. It reports false when the queue is empty.
+// dispatch advances the clock to rec's time and runs its callback.
 //
 //allocgate:hot
-func (n *Network[P]) Step() bool {
-	n.start()
-	if n.arena.Len() == 0 {
-		return false
-	}
-	e := n.arena.pop()
-	n.dispatch(&e)
-	return true
-}
-
-// dispatch advances the clock to *e and runs its callback.
-//
-//allocgate:hot
-func (n *Network[P]) dispatch(e *event[P]) {
-	if e.at < n.now {
+func (n *Network[P]) dispatch(rec *evq.Rec[event[P]]) {
+	at := Time(rec.At)
+	if at < n.now {
 		panic("msgnet: event in the past")
 	}
-	n.now = e.at
+	n.now = at
+	e := &rec.Body
 	node := int(e.node)
 	ctx := n.callbackCtx(node)
 	switch e.kind {
 	case evDeliver:
 		n.stats.Delivered++
-		n.tap(TapEvent{At: n.now, Kind: TapDeliver, Node: node, From: int(e.from)})
+		n.tap(TapEvent{At: n.now, Kind: TapDeliver, Node: node, From: int(e.arg)})
 		if o := n.Obs; o != nil {
-			o.MsgRecv(float64(n.now), node, int(e.from))
+			o.MsgRecv(float64(n.now), node, int(e.arg))
 		}
-		n.handlers[node].Receive(ctx, int(e.from), e.load)
+		n.handlers[node].Receive(ctx, int(e.arg), e.load)
 	case evTimer:
 		n.stats.Timers++
 		n.tap(TapEvent{At: n.now, Kind: TapTimer, Node: node})
-		n.handlers[node].Timer(ctx, int(e.tkind))
+		n.handlers[node].Timer(ctx, int(e.arg))
 	}
 	if n.Observer != nil {
 		n.Observer(n.now)
@@ -605,17 +595,21 @@ func (n *Network[P]) dispatch(e *event[P]) {
 }
 
 // Run processes events until simulated time exceeds until or the event
-// queue drains. It returns the number of events processed.
+// queue drains. It returns the number of events processed. The first
+// event after until stays queued, its epoch open for the next call.
 //
 //allocgate:hot
 func (n *Network[P]) Run(until Time) int {
 	n.start()
 	count := 0
-	a := n.arena
-	var e event[P]
-	for len(a.heap) > 0 && a.heap[0].at <= until {
-		a.popInto(&e)
-		n.dispatch(&e)
+	q := &n.arena.q
+	var rec evq.Rec[event[P]]
+	for {
+		if h := q.Head(float64(n.lookahead)); h == nil || Time(h.At) > until {
+			break
+		}
+		q.Next(&rec)
+		n.dispatch(&rec)
 		count++
 	}
 	if n.now < until {

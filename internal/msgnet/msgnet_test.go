@@ -1,6 +1,7 @@
 package msgnet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -180,10 +181,12 @@ func TestDuplicateOccupiesLink(t *testing.T) {
 	if len(dups) != 1 || dups[0] != 0 {
 		t.Fatalf("TapDup events = %v, want one at t=0", dups)
 	}
-	for b.got == 0 {
-		if !net.Step() {
-			t.Fatal("queue drained before the original arrived")
-		}
+	// The duplicate holds the link until it lands; the original lands
+	// strictly earlier. Run up to the instant before the duplicate.
+	dupAt := net.linkFromTo(0, 1).busyUntil
+	net.Run(Time(math.Nextafter(float64(dupAt), 0)))
+	if b.got != 1 {
+		t.Fatalf("got %d deliveries just before the duplicate lands, want the original only", b.got)
 	}
 	// The original arrived, but the duplicate is still in transit: the
 	// link must refuse the next frame (one message per direction at a
@@ -194,10 +197,9 @@ func TestDuplicateOccupiesLink(t *testing.T) {
 	if net.Stats().Suppressed != 1 {
 		t.Fatalf("stats = %+v, want the busy-link refusal counted as Suppressed", net.Stats())
 	}
-	for b.got < 2 {
-		if !net.Step() {
-			t.Fatal("queue drained before the duplicate arrived")
-		}
+	net.Run(dupAt)
+	if b.got != 2 {
+		t.Fatalf("got %d deliveries once the duplicate landed, want 2", b.got)
 	}
 	// The duplicate has landed; the medium is free again.
 	if !ctx.Send(1, "z") {

@@ -60,6 +60,7 @@ import (
 	"sync"
 	"time"
 
+	"ssrmin/internal/evq"
 	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 	"ssrmin/internal/topo"
@@ -146,16 +147,7 @@ type engShard[S comparable] struct {
 	id     int32
 	lo, hi int32
 
-	// The epoch run queue (events.go). q holds every pending record.
-	// During an epoch q[:due] is the sorted run of records due before
-	// horizon, q[:cur] of it is dispatched, and q[:fill] of that holds
-	// pushes for later epochs. soon is a min-heap of the pushes due
-	// inside the running epoch.
-	q              []eventRec[S]
-	due, cur, fill int
-	horizon        float64
-	soon           []eventRec[S]
-	bkt            []int32 // sortRun's bucket offsets, reused every epoch
+	q evq.Queue[evBody[S]] // the epoch run queue
 
 	outLeft, outRight *spsc[S] // produced here, consumed by neighbor shards
 	inLeft, inRight   *spsc[S] // aliases of the neighbors' out rings
@@ -209,7 +201,7 @@ type Engine[S comparable] struct {
 	churn    []churnOp[S]
 	churnIdx int
 
-	pending []eventRec[S] // initial announces, timers and scheduled injects
+	pending []evq.Rec[evBody[S]] // initial announces, timers and scheduled injects
 
 	holder func(statemodel.View[S]) bool
 	onPriv func(id int, holds bool)
@@ -292,16 +284,16 @@ func NewEngine[S comparable](alg statemodel.Algorithm[S], init statemodel.Config
 
 	// Every node's opening moves: announce at t=0, then refresh on a
 	// randomly phased timer (so timers do not beat in lockstep).
-	e.pending = make([]eventRec[S], 0, 2*n)
+	e.pending = make([]evq.Rec[evBody[S]], 0, 2*n)
 	for i := 0; i < n; i++ {
 		nd := &e.nodes[i]
-		e.pending = append(e.pending, eventRec[S]{
-			at: 0, key2: key2(int32(i), nd.seq), node: int32(i), kind: evInit,
+		e.pending = append(e.pending, evq.Rec[evBody[S]]{
+			At: 0, Key: key2(int32(i), nd.seq), Body: evBody[S]{node: int32(i), kind: evInit},
 		})
 		nd.seq++
 		phase := e.refresh * nd.rng.float64()
-		e.pending = append(e.pending, eventRec[S]{
-			at: phase, key2: key2(int32(i), nd.seq), node: int32(i), kind: evTimer,
+		e.pending = append(e.pending, evq.Rec[evBody[S]]{
+			At: phase, Key: key2(int32(i), nd.seq), Body: evBody[S]{node: int32(i), kind: evTimer},
 		})
 		nd.seq++
 	}
@@ -431,8 +423,9 @@ func (e *Engine[S]) ScheduleInject(at float64, node int, s S) {
 		panic("runtime: ScheduleInject in the past")
 	}
 	nd := &e.nodes[node]
-	e.pending = append(e.pending, eventRec[S]{
-		at: at, key2: key2(int32(node), nd.seq), node: int32(node), kind: evInject, payload: s,
+	e.pending = append(e.pending, evq.Rec[evBody[S]]{
+		At: at, Key: key2(int32(node), nd.seq),
+		Body: evBody[S]{node: int32(node), kind: evInject, payload: s},
 	})
 	nd.seq++
 }
@@ -500,7 +493,7 @@ func (e *Engine[S]) freeze() {
 		}
 	}
 	for _, rec := range e.pending {
-		e.shards[e.shardOf[rec.node]].push(rec)
+		e.shards[e.shardOf[rec.Body.node]].q.Push(rec)
 	}
 	e.pending = nil
 }
@@ -556,7 +549,7 @@ func (e *Engine[S]) stepEpoch() {
 }
 
 // shardEpoch drains the shard's inbound rings, then processes every
-// event below the horizon in (at, key2) order.
+// event below the horizon in (At, Key) order.
 //
 //allocgate:hot
 func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
@@ -564,9 +557,9 @@ func (e *Engine[S]) shardEpoch(sh *engShard[S], horizon float64) {
 		sh.inLeft.drainInto(sh)
 		sh.inRight.drainInto(sh)
 	}
-	sh.open(horizon)
-	var rec eventRec[S]
-	for sh.next(&rec) {
+	sh.q.Open(horizon)
+	var rec evq.Rec[evBody[S]]
+	for sh.q.Next(&rec) {
 		e.dispatch(sh, &rec)
 	}
 }
@@ -628,61 +621,63 @@ func (e *Engine[S]) stopWorkers() {
 // dispatch routes one owned event to its handler.
 //
 //allocgate:hot
-func (e *Engine[S]) dispatch(sh *engShard[S], rec *eventRec[S]) {
+func (e *Engine[S]) dispatch(sh *engShard[S], rec *evq.Rec[evBody[S]]) {
 	sh.events++
-	nd := &e.nodes[rec.node]
-	if e.ring.Pred[rec.node] < 0 {
+	at, node := rec.At, rec.Body.node
+	nd := &e.nodes[node]
+	if e.ring.Pred[node] < 0 {
 		// The destination left the ring (or never joined): in-flight
 		// frames die on arrival and lapsed nodes let their timer chains
 		// end. Mirrors the msgnet tier's detached-node discard.
-		if rec.kind == evFromPred || rec.kind == evFromSucc {
+		if rec.Body.kind == evFromPred || rec.Body.kind == evFromSucc {
 			sh.dropped++
 		}
 		return
 	}
-	switch rec.kind {
+	switch rec.Body.kind {
 	case evFromPred:
-		// key2's high word is the sender. A frame from an ex-neighbor was
-		// already on the medium when churn rewired the ring: discard it
-		// rather than poison a cache slot describing a different node.
-		if from := int32(rec.key2 >> 32); from != e.pred(rec.node) {
+		// The key's high word is the sender. A frame from an ex-neighbor
+		// was already on the medium when churn rewired the ring: discard
+		// it rather than poison a cache slot describing a different node.
+		if from := int32(rec.Key >> 32); from != e.pred(node) {
 			sh.dropped++
 			return
 		}
-		nd.cachePred = rec.payload
+		nd.cachePred = rec.Body.payload
 		sh.carried++
-		e.tap(sh, nd, rec.at, rec.node, TapDeliver, e.pred(rec.node), 0)
+		e.tap(sh, nd, at, node, TapDeliver, e.pred(node), 0)
 		if o := e.obsv; o != nil {
-			o.MsgRecv(rec.at, int(rec.node), int(e.pred(rec.node)))
+			o.MsgRecv(at, int(node), int(e.pred(node)))
 		}
-		e.step(sh, rec.at, rec.node)
+		e.step(sh, at, node)
 	case evFromSucc:
-		if from := int32(rec.key2 >> 32); from != e.succ(rec.node) {
+		if from := int32(rec.Key >> 32); from != e.succ(node) {
 			sh.dropped++
 			return
 		}
-		nd.cacheSucc = rec.payload
+		nd.cacheSucc = rec.Body.payload
 		sh.carried++
-		e.tap(sh, nd, rec.at, rec.node, TapDeliver, e.succ(rec.node), 0)
+		e.tap(sh, nd, at, node, TapDeliver, e.succ(node), 0)
 		if o := e.obsv; o != nil {
-			o.MsgRecv(rec.at, int(rec.node), int(e.succ(rec.node)))
+			o.MsgRecv(at, int(node), int(e.succ(node)))
 		}
-		e.step(sh, rec.at, rec.node)
+		e.step(sh, at, node)
 	case evInit:
-		e.announce(sh, rec.at, rec.node)
+		e.announce(sh, at, node)
 	case evTimer:
-		e.tap(sh, nd, rec.at, rec.node, TapTimer, -1, 0)
-		e.announce(sh, rec.at, rec.node)
-		next := eventRec[S]{
-			at: rec.at + e.refresh, key2: key2(rec.node, nd.seq), node: rec.node, kind: evTimer,
+		e.tap(sh, nd, at, node, TapTimer, -1, 0)
+		e.announce(sh, at, node)
+		next := evq.Rec[evBody[S]]{
+			At: at + e.refresh, Key: key2(node, nd.seq),
+			Body: evBody[S]{node: node, kind: evTimer},
 		}
 		nd.seq++
-		sh.push(next)
+		sh.q.Push(next)
 	case evInject:
-		nd.state = rec.payload
-		e.tap(sh, nd, rec.at, rec.node, TapInject, -1, 0)
-		e.notifyPriv(sh, rec.at, rec.node)
-		e.announce(sh, rec.at, rec.node)
+		nd.state = rec.Body.payload
+		e.tap(sh, nd, at, node, TapInject, -1, 0)
+		e.notifyPriv(sh, at, node)
+		e.announce(sh, at, node)
 	}
 }
 
@@ -754,7 +749,10 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 	if o := e.obsv; o != nil {
 		o.MsgSent(at, int(node), int(peer))
 	}
-	rec := eventRec[S]{at: at + d, key2: key2(node, nd.seq), node: peer, kind: kind, payload: nd.state}
+	rec := evq.Rec[evBody[S]]{
+		At: at + d, Key: key2(node, nd.seq),
+		Body: evBody[S]{node: peer, kind: kind, payload: nd.state},
+	}
 	nd.seq++
 	e.emit(sh, rec, toSucc)
 }
@@ -765,9 +763,9 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 // shards are the same shard).
 //
 //allocgate:hot
-func (e *Engine[S]) emit(sh *engShard[S], rec eventRec[S], toSucc bool) {
-	if e.shardOf[rec.node] == sh.id {
-		sh.push(rec)
+func (e *Engine[S]) emit(sh *engShard[S], rec evq.Rec[evBody[S]], toSucc bool) {
+	if e.shardOf[rec.Body.node] == sh.id {
+		sh.q.Push(rec)
 		return
 	}
 	if toSucc {
@@ -889,10 +887,10 @@ func (e *Engine[S]) wake(at float64, j int32, state S) {
 	e.links[2*j].busyUntil = 0
 	e.links[2*j+1].busyUntil = 0
 	sh := &e.shards[e.shardOf[j]]
-	sh.push(eventRec[S]{at: at, key2: key2(j, nd.seq), node: j, kind: evInit})
+	sh.q.Push(evq.Rec[evBody[S]]{At: at, Key: key2(j, nd.seq), Body: evBody[S]{node: j, kind: evInit}})
 	nd.seq++
 	phase := e.refresh * nd.rng.float64()
-	sh.push(eventRec[S]{at: at + phase, key2: key2(j, nd.seq), node: j, kind: evTimer})
+	sh.q.Push(evq.Rec[evBody[S]]{At: at + phase, Key: key2(j, nd.seq), Body: evBody[S]{node: j, kind: evTimer}})
 	nd.seq++
 }
 
@@ -1137,11 +1135,12 @@ func (e *Engine[S]) Inject(node int, s S) bool {
 	e.do(func() {
 		e.freeze()
 		nd := &e.nodes[node]
-		rec := eventRec[S]{
-			at: e.now, key2: key2(int32(node), nd.seq), node: int32(node), kind: evInject, payload: s,
+		rec := evq.Rec[evBody[S]]{
+			At: e.now, Key: key2(int32(node), nd.seq),
+			Body: evBody[S]{node: int32(node), kind: evInject, payload: s},
 		}
 		nd.seq++
-		e.shards[e.shardOf[node]].push(rec)
+		e.shards[e.shardOf[node]].q.Push(rec)
 	})
 	return true
 }
