@@ -208,7 +208,7 @@ soak-short:
 # Regenerate every committed digest under testdata/digests: the crosscheck
 # storm/churn reports, the quick-mode experiment outputs, the model
 # checker's reports, the msgnet tap streams and the sharded runtime's
-# sweep, dispatch-order and churn runs.
+# sweep, dispatch-order, per-node and churn runs.
 # A digest pins behaviour, so one that changes is a behaviour change:
 # explain it in CHANGES.md next to the regenerated file.
 digests:
@@ -216,7 +216,7 @@ digests:
 	$(GO) test -count 1 -run TestQuickExperimentsDigest ./cmd/experiments -update
 	$(GO) test -count 1 -run TestCheckerReportsDigest ./internal/check -update
 	$(GO) test -count 1 -run TestEnginesProduceIdenticalTapStreams ./internal/msgnet -update
-	$(GO) test -count 1 -run 'TestEngine(|DispatchOrder|Churn)MatchesReference' \
+	$(GO) test -count 1 -run 'TestEngine(|DispatchOrder|PerNode|Churn)MatchesReference' \
 	  ./internal/runtime -update
 
 # A quick pass over every native fuzz target (corpus + a few seconds of
