@@ -5,8 +5,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ssrmin/internal/core"
+	"ssrmin/internal/evq"
 	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 )
@@ -49,21 +51,41 @@ func sampleCensus(e *Engine[core.State], horizon float64) (minC, maxC int, seen 
 }
 
 // TestEngineEpochsAllocateNothing measures the epoch loop's 0 allocs/op
-// at run time, on one worker and on two: allocgate reads the compiler's
-// escape analysis, which cannot see a non-escaping map or slice that
-// later grows on the heap.
+// at run time, on one worker and on two, bare and with an observer
+// attached (which adds the handover replay at every epoch's end):
+// allocgate reads the compiler's escape analysis, which cannot see a
+// non-escaping map or slice that later grows on the heap.
 func TestEngineEpochsAllocateNothing(t *testing.T) {
-	for _, w := range []int{1, 2} {
-		_, e := newSSRminEngine(64, 65, engineOpts(1, w))
-		e.RunUntil(0.5) // the queues grow to the steady event population
-		horizon := e.Now()
-		if allocs := testing.AllocsPerRun(20, func() {
-			horizon += 0.1
-			e.RunUntil(horizon)
-		}); allocs != 0 {
-			t.Errorf("w=%d: %v allocs per 0.1 s of virtual time, want 0", w, allocs)
+	for _, observed := range []bool{false, true} {
+		for _, w := range []int{1, 2} {
+			_, e := newSSRminEngine(64, 65, engineOpts(1, w))
+			var emitted atomic.Int64
+			if observed {
+				e.SetObserver(obs.New(obs.Func(func(obs.Event) { emitted.Add(1) })), core.HasToken)
+			}
+			e.RunUntil(0.5) // the queues grow to the steady event population
+			horizon := e.Now()
+			if allocs := testing.AllocsPerRun(20, func() {
+				horizon += 0.1
+				e.RunUntil(horizon)
+			}); allocs != 0 {
+				t.Errorf("w=%d observed=%v: %v allocs per 0.1 s of virtual time, want 0", w, observed, allocs)
+			}
+			if observed && emitted.Load() == 0 {
+				t.Errorf("w=%d: the observer saw no event", w)
+			}
+			e.Stop()
 		}
-		e.Stop()
+	}
+}
+
+// TestEngineRecordSize pins the engine's event record at 40 bytes: the
+// destination node and the kind ride in the record's Lane and Kind, in
+// the padding after the key, beside a core.State body. A larger record
+// costs memory and cache misses at 100k nodes.
+func TestEngineRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(evq.Rec[core.State]{}); size != 40 {
+		t.Errorf("engine event record is %d bytes, want 40", size)
 	}
 }
 

@@ -42,8 +42,9 @@ func (p *prng) float64() float64 {
 // Event records
 // ---------------------------------------------------------------------------
 
-// Event kinds. Deliveries carry the direction so the receiver knows which
-// neighbor cache to overwrite without looking the sender up.
+// Event kinds, held in the record's Kind byte. Deliveries carry the
+// direction so the receiver knows which neighbor cache to overwrite
+// without looking the sender up.
 const (
 	evInit     uint8 = iota // the t=0 announcement every node starts with
 	evTimer                 // periodic refresh announcement (Algorithm 4)
@@ -52,16 +53,14 @@ const (
 	evInject                // scheduled transient fault: overwrite the state
 )
 
-// evBody is the engine's event body. Its evq.Rec is what crosses shard
+// The engine's event record is an evq.Rec[S]: it is what crosses shard
 // boundaries through the SPSC rings, what the shard queue stores and
-// what the dispatcher consumes; the record's Key packs (origin node << 32
-// | origin sequence number), which with At is the globally unique,
-// deterministic event ordering key.
-type evBody[S comparable] struct {
-	node    int32 // destination node
-	kind    uint8
-	payload S
-}
+// what the dispatcher consumes. Lane is the destination node, so each
+// shard runs its epoch node by node along its arc; Kind is the event
+// kind; Body is the announced or injected state (unused by timers). Key
+// packs (origin node << 32 | origin sequence number), which with At is
+// the globally unique, deterministic event ordering key. With a
+// core.State body the record is 40 bytes.
 
 // ---------------------------------------------------------------------------
 // SPSC rings
@@ -80,7 +79,7 @@ const spscCap = 16
 
 // spscNode boxes one overflowed record on the spill stack.
 type spscNode[S comparable] struct {
-	rec  evq.Rec[evBody[S]]
+	rec  evq.Rec[S]
 	next *spscNode[S]
 }
 
@@ -90,7 +89,7 @@ type spscNode[S comparable] struct {
 // concurrently with a drain are simply picked up one epoch later — their
 // arrival times are beyond the next horizon anyway.
 type spsc[S comparable] struct {
-	buf  [spscCap]evq.Rec[evBody[S]]
+	buf  [spscCap]evq.Rec[S]
 	_    [64]byte      // keep head and tail on separate cache lines
 	head atomic.Uint32 // consumer cursor
 	_    [64]byte
@@ -105,7 +104,7 @@ type spsc[S comparable] struct {
 }
 
 //allocgate:hot
-func (q *spsc[S]) pushRing(rec evq.Rec[evBody[S]]) {
+func (q *spsc[S]) pushRing(rec evq.Rec[S]) {
 	t := q.tail.Load()
 	if t-q.head.Load() < spscCap {
 		q.buf[t%spscCap] = rec

@@ -8,13 +8,13 @@ import (
 )
 
 // drainShard takes every record pending in sh's queue, in (At, Key)
-// order, through epochs one time unit wide, each opened at the earliest
+// order (the records share lane 0), through epochs one time unit wide, each opened at the earliest
 // pending record. The tests push integer times in increasing batches, so
 // a later batch mostly lies at or beyond the last horizon and goes
 // through the queue's vector, Open and the run sort as in the engine.
-func drainShard(sh *engShard[int]) []evq.Rec[evBody[int]] {
-	var out []evq.Rec[evBody[int]]
-	var rec evq.Rec[evBody[int]]
+func drainShard(sh *engShard[int]) []evq.Rec[int] {
+	var out []evq.Rec[int]
+	var rec evq.Rec[int]
 	for sh.q.Head(1) != nil {
 		sh.q.Next(&rec)
 		out = append(out, rec)
@@ -32,7 +32,7 @@ func TestSPSCOverflowDrain(t *testing.T) {
 	const total = 3*spscCap + 5
 	for p := 0; p < total; p++ {
 		i := total - 1 - p // descending times: the queue, not arrival order, sorts
-		q.pushRing(evq.Rec[evBody[int]]{At: float64(i), Key: uint64(i), Body: evBody[int]{payload: i}})
+		q.pushRing(evq.Rec[int]{At: float64(i), Key: uint64(i), Body: i})
 		if p < spscCap && q.ovf.Load() != nil {
 			t.Fatalf("push %d spilled to the overflow stack while the ring had room", p)
 		}
@@ -50,9 +50,9 @@ func TestSPSCOverflowDrain(t *testing.T) {
 		t.Fatalf("drained %d records, want %d", len(recs), total)
 	}
 	for i, rec := range recs {
-		if rec.Key != uint64(i) || rec.Body.payload != i {
+		if rec.Key != uint64(i) || rec.Body != i {
 			t.Fatalf("record %d = {Key:%d payload:%d}, want {Key:%d payload:%d}",
-				i, rec.Key, rec.Body.payload, i, i)
+				i, rec.Key, rec.Body, i, i)
 		}
 	}
 }
@@ -69,7 +69,7 @@ func TestSPSCOverflowConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			q.pushRing(evq.Rec[evBody[int]]{At: float64(i), Key: uint64(i), Body: evBody[int]{payload: i}})
+			q.pushRing(evq.Rec[int]{At: float64(i), Key: uint64(i), Body: i})
 		}
 	}()
 	sh := &engShard[int]{}
@@ -79,13 +79,13 @@ func TestSPSCOverflowConcurrent(t *testing.T) {
 		q.drainInto(sh)
 		prev := -1
 		for _, rec := range drainShard(sh) {
-			if rec.Body.payload < 0 || rec.Body.payload >= total || seen[rec.Body.payload] {
-				t.Fatalf("record %d duplicated or out of range", rec.Body.payload)
+			if rec.Body < 0 || rec.Body >= total || seen[rec.Body] {
+				t.Fatalf("record %d duplicated or out of range", rec.Body)
 			}
-			if rec.Body.payload < prev {
-				t.Fatalf("record %d dispatched after record %d", rec.Body.payload, prev)
+			if rec.Body < prev {
+				t.Fatalf("record %d dispatched after record %d", rec.Body, prev)
 			}
-			seen[rec.Body.payload], prev = true, rec.Body.payload
+			seen[rec.Body], prev = true, rec.Body
 			got++
 		}
 	}
