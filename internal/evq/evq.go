@@ -1,12 +1,27 @@
 // Package evq is the event queue of both discrete-event tiers: the live
 // engine's shards (internal/runtime) and the message-passing simulator
 // (internal/msgnet). It is an epoch run queue: one vector of every
-// pending record, in no particular order between epochs. Open moves the
-// records due in the epoch to the front of the vector and sorts that run
-// once; Next dispatches it in order; Push files records for later epochs
-// into the run's already dispatched slots, appending only when none is
-// free; and the epoch's close refills the slots left over from the tail
-// of the vector.
+// pending record. Open moves the records due in the epoch to the start
+// of the vector and sorts that run once; Next dispatches it in order;
+// Push files records for later epochs into the run's already dispatched
+// slots, appending only when none is free; and the epoch's close refills
+// the slots left over from the tail of the vector.
+//
+// The order a tier pushes in is kept where it helps. A push due in the
+// next epoch — before ahead, one epoch width past the horizon — joins
+// the front: the dispatched slots from the start of the vector, filled
+// in push order. Other pushes follow the front, and when a front push
+// needs their first slot, that record moves to their end. The engine
+// dispatches node by node and sends to the neighbours, so its front
+// comes out nearly sorted. At the next Open the front's due records are
+// finished by an insertion sort with a shift budget, falling back to the
+// bucket sort when the budget runs out. The remainder — late sends,
+// refresh timers, records pushed between epochs — goes through the
+// bucket sort, and the two runs are merged by swaps into one run at the
+// start of the vector. Dispatched slots thus stay one prefix, so the
+// next front can grow to any length; Next and the soon heap see one run
+// as before. A queue of at most splitMin records, such as msgnet's on a
+// small ring, keeps no front and sorts each epoch as one run.
 //
 // Epochs run in time order, and each epoch runs in (Lane, At, Key)
 // order: lane by lane, each lane's records in time order. A tier whose
@@ -60,15 +75,19 @@ func cmpRec[B any](a, b Rec[B]) int {
 // Queue is an epoch run queue of records with body B. The zero Queue is
 // empty and ready to use. A Queue has one owner at a time.
 type Queue[B any] struct {
-	// q holds every pending record. During an epoch q[:due] is the sorted
-	// run of records due before horizon, q[:cur] of it is dispatched, and
-	// q[:fill] of that holds pushes for later epochs. soon is a min-heap
+	// q holds every pending record. Between epochs q[:front] is the
+	// front: the last epoch's pushes due before its ahead, in push order.
+	// During an epoch q[:due] is the sorted run of records due before
+	// horizon and q[:cur] of it is dispatched; of those slots, q[:front]
+	// holds the epoch's pushes due before ahead, in push order, and
+	// q[front:fill] its other pushes for later epochs. soon is a min-heap
 	// of the pushes due inside the running epoch.
-	q              []Rec[B]
-	due, cur, fill int
-	horizon        float64
-	soon           []Rec[B]
-	bkt            []int32 // sortRun's bucket offsets, reused every epoch
+	q                     []Rec[B]
+	due, cur, fill, front int
+	horizon, ahead        float64
+	soon                  []Rec[B]
+	bkt                   []int32 // sortRun's bucket offsets, reused every epoch
+	nearly                int     // records of the run that took the nearly sorted path
 }
 
 // Len returns the number of pending records.
@@ -89,36 +108,106 @@ func (q *Queue[B]) Reset() {
 	clear(q.q[:cap(q.q)])
 	clear(q.soon[:cap(q.soon)])
 	q.q, q.soon = q.q[:0], q.soon[:0]
-	q.due, q.cur, q.fill, q.horizon = 0, 0, 0, 0
+	q.due, q.cur, q.fill, q.front, q.nearly = 0, 0, 0, 0, 0
+	q.horizon, q.ahead = 0, 0
 }
+
+// splitMin is the largest queue Open sorts as one run: a tiny ring's
+// epoch gains nothing from a front, and msgnet, which opens an epoch
+// every few events, keeps its one-run path.
+const splitMin = 4096
+
+// nearlyShifts is the front's insertion-sort budget: the places it may
+// shift records, per record, before sortRun takes over.
+const nearlyShifts = 8
 
 // Open starts the epoch that ends at horizon. Records with At < horizon —
-// the test that bounds the epoch — are partitioned in place to the front
-// of q and sorted into the run.
+// the test that bounds the epoch — form the run. The next epoch is taken
+// to be as wide as the step from the last horizon to this one.
 //
 //allocgate:hot
-func (q *Queue[B]) Open(horizon float64) {
+func (q *Queue[B]) Open(horizon float64) { q.open(horizon, horizon-q.horizon) }
+
+// open starts the epoch that ends at horizon, expecting the next one to
+// be width wide. A queue of at most splitMin records sorts its due
+// records as one run. A larger one keeps its front apart, or takes all
+// of q as the front when the last epoch left none. The front's due
+// records, still in push order, are nearly sorted: insertion sort
+// finishes them, or sortRun once the shift budget runs out. sortRun
+// sorts the remainder's due records, and the two runs are merged into
+// one by swaps with the records waiting between them, so the dispatched
+// slots stay one prefix of q, which the next front can fill to any
+// length.
+//
+//allocgate:hot
+func (q *Queue[B]) open(horizon, width float64) {
 	recs := q.q
-	due := 0
-	lo := horizon
-	lmin, lmax := int32(math.MaxInt32), int32(math.MinInt32)
-	for i := range recs {
-		if at := recs[i].At; at < horizon {
-			lane := recs[i].Lane
-			lo, lmin, lmax = min(lo, at), min(lmin, lane), max(lmax, lane)
-			recs[i], recs[due] = recs[due], recs[i]
-			due++
+	nf := q.front
+	if nf == 0 || len(recs) <= splitMin {
+		nf = len(recs)
+	}
+	// The front's due records go to its start in push order, the
+	// remainder's to the end of q.
+	a := 0
+	for i := range recs[:nf] {
+		if recs[i].At < horizon {
+			if i != a {
+				recs[i], recs[a] = recs[a], recs[i]
+			}
+			a++
 		}
 	}
-	q.sortRun(recs[:due], span{lo: lo, hi: horizon, lmin: lmin, lmax: lmax})
-	q.horizon, q.due, q.cur, q.fill = horizon, due, 0, 0
+	top := len(recs)
+	for i := len(recs) - 1; i >= nf; i-- {
+		if recs[i].At < horizon {
+			top--
+			recs[i], recs[top] = recs[top], recs[i]
+		}
+	}
+	b := len(recs) - top
+	q.horizon, q.ahead, q.due, q.cur, q.fill, q.front, q.nearly = horizon, horizon+width, a+b, 0, 0, 0, 0
+	switch {
+	case len(recs) <= splitMin:
+		q.ahead = horizon // no push joins a front
+		q.sortRun(recs[:a], horizon)
+	case top-a < b:
+		// Too few records wait between the runs to merge them by swaps:
+		// move those past the remainder and sort the whole run.
+		wait := recs[a:top]
+		for i := range wait {
+			wait[i], recs[len(recs)-1-i] = recs[len(recs)-1-i], wait[i]
+		}
+		q.sortRun(recs[:a+b], horizon)
+	default:
+		if insertionSort(recs[:a], nearlyShifts*a) {
+			q.nearly = a
+		} else {
+			q.sortRun(recs[:a], horizon)
+		}
+		if b > 0 {
+			q.sortRun(recs[top:], horizon)
+			mergeDown(recs, a, b)
+		}
+	}
 }
 
-// span bounds a run: its times lie in [lo, hi) and its lanes in
-// [lmin, lmax].
-type span struct {
-	lo, hi     float64
-	lmin, lmax int32
+// mergeDown merges the sorted runs s[:a] and s[len(s)-b:] into s[:a+b],
+// filling it from the top by swaps, so the records that lay between the
+// runs, of which there must be at least b, end up in s[a+b:] in some
+// order.
+//
+//allocgate:hot
+func mergeDown[B any](s []Rec[B], a, b int) {
+	i, j, stop := a-1, len(s)-1, len(s)-b
+	for w := a + b - 1; j >= stop; w-- {
+		if i >= 0 && recLess(&s[j], &s[i]) {
+			s[w], s[i] = s[i], s[w]
+			i--
+		} else {
+			s[w], s[j] = s[j], s[w]
+			j--
+		}
+	}
 }
 
 // Head returns the epoch's next record without taking it.
@@ -146,7 +235,7 @@ func (q *Queue[B]) Head(width float64) *Rec[B] {
 	if !(horizon > lo) {
 		horizon = math.Nextafter(lo, math.Inf(1))
 	}
-	q.Open(horizon)
+	q.open(horizon, width)
 	return q.head()
 }
 
@@ -172,11 +261,12 @@ func (q *Queue[B]) head() *Rec[B] {
 // needs no bucket pass, and the buckets of a large run hold about four.
 const smallRun = 24
 
-// sortRun sorts run, whose times and lanes lie in sp, by (Lane, At,
-// Key). A small run is insertion-sorted directly. A larger one is filed
-// into nb buckets by a counting pass and an in-place permutation
-// (American flag sort), and each bucket is finished by insertion sort,
-// or by a comparison sort when it is large. A record's bucket scales
+// sortRun sorts run, whose times lie below hi, by (Lane, At, Key). A
+// small run is insertion-sorted directly. A larger one is filed into nb
+// buckets by a counting pass and an in-place permutation (American flag
+// sort), and each bucket is finished by insertion sort, or by a
+// comparison sort when it is large. With the run's times in [lo, hi) and
+// its lanes in [lmin, lmax], a record's bucket scales
 // (Lane − lmin) + (At − lo)/(hi − lo), which grows with the record's
 // place in the order, from [0, lanes) to [0, nb): on one lane that is nb
 // equal-width time buckets, and over many lanes each bucket holds a few
@@ -186,10 +276,14 @@ const smallRun = 24
 // buckets larger, never the result different.
 //
 //allocgate:hot
-func (q *Queue[B]) sortRun(run []Rec[B], sp span) {
+func (q *Queue[B]) sortRun(run []Rec[B], hi float64) {
 	if len(run) <= smallRun {
-		insertionSort(run)
+		insertionSort(run, math.MaxInt)
 		return
+	}
+	lo, lmin, lmax := hi, int32(math.MaxInt32), int32(math.MinInt32)
+	for i := range run {
+		lo, lmin, lmax = min(lo, run[i].At), min(lmin, run[i].Lane), max(lmax, run[i].Lane)
 	}
 	nb := len(run)/4 + 1
 	for len(q.bkt) < 2*(nb+1) {
@@ -197,15 +291,15 @@ func (q *Queue[B]) sortRun(run []Rec[B], sp span) {
 	}
 	start, next := q.bkt[:nb+1], q.bkt[nb+1:2*(nb+1)]
 	clear(start)
-	lmin := float64(sp.lmin)
-	inv, scale := 1/(sp.hi-sp.lo), float64(nb)/(float64(sp.lmax)-lmin+1)
+	fmin := float64(lmin)
+	inv, scale := 1/(hi-lo), float64(nb)/(float64(lmax)-fmin+1)
 	if math.IsInf(inv, 1) {
 		// A zero-width epoch at t=0 ends at the smallest denormal, whose
 		// inverse overflows: every record is at lo, and 0·Inf is NaN.
 		inv = 0
 	}
 	bucket := func(r *Rec[B]) int {
-		pos := float64(r.Lane) - lmin + (r.At-sp.lo)*inv
+		pos := float64(r.Lane) - fmin + (r.At-lo)*inv
 		return min(int(pos*scale), nb-1)
 	}
 	for i := range run {
@@ -226,17 +320,19 @@ func (q *Queue[B]) sortRun(run []Rec[B], sp span) {
 	}
 	for b := 0; b < nb; b++ {
 		if part := run[start[b]:start[b+1]]; len(part) <= smallRun {
-			insertionSort(part)
+			insertionSort(part, math.MaxInt)
 		} else {
 			slices.SortFunc(part, cmpRec[B])
 		}
 	}
 }
 
-// insertionSort sorts a short run by (Lane, At, Key) in place.
+// insertionSort sorts run by (Lane, At, Key) in place and reports true,
+// or gives up and reports false, leaving run permuted, once it has
+// shifted records more than budget places in all.
 //
 //allocgate:hot
-func insertionSort[B any](run []Rec[B]) {
+func insertionSort[B any](run []Rec[B], budget int) bool {
 	for i := 1; i < len(run); i++ {
 		if !recLess(&run[i], &run[i-1]) {
 			continue
@@ -247,7 +343,11 @@ func insertionSort[B any](run []Rec[B]) {
 			run[j] = run[j-1]
 		}
 		run[j] = rec
+		if budget -= i - j; budget < 0 {
+			return false
+		}
 	}
+	return true
 }
 
 // Next takes the epoch's next record in (Lane, At, Key) order into rec —
@@ -284,20 +384,27 @@ func (q *Queue[B]) close() {
 
 // Push enqueues rec. A record due inside the running epoch joins the
 // soon heap, and must sort at or after the record last taken (see the
-// package doc); any other takes the first dispatched slot of the run no
-// push has reused yet, or is appended. Between epochs fill == cur == 0,
-// so pushes at or beyond the last horizon append.
+// package doc). Any other takes a dispatched slot of the run that no push
+// has reused yet, or is appended once none is left. A record due before
+// ahead extends the front, moving the first of the other pushes to their
+// end to make room; the others follow the front. Between epochs fill ==
+// cur == 0, so pushes at or beyond the last horizon append.
 //
 //allocgate:hot
 func (q *Queue[B]) Push(rec Rec[B]) {
 	switch {
 	case rec.At < q.horizon:
 		q.pushSoon(rec)
-	case q.fill < q.cur:
-		q.q[q.fill] = rec
+	case q.fill == q.cur:
+		q.q = append(q.q, rec)
+	case rec.At < q.ahead:
+		q.q[q.fill] = q.q[q.front]
+		q.q[q.front] = rec
+		q.front++
 		q.fill++
 	default:
-		q.q = append(q.q, rec)
+		q.q[q.fill] = rec
+		q.fill++
 	}
 }
 

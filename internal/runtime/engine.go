@@ -530,16 +530,22 @@ func (e *Engine[S]) freeze() {
 			}
 		}
 	}
-	// Size each shard's queue for its opening records: growing it by
-	// append from empty discards copies totalling several times its
-	// final size, and with them peak memory follows the collector's
-	// timing.
-	opening := make([]int, w)
+	// Size each shard's queue for the most records it can hold: a node
+	// holds at most one frame per incoming link direction and its timer,
+	// and scheduled injects wait on top. Growing the queue by append
+	// instead discards copies totalling several times its final size,
+	// and with them peak memory follows the collector's timing.
+	room := make([]int, w)
+	for i := range e.shards {
+		room[i] = 3 * int(e.shards[i].hi-e.shards[i].lo)
+	}
 	for _, rec := range e.pending {
-		opening[e.shardOf[rec.Lane]]++
+		if rec.Kind == evInject {
+			room[e.shardOf[rec.Lane]]++
+		}
 	}
 	for i := range e.shards {
-		e.shards[i].q.Grow(opening[i])
+		e.shards[i].q.Grow(room[i])
 	}
 	for _, rec := range e.pending {
 		e.shards[e.shardOf[rec.Lane]].q.Push(rec)

@@ -79,6 +79,37 @@ func TestEngineEpochsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestEngineQueueCapSteady: each shard's queue is sized once, for three
+// records per node (a frame per incoming link direction and the node's
+// timer), and never grows: its capacity after warm-up and over 40 more
+// epochs is the one it started with, at n=10k on one and two workers. A
+// queue that appended where it should reuse a dispatched slot would grow
+// here, and with it the engine's peak memory.
+func TestEngineQueueCapSteady(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		_, e := newSSRminEngine(10_000, 10_001, engineOpts(1, w))
+		e.RunUntil(0) // carve the shards and size their queues
+		caps := make([]int, len(e.shards))
+		for i := range e.shards {
+			sh := &e.shards[i]
+			caps[i] = sh.q.Cap()
+			if nodes := int(sh.hi - sh.lo); caps[i] < 3*nodes {
+				t.Fatalf("w=%d shard %d: queue sized for %d records, want room for 3 per node (%d)", w, i, caps[i], 3*nodes)
+			}
+		}
+		e.RunUntil(0.1)
+		for ep := 0; ep < 40; ep++ {
+			e.RunUntil(e.Now() + 0.01)
+			for i := range e.shards {
+				if c := e.shards[i].q.Cap(); c != caps[i] {
+					t.Fatalf("w=%d shard %d, epoch %d after warm-up: queue capacity %d, sized at %d", w, i, ep, c, caps[i])
+				}
+			}
+		}
+		e.Stop()
+	}
+}
+
 // TestEngineRecordSize pins the engine's event record at 40 bytes: the
 // destination node and the kind ride in the record's Lane and Kind, in
 // the padding after the key, beside a core.State body. A larger record
