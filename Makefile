@@ -229,6 +229,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzBitsliceStep -fuzztime 5s ./internal/bitslice
 	$(GO) test -run '^$$' -fuzz FuzzLoadRepros -fuzztime 5s ./internal/crosscheck
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 5s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzValidateNumbers -fuzztime 5s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 5s ./internal/evq
 	$(GO) test -run '^$$' -fuzz FuzzTopology -fuzztime 5s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzEnabledRule -fuzztime 5s ./internal/core

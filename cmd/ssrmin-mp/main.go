@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -66,6 +67,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// NewMPSimulation reads a zero delay or refresh as its default; the
+	// SSToken path takes the same defaults, so both run what is checked.
+	if *delay == 0 {
+		*delay = 0.01
+	}
+	if *refresh == 0 {
+		*refresh = 5 * *delay
+	}
+	if err := checkFlags(*horizon, *delay, *jitter, *loss, *refresh, *hold); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	switch *algF {
 	case "ssrmin":
@@ -82,6 +95,25 @@ func stopProfile(p *cliconf.Profile) {
 	if err := p.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
+}
+
+// checkFlags rejects flag values no simulator can run: link timings that
+// scenario.CheckTimings refuses, a loss probability outside [0, 1], a
+// horizon that is not positive and finite, and a negative or non-finite
+// hold.
+func checkFlags(horizon, delay, jitter, loss, refresh, hold float64) error {
+	if err := scenario.CheckTimings(delay, jitter, refresh); err != nil {
+		return err
+	}
+	switch {
+	case !scenario.ValidProb(loss):
+		return fmt.Errorf("loss probability %v outside [0, 1]", loss)
+	case !(horizon > 0) || math.IsInf(horizon, 1):
+		return fmt.Errorf("horizon %v must be positive and finite", horizon)
+	case !(hold >= 0) || math.IsInf(hold, 1):
+		return fmt.Errorf("hold %v must be non-negative and finite", hold)
+	}
+	return nil
 }
 
 // secs converts a float flag in seconds to the option unit.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,5 +76,41 @@ func TestScenarioFileRunFailure(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := runScenarioFile(writeScenario(t, validScenario), failWriter{}, &stderr); code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+}
+
+// TestCheckFlags: the flag values that made the msgnet and CST layers
+// panic, and non-finite ones, are usage errors; the defaults pass.
+func TestCheckFlags(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	// horizon, delay, jitter, loss, refresh, hold
+	ok := [6]float64{10, 0.01, 0.002, 0, 0.05, 0}
+	if err := checkFlags(ok[0], ok[1], ok[2], ok[3], ok[4], ok[5]); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		field int
+		value float64
+	}{
+		{"NaN horizon", 0, nan},
+		{"infinite horizon", 0, inf},
+		{"zero horizon", 0, 0},
+		{"negative delay", 1, -1},
+		{"NaN delay", 1, nan},
+		{"negative jitter", 2, -0.5},
+		{"infinite jitter", 2, inf},
+		{"loss above 1", 3, 2},
+		{"negative loss", 3, -0.1},
+		{"NaN loss", 3, nan},
+		{"negative refresh", 4, -1},
+		{"negative hold", 5, -1},
+		{"NaN hold", 5, nan},
+	} {
+		v := ok
+		v[tc.field] = tc.value
+		if err := checkFlags(v[0], v[1], v[2], v[3], v[4], v[5]); err == nil {
+			t.Errorf("%s: accepted %v", tc.name, v)
+		}
 	}
 }

@@ -143,11 +143,15 @@ func TestSearchDeterministicTrajectory(t *testing.T) {
 	}
 }
 
-// TestRejectsBadTimings: a negative or non-finite link timing is a usage
-// error — one stderr line and exit 2 — not a panic inside a sweep worker.
+// TestRejectsBadTimings: a negative or non-finite link timing or horizon,
+// a probability outside [0, 1] or a NaN settle window is a usage error —
+// one stderr line and exit 2 — not a panic inside a sweep worker or a run
+// that never ends.
 func TestRejectsBadTimings(t *testing.T) {
 	for _, args := range [][]string{
 		{"-delay", "-1"}, {"-delay", "NaN"}, {"-jitter", "-1"}, {"-refresh", "-1"},
+		{"-horizon", "NaN"}, {"-horizon", "+Inf"}, {"-loss", "NaN"}, {"-dup", "2"},
+		{"-settle", "NaN"},
 		// The live engine's clock counts whole nanoseconds in an int64.
 		{"-engines", "live", "-delay", "1e-10", "-jitter", "0"},
 		{"-engines", "live", "-jitter", "1e-10"},

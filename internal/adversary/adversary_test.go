@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/check"
@@ -124,7 +125,7 @@ func TestSearchDeterministic(t *testing.T) {
 			convergenceMeasure(a), Options{Restarts: 2, Budget: 50, Seed: 11})
 	}
 	r1, r2 := run(), run()
-	if r1.Score != r2.Score || !r1.Config.Equal(r2.Config) {
+	if r1.Score != r2.Score || !slices.Equal(r1.Config, r2.Config) {
 		t.Fatal("same-seed searches diverged")
 	}
 }
@@ -179,7 +180,7 @@ func TestSearchMatchesClimbSpecialization(t *testing.T) {
 		func(c statemodel.Config[core.State]) int { return measure(c) },
 		opts,
 	)
-	if res.Score != climbed.Score || !res.Config.Equal(climbed.Best) {
+	if res.Score != climbed.Score || !slices.Equal(res.Config, climbed.Best) {
 		t.Fatalf("Search and Climb specialization diverged: %d vs %d", res.Score, climbed.Score)
 	}
 }

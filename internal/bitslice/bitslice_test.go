@@ -3,6 +3,7 @@ package bitslice
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -189,7 +190,7 @@ func TestRNGMatchesScalarStream(t *testing.T) {
 func checkLaneSSRmin(t *testing.T, b *SSRmin, lane int, want statemodel.Config[core.State], at string) {
 	t.Helper()
 	got := b.LaneConfig(lane)
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s: lane %d diverged\n batch:  %v\n scalar: %v", at, lane, got, want)
 	}
 }
@@ -271,7 +272,7 @@ func TestSSTokenMatchesScalar(t *testing.T) {
 			}
 			r := rng
 			sims[lane] = statemodel.NewSimulator[dijkstra.State](alg, scalarDaemon(tc.kind, &r), init)
-			if !b.LaneConfig(lane).Equal(init) {
+			if !slices.Equal(b.LaneConfig(lane), init) {
 				t.Fatalf("n=%d lane %d: seeding diverged", tc.n, lane)
 			}
 		}
@@ -289,7 +290,7 @@ func TestSSTokenMatchesScalar(t *testing.T) {
 				if _, ok := sims[lane].Step(); !ok {
 					t.Fatalf("n=%d step %d lane %d: scalar deadlock", tc.n, s, lane)
 				}
-				if got, want := b.LaneConfig(lane), sims[lane].Config(); !got.Equal(want) {
+				if got, want := b.LaneConfig(lane), sims[lane].Config(); !slices.Equal(got, want) {
 					t.Fatalf("n=%d step %d lane %d diverged\n batch:  %v\n scalar: %v", tc.n, s, lane, got, want)
 				}
 			}
@@ -424,7 +425,7 @@ func TestRunReusesGuardsExactly(t *testing.T) {
 						kind, tc.n, dBudget, dSteps, dConv, eSteps, eConv)
 				}
 				for lane := 0; lane < Lanes; lane++ {
-					if got := d.LaneConfig(lane); !got.Equal(eFinal[lane]) {
+					if got := d.LaneConfig(lane); !slices.Equal(got, eFinal[lane]) {
 						t.Fatalf("sstoken %v n=%d budget %d: lane %d final %v, hand loop %v",
 							kind, tc.n, dBudget, lane, got, eFinal[lane])
 					}
@@ -464,7 +465,7 @@ func TestStepComputesOwnGuards(t *testing.T) {
 				dSim.Step()
 			}
 			checkLaneSSRmin(t, b, lane, bSim.Config(), fmt.Sprintf("ssrmin %v after %d bare steps", kind, steps))
-			if got, want := d.LaneConfig(lane), dSim.Config(); !got.Equal(want) {
+			if got, want := d.LaneConfig(lane), dSim.Config(); !slices.Equal(got, want) {
 				t.Fatalf("sstoken %v after %d bare steps: lane %d %v, scalar %v", kind, steps, lane, got, want)
 			}
 		}

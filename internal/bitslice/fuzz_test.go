@@ -1,6 +1,7 @@
 package bitslice
 
 import (
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -76,7 +77,7 @@ func fuzzSSRminStep(t *testing.T, n, k int, kind DaemonKind, seed int64, steps i
 			if _, ok := sims[lane].Step(); !ok {
 				t.Fatalf("ssrmin n=%d K=%d step %d: lane %d scalar deadlock", n, k, s, lane)
 			}
-			if got, want := b.LaneConfig(lane), sims[lane].Config(); !got.Equal(want) {
+			if got, want := b.LaneConfig(lane), sims[lane].Config(); !slices.Equal(got, want) {
 				t.Fatalf("ssrmin n=%d K=%d %v step %d: lane %d diverged\n batch:  %v\n scalar: %v",
 					n, k, kind, s, lane, got, want)
 			}
@@ -126,7 +127,7 @@ func fuzzSSTokenStep(t *testing.T, n, k int, kind DaemonKind, seed int64, steps 
 			if _, ok := sims[lane].Step(); !ok {
 				t.Fatalf("sstoken n=%d K=%d step %d: lane %d scalar deadlock", n, k, s, lane)
 			}
-			if got, want := b.LaneConfig(lane), sims[lane].Config(); !got.Equal(want) {
+			if got, want := b.LaneConfig(lane), sims[lane].Config(); !slices.Equal(got, want) {
 				t.Fatalf("sstoken n=%d K=%d %v step %d: lane %d diverged\n batch:  %v\n scalar: %v",
 					n, k, kind, s, lane, got, want)
 			}

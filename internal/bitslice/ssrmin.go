@@ -69,12 +69,6 @@ func NewSSRmin(n, k int, d DaemonKind) *SSRmin {
 	return b
 }
 
-// N returns the ring size.
-func (b *SSRmin) N() int { return b.n }
-
-// K returns the digit alphabet size.
-func (b *SSRmin) K() int { return b.k }
-
 // digit returns node i's plane slice.
 func (b *SSRmin) digit(i int) []uint64 { return b.x[i*b.planes : (i+1)*b.planes] }
 

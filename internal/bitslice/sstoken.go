@@ -51,12 +51,6 @@ func NewSSToken(n, k int, d DaemonKind) *SSToken {
 	return b
 }
 
-// N returns the ring size.
-func (b *SSToken) N() int { return b.n }
-
-// K returns the digit alphabet size.
-func (b *SSToken) K() int { return b.k }
-
 func (b *SSToken) digit(i int) []uint64 { return b.x[i*b.planes : (i+1)*b.planes] }
 
 // SeedLanes samples all 64 lanes, lane L from SeedStream(seed, L) with

@@ -28,7 +28,6 @@ package check
 import (
 	"fmt"
 
-	"ssrmin/internal/obs"
 	"ssrmin/internal/statemodel"
 )
 
@@ -47,11 +46,6 @@ type Checker[S comparable] struct {
 	states []S
 	index  map[S]int
 	n      int
-
-	// Obs, when non-nil, receives a convergence-detected event (with the
-	// exact worst-case step count) from every Engine.CheckConvergence of
-	// an engine compiled from this checker. Set it before checking.
-	Obs *obs.Observer
 }
 
 // New builds a checker. It panics if the configuration space exceeds

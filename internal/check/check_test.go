@@ -108,8 +108,8 @@ func TestSSTokenFullVerification(t *testing.T) {
 	if rep.Counterexample != nil {
 		t.Fatalf("closure violated: %v -> %v", rep.Counterexample, rep.Successor)
 	}
-	if rep.Legitimate != uint64(a.N()*a.K()) {
-		t.Errorf("|Λ| = %d, want %d", rep.Legitimate, a.N()*a.K())
+	if want := uint64(3 * 4); rep.Legitimate != want { // n·K
+		t.Errorf("|Λ| = %d, want %d", rep.Legitimate, want)
 	}
 	if rep.MaxEnabled != 1 {
 		t.Errorf("max enabled in Λ = %d, want 1", rep.MaxEnabled)

@@ -2,6 +2,7 @@ package check
 
 import (
 	"maps"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -141,7 +142,7 @@ func diffOne[S comparable](t *testing.T, alg Space[S], legit func(statemodel.Con
 	}
 	edist, econv := e.Distances(lam)
 	if econv.Converges != conv.Converges || econv.WorstSteps != conv.WorstSteps ||
-		econv.Illegitimate != conv.Illegitimate || !econv.WorstStart.Equal(conv.WorstStart) {
+		econv.Illegitimate != conv.Illegitimate || !slices.Equal(econv.WorstStart, conv.WorstStart) {
 		t.Fatalf("convergence: engine %+v, oracle %+v", econv, conv)
 	}
 	if !maps.Equal(edist, wantDist) {
@@ -201,7 +202,7 @@ func TestDifferentialLongestRestricted(t *testing.T) {
 		}
 	}
 	steps, start, ok := e.LongestRestricted(rules)
-	if !ok || steps != want || !start.Equal(c.Decode(wantStart)) {
+	if !ok || steps != want || !slices.Equal(start, c.Decode(wantStart)) {
 		t.Fatalf("LongestRestricted: engine (%d, %v, %v), oracle (%d, %v)", steps, start, ok, want, c.Decode(wantStart))
 	}
 }

@@ -213,11 +213,6 @@ type ConvStats struct {
 // materialized.
 func (e *Engine[S]) CheckConvergence(lam *IDSet) (ConvergenceReport[S], ConvStats) {
 	rep, _, stats := e.convergence(lam, e.allRules)
-	if rep.Converges {
-		if o := e.c.Obs; o != nil {
-			o.ConvergedAt(0, rep.WorstSteps)
-		}
-	}
 	return rep, stats
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -222,7 +223,7 @@ func cycleWitness[S comparable](t *testing.T, a Space[S]) {
 		}
 		if first == nil {
 			first = rep.Cycle
-		} else if !rep.Cycle.Equal(first) {
+		} else if !slices.Equal(rep.Cycle, first) {
 			t.Fatalf("workers=%d: cycle witness %v, workers=1 gave %v", w, rep.Cycle, first)
 		}
 	}
@@ -278,7 +279,7 @@ func TestEngineWorkerCounts(t *testing.T) {
 	}
 	for i, got := range results[1:] {
 		if got.edges != want.edges || got.rep.Illegitimate != want.rep.Illegitimate ||
-			got.rep.WorstSteps != want.rep.WorstSteps || !got.rep.WorstStart.Equal(want.rep.WorstStart) {
+			got.rep.WorstSteps != want.rep.WorstSteps || !slices.Equal(got.rep.WorstStart, want.rep.WorstStart) {
 			t.Fatalf("run %d differs from workers=1: edges %d vs %d, |Γ∖Λ| %d vs %d, worst %d@%v vs %d@%v",
 				i+1, got.edges, want.edges, got.rep.Illegitimate, want.rep.Illegitimate,
 				got.rep.WorstSteps, got.rep.WorstStart, want.rep.WorstSteps, want.rep.WorstStart)

@@ -25,8 +25,6 @@ type DaemonSpec struct {
 	Name string
 	// Label is a descriptive display name for reports ("central-random").
 	Label string
-	// Help is a one-line description for usage text.
-	Help string
 	// New builds the daemon. p is only consulted by schedulers with an
 	// inclusion probability; the others ignore it.
 	New func(seed int64, p float64) statemodel.Daemon
@@ -35,22 +33,27 @@ type DaemonSpec struct {
 // daemons is the single source of truth for scheduler names, shared by
 // the CLI flags and ssrmin.ParseDaemon.
 var daemons = []DaemonSpec{
-	{"central", "central-random", "one random enabled process per step",
+	// One random enabled process per step.
+	{"central", "central-random",
 		func(seed int64, _ float64) statemodel.Daemon {
 			return daemon.NewCentralRandom(rand.New(rand.NewSource(seed)))
 		}},
-	{"sync", "synchronous", "every enabled process each step",
+	// Every enabled process each step.
+	{"sync", "synchronous",
 		func(_ int64, _ float64) statemodel.Daemon { return daemon.Synchronous{} }},
-	{"distributed", "distributed(p)", "each enabled process with probability p",
+	// Each enabled process with probability p.
+	{"distributed", "distributed(p)",
 		func(seed int64, p float64) statemodel.Daemon {
 			return daemon.NewRandomSubset(rand.New(rand.NewSource(seed)), p)
 		}},
-	{"quiet", "quiet-adversary", "prefers the non-Dijkstra rules 1, 3, 5",
+	// Prefers the non-Dijkstra rules 1, 3, 5.
+	{"quiet", "quiet-adversary",
 		func(seed int64, _ float64) statemodel.Daemon {
 			return daemon.NewRuleBiased(rand.New(rand.NewSource(seed)),
 				core.RuleReadySecondary, core.RuleRecvSecondary, core.RuleFixNoG)
 		}},
-	{"starve", "starver(P0)", "never schedules P0 unless it is the only enabled process",
+	// Never schedules P0 unless it is the only enabled process.
+	{"starve", "starver(P0)",
 		func(seed int64, _ float64) statemodel.Daemon {
 			return daemon.NewStarver(rand.New(rand.NewSource(seed)), 0)
 		}},
@@ -73,10 +76,14 @@ func DaemonNames() []string {
 }
 
 // ParseDaemon builds the named scheduler, seeding its randomness with
-// seed; p is the inclusion probability of "distributed".
+// seed; p is the inclusion probability of "distributed" and must lie in
+// [0, 1] (NaN is rejected) whichever scheduler is named.
 func ParseDaemon(name string, seed int64, p float64) (statemodel.Daemon, error) {
 	for _, d := range daemons {
 		if d.Name == name {
+			if !(p >= 0 && p <= 1) {
+				return nil, fmt.Errorf("inclusion probability p = %v outside [0, 1]", p)
+			}
 			return d.New(seed, p), nil
 		}
 	}

@@ -2,6 +2,7 @@ package cliconf
 
 import (
 	"flag"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -17,6 +18,14 @@ func TestParseDaemonKnownNames(t *testing.T) {
 		}
 		if d.Name() == "" {
 			t.Errorf("daemon %q has empty Name()", name)
+		}
+	}
+}
+
+func TestParseDaemonRejectsBadP(t *testing.T) {
+	for _, p := range []float64{-0.1, 2, math.NaN(), math.Inf(1)} {
+		if d, err := ParseDaemon("distributed", 1, p); err == nil || d != nil {
+			t.Errorf("ParseDaemon(distributed, p=%v) = %v, %v; want an error", p, d, err)
 		}
 	}
 }

@@ -3,16 +3,16 @@ package cliconf
 import (
 	"flag"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // FuzzParseDaemon pins the registry-lookup contract: exactly one of
-// (daemon, error) is non-nil, registered names always build, and the
-// error for an unknown name quotes it and lists the alternatives.
-// p is clamped into [0,1] — out-of-range inclusion probabilities are a
-// documented constructor panic, not a parse failure.
+// (daemon, error) is non-nil, registered names build exactly when p lies
+// in [0, 1], and the error for an unknown name quotes it and lists the
+// alternatives.
 func FuzzParseDaemon(f *testing.F) {
 	for _, name := range DaemonNames() {
 		f.Add(name, int64(1), 0.5)
@@ -20,10 +20,9 @@ func FuzzParseDaemon(f *testing.F) {
 	f.Add("", int64(0), 0.0)
 	f.Add("Central", int64(-1), 1.0)
 	f.Add("no such scheduler", int64(42), 0.25)
+	f.Add("distributed", int64(1), 2.0)
+	f.Add("distributed", int64(1), math.NaN())
 	f.Fuzz(func(t *testing.T, name string, seed int64, p float64) {
-		if !(p >= 0 && p <= 1) {
-			p = 0.5
-		}
 		d, err := ParseDaemon(name, seed, p)
 		if (d == nil) == (err == nil) {
 			t.Fatalf("ParseDaemon(%q) = %v, %v: want exactly one of daemon and error", name, d, err)
@@ -34,8 +33,9 @@ func FuzzParseDaemon(f *testing.F) {
 				registered = true
 			}
 		}
-		if registered && err != nil {
-			t.Fatalf("ParseDaemon(%q) rejected a registered name: %v", name, err)
+		validP := p >= 0 && p <= 1
+		if registered && (err == nil) != validP {
+			t.Fatalf("ParseDaemon(%q, p=%v) = %v, want an error exactly when p is outside [0, 1]", name, p, err)
 		}
 		if !registered {
 			if err == nil {
@@ -90,9 +90,6 @@ func FuzzConfigFlags(f *testing.F) {
 		}
 		if kBefore != 0 && c.K != kBefore {
 			t.Fatalf("ResolveK overwrote explicit K=%d with %d", kBefore, c.K)
-		}
-		if !(c.P >= 0 && c.P <= 1) {
-			return // out-of-range p is a documented constructor panic
 		}
 		d, err := c.NewDaemon()
 		if (d == nil) == (err == nil) {

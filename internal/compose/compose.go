@@ -61,9 +61,6 @@ func (c *Multi[S]) N() int { return c.inner.N() }
 // M returns the instance count.
 func (c *Multi[S]) M() int { return c.m }
 
-// Inner returns the composed inner algorithm.
-func (c *Multi[S]) Inner() statemodel.Algorithm[S] { return c.inner }
-
 // Rules implements statemodel.Algorithm: the rule number is a nonempty
 // bitmask over instances — bit j set means instance j executes its own
 // (unique, highest-priority) enabled rule.

@@ -2,6 +2,7 @@ package compose
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -26,7 +27,7 @@ func TestNewValidation(t *testing.T) {
 	if c.M() != 3 || c.N() != 4 || c.Rules() != 7 {
 		t.Fatalf("M=%d N=%d Rules=%d", c.M(), c.N(), c.Rules())
 	}
-	if c.Name() == "" || c.Inner() != statemodel.Algorithm[dijkstra.State](inner) {
+	if c.Name() == "" {
 		t.Error("accessors broken")
 	}
 }
@@ -38,7 +39,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	b := statemodel.Config[dijkstra.State]{{X: 0}, {X: 0}, {X: 1}}
 	packed := c.Pack(a, b)
 	parts := c.Unpack(packed)
-	if !parts[0].Equal(a) || !parts[1].Equal(b) {
+	if !slices.Equal(parts[0], a) || !slices.Equal(parts[1], b) {
 		t.Fatalf("round trip failed: %v", parts)
 	}
 }
@@ -88,7 +89,7 @@ func TestProjectionFaithful(t *testing.T) {
 		packed = next
 		parts := c.Unpack(packed)
 		for j := 0; j < 3; j++ {
-			if !parts[j].Equal(cfgs[j]) {
+			if !slices.Equal(parts[j], cfgs[j]) {
 				t.Fatalf("step %d: instance %d diverged: %v vs %v", step, j, parts[j], cfgs[j])
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestFigure4Execution(t *testing.T) {
 
 	c := cfg(rows[0].cfg...)
 	for step, want := range rows {
-		if !c.Equal(cfg(want.cfg...)) {
+		if !slices.Equal(c, cfg(want.cfg...)) {
 			t.Fatalf("step %d: configuration = %v, want %v", step+1, c, want.cfg)
 		}
 		if !a.Legitimate(c) {
@@ -125,7 +126,7 @@ func TestClosureFullCycle(t *testing.T) {
 			m := onlyEnabled(t, a, c)
 			c = statemodel.Apply[State](a, c, []statemodel.Move{m})
 		}
-		if !c.Equal(a.InitialLegitimate()) {
+		if !slices.Equal(c, a.InitialLegitimate()) {
 			t.Errorf("n=%d K=%d: after %d steps configuration %v, want γ0", tc.n, tc.k, total, c)
 		}
 	}

@@ -155,7 +155,7 @@ func (s *Scenario) Validate() error {
 	if s.Settle == 0 {
 		s.Settle = s.Horizon / 2
 	}
-	if s.Settle < 0 || s.Settle > s.Horizon {
+	if !(s.Settle >= 0 && s.Settle <= s.Horizon) {
 		return fmt.Errorf("crosscheck %q: settle %v outside (0, horizon]", s.Name, s.Settle)
 	}
 	if s.MaxSeparation == 0 {

@@ -19,8 +19,8 @@ func churnRing(n, k, spare int) (*core.Algorithm, *Ring[core.State]) {
 
 func TestSpareNodesStayDormant(t *testing.T) {
 	_, r := churnRing(5, 9, 2)
-	if got := r.MemberCount(); got != 5 {
-		t.Fatalf("MemberCount = %d, want 5", got)
+	if got := len(r.Members()); got != 5 {
+		t.Fatalf("%d members, want 5", got)
 	}
 	for i := 5; i < 7; i++ {
 		if r.Active(i) {
@@ -51,7 +51,7 @@ func TestJoinExtendsRing(t *testing.T) {
 	if got := r.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 5, 3, 4}) {
 		t.Fatalf("Members after join = %v", got)
 	}
-	if r.MemberCount() != 6 || !r.Active(5) {
+	if len(r.Members()) != 6 || !r.Active(5) {
 		t.Fatal("joiner not counted as member")
 	}
 	// The grown ring still circulates: the privilege visits every member,

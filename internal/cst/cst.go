@@ -367,9 +367,6 @@ func NewRing[S comparable](alg statemodel.Algorithm[S], init statemodel.Config[S
 // Active reports whether node i is currently a ring member.
 func (r *Ring[S]) Active(i int) bool { return !r.Nodes[i].Detached() }
 
-// MemberCount returns the current ring size.
-func (r *Ring[S]) MemberCount() int { return r.topo.Count() }
-
 // Members returns the active node ids in ring order, starting at node 0
 // (the Dijkstra bottom, which never leaves) and following successors.
 func (r *Ring[S]) Members() []int { return r.topo.Members() }

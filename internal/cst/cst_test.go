@@ -2,6 +2,7 @@ package cst
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/compose"
@@ -107,7 +108,7 @@ func TestTheorem3ModelGapTolerance(t *testing.T) {
 				mon.Observe(float64(now), r.Census(core.HasToken))
 			}
 			r.Net.Run(5)
-			if !mon.OK() {
+			if len(mon.Violations) != 0 {
 				t.Fatalf("seed=%d loss=%v: token bound violated: %v (of %d observations)",
 					seed, loss, mon.Violations[0], mon.Observed())
 			}
@@ -239,7 +240,7 @@ func TestStatesSnapshot(t *testing.T) {
 	before := r.States()
 	r.Net.Run(2)
 	after := r.States()
-	if before.Equal(after) {
+	if slices.Equal(before, after) {
 		t.Error("no state change after 2 simulated seconds")
 	}
 	if len(after) != 5 {
@@ -257,7 +258,7 @@ func TestDeterministicExecution(t *testing.T) {
 	}
 	c1, e1 := run()
 	c2, e2 := run()
-	if !c1.Equal(c2) || e1 != e2 {
+	if !slices.Equal(c1, c2) || e1 != e2 {
 		t.Errorf("same seed diverged: %v/%d vs %v/%d", c1, e1, c2, e2)
 	}
 }
@@ -325,7 +326,7 @@ func TestHoldDwellSSRminKeepsInvariant(t *testing.T) {
 			mon.Observe(float64(now), r.Census(core.HasToken))
 		}
 		r.Net.Run(5)
-		if !mon.OK() {
+		if len(mon.Violations) != 0 {
 			t.Fatalf("seed=%d: violation with dwell: %v", seed, mon.Violations[0])
 		}
 	}
@@ -409,7 +410,7 @@ func TestLinkOutage(t *testing.T) {
 		}
 	}
 	r.Net.Run(settle + 10)
-	if !mon.OK() {
+	if len(mon.Violations) != 0 {
 		t.Fatalf("census out of [1,2] after healing: %v", mon.Violations[0])
 	}
 	if len(visited) != a.N() {

@@ -71,37 +71,6 @@ func NewCentralLowest() *Central {
 	}
 }
 
-// NewCentralHighest returns a central daemon always choosing the enabled
-// process with the highest index.
-func NewCentralHighest() *Central {
-	return &Central{
-		name: "central-highest",
-		pick: func(enabled []statemodel.Move) statemodel.Move { return enabled[len(enabled)-1] },
-	}
-}
-
-// NewCentralRoundRobin returns a central daemon that cycles a cursor over
-// process indices and picks the first enabled process at or after the
-// cursor. n is the ring size.
-func NewCentralRoundRobin(n int) *Central {
-	cursor := 0
-	return &Central{
-		name: "central-roundrobin",
-		pick: func(enabled []statemodel.Move) statemodel.Move {
-			// enabled is sorted by process index.
-			for _, m := range enabled {
-				if m.Process >= cursor {
-					cursor = (m.Process + 1) % n
-					return m
-				}
-			}
-			m := enabled[0]
-			cursor = (m.Process + 1) % n
-			return m
-		},
-	}
-}
-
 // Synchronous activates every enabled process at every step. It is the
 // maximal distributed daemon and the usual worst case for token-count
 // arguments.
@@ -230,48 +199,6 @@ func (d *Starver) Select(enabled []statemodel.Move) []statemodel.Move {
 	}
 	if len(d.buf) == 0 {
 		d.buf = append(d.buf, enabled[d.rng.Intn(len(enabled))])
-	}
-	return d.buf
-}
-
-// Seq replays a scripted schedule: at step t it activates exactly the
-// processes of Script[t] that are enabled. If the script is exhausted, or
-// no scripted process is enabled, it falls back to the lowest-index enabled
-// process. Golden tests use Seq to pin down the exact executions shown in
-// the paper's figures.
-type Seq struct {
-	// Script lists, per step, the process indices to activate.
-	Script [][]int
-	t      int
-	buf    []statemodel.Move
-}
-
-// NewSeq returns a scripted daemon.
-func NewSeq(script [][]int) *Seq { return &Seq{Script: script} }
-
-// Name implements statemodel.Daemon.
-func (d *Seq) Name() string { return "scripted" }
-
-// Select implements statemodel.Daemon.
-//
-//allocgate:hot
-func (d *Seq) Select(enabled []statemodel.Move) []statemodel.Move {
-	var want []int
-	if d.t < len(d.Script) {
-		want = d.Script[d.t]
-	}
-	d.t++
-	d.buf = d.buf[:0]
-	for _, m := range enabled {
-		for _, p := range want {
-			if m.Process == p {
-				d.buf = append(d.buf, m)
-				break
-			}
-		}
-	}
-	if len(d.buf) == 0 {
-		d.buf = append(d.buf, enabled[0])
 	}
 	return d.buf
 }

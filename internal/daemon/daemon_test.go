@@ -50,8 +50,6 @@ func TestCentralVariantsPickOne(t *testing.T) {
 	for _, d := range []statemodel.Daemon{
 		NewCentralRandom(rng),
 		NewCentralLowest(),
-		NewCentralHighest(),
-		NewCentralRoundRobin(8),
 	} {
 		for i := 0; i < 50; i++ {
 			sel := d.Select(enabled)
@@ -63,24 +61,6 @@ func TestCentralVariantsPickOne(t *testing.T) {
 	}
 	if got := NewCentralLowest().Select(enabled)[0].Process; got != 1 {
 		t.Errorf("central-lowest picked P%d, want P1", got)
-	}
-	if got := NewCentralHighest().Select(enabled)[0].Process; got != 5 {
-		t.Errorf("central-highest picked P%d, want P5", got)
-	}
-}
-
-func TestCentralRoundRobinCycles(t *testing.T) {
-	d := NewCentralRoundRobin(6)
-	enabled := moves(0, 2, 4)
-	var picks []int
-	for i := 0; i < 6; i++ {
-		picks = append(picks, d.Select(enabled)[0].Process)
-	}
-	want := []int{0, 2, 4, 0, 2, 4}
-	for i := range want {
-		if picks[i] != want[i] {
-			t.Fatalf("round-robin picks %v, want %v", picks, want)
-		}
 	}
 }
 
@@ -183,31 +163,11 @@ func TestStarverAvoidsVictims(t *testing.T) {
 	}
 }
 
-func TestSeqReplaysScript(t *testing.T) {
-	d := NewSeq([][]int{{2}, {0, 1}, {7}})
-	enabled := moves(0, 1, 2)
-	if sel := d.Select(enabled); len(sel) != 1 || sel[0].Process != 2 {
-		t.Fatalf("step 0: %v", sel)
-	}
-	if sel := d.Select(enabled); len(sel) != 2 {
-		t.Fatalf("step 1: %v", sel)
-	}
-	// Scripted process not enabled: fallback to lowest.
-	if sel := d.Select(enabled); len(sel) != 1 || sel[0].Process != 0 {
-		t.Fatalf("step 2 fallback: %v", sel)
-	}
-	// Script exhausted: fallback.
-	if sel := d.Select(enabled); len(sel) != 1 || sel[0].Process != 0 {
-		t.Fatalf("step 3 exhausted: %v", sel)
-	}
-}
-
 func TestNames(t *testing.T) {
 	rng := rand.New(rand.NewSource(0))
 	for _, d := range []statemodel.Daemon{
-		NewCentralRandom(rng), NewCentralLowest(), NewCentralHighest(),
-		NewCentralRoundRobin(4), Synchronous{}, NewRandomSubset(rng, 0.5),
-		NewRuleBiased(rng, 1, 3), NewStarver(rng, 2, 0), NewSeq(nil),
+		NewCentralRandom(rng), NewCentralLowest(), Synchronous{},
+		NewRandomSubset(rng, 0.5), NewRuleBiased(rng, 1, 3), NewStarver(rng, 2, 0),
 	} {
 		if d.Name() == "" {
 			t.Errorf("%T has empty name", d)

@@ -3,6 +3,7 @@ package daemon
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssrmin/internal/core"
@@ -14,7 +15,7 @@ import (
 // spare buffer and the daemons write their selections into buffers they
 // own. These tests pin that against the allocating public path — a fresh
 // Enabled set, a copied selection and a fresh Apply successor per step —
-// for every daemon of this package and the replay daemon.
+// for every daemon of this package.
 
 const (
 	stepN     = 6
@@ -37,29 +38,10 @@ func stepDaemons() []stepDaemon {
 	return []stepDaemon{
 		{"central-random", func(s int64, _ *core.Algorithm, _ cfg) statemodel.Daemon { return NewCentralRandom(seeded(s)) }},
 		{"central-lowest", func(int64, *core.Algorithm, cfg) statemodel.Daemon { return NewCentralLowest() }},
-		{"central-highest", func(int64, *core.Algorithm, cfg) statemodel.Daemon { return NewCentralHighest() }},
-		{"central-roundrobin", func(int64, *core.Algorithm, cfg) statemodel.Daemon { return NewCentralRoundRobin(stepN) }},
 		{"synchronous", func(int64, *core.Algorithm, cfg) statemodel.Daemon { return Synchronous{} }},
 		{"random-subset", func(s int64, _ *core.Algorithm, _ cfg) statemodel.Daemon { return NewRandomSubset(seeded(s), 0.5) }},
 		{"rule-biased", func(s int64, _ *core.Algorithm, _ cfg) statemodel.Daemon { return NewRuleBiased(seeded(s), 1, 3, 5) }},
 		{"starver", func(s int64, _ *core.Algorithm, _ cfg) statemodel.Daemon { return NewStarver(seeded(s), 0, 2) }},
-		{"seq", func(s int64, _ *core.Algorithm, _ cfg) statemodel.Daemon {
-			rng := seeded(s)
-			script := make([][]int, stepSteps)
-			for t := range script {
-				for p := 0; p < stepN; p++ {
-					if rng.Intn(3) == 0 {
-						script[t] = append(script[t], p)
-					}
-				}
-			}
-			return NewSeq(script)
-		}},
-		{"replay", func(s int64, alg *core.Algorithm, init cfg) statemodel.Daemon {
-			rec := &statemodel.RecordingDaemon{Inner: NewRandomSubset(seeded(s), 0.5)}
-			statemodel.NewSimulator[core.State](alg, rec, init).Run(stepSteps)
-			return statemodel.NewReplay(rec.Schedule)
-		}},
 	}
 }
 
@@ -99,12 +81,12 @@ func TestStepMatchesApply(t *testing.T) {
 						t.Fatalf("seed %d step %d: deadlock", seed, step)
 					}
 					got := sim.Config()
-					if want := statemodel.Apply[core.State](alg, prev, moves); !got.Equal(want) {
+					if want := statemodel.Apply[core.State](alg, prev, moves); !slices.Equal(got, want) {
 						t.Fatalf("seed %d step %d: Step gave %v, Apply(%v) gives %v", seed, step, got, moves, want)
 					}
 					var refMoves []statemodel.Move
 					refCfg, refMoves = refStep(alg, ref, refCfg)
-					if !reflect.DeepEqual(moves, refMoves) || !got.Equal(refCfg) {
+					if !reflect.DeepEqual(moves, refMoves) || !slices.Equal(got, refCfg) {
 						t.Fatalf("seed %d step %d: Step ran %v to %v, the allocating path %v to %v",
 							seed, step, moves, got, refMoves, refCfg)
 					}
@@ -172,7 +154,7 @@ func TestRecorderHoldsDistinctConfigs(t *testing.T) {
 			if &rec.Configs[i][0] == &rec.Configs[j][0] {
 				t.Fatalf("configurations %d and %d share a buffer", i, j)
 			}
-			if rec.Configs[i].Equal(rec.Configs[j]) {
+			if slices.Equal(rec.Configs[i], rec.Configs[j]) {
 				t.Fatalf("configurations %d and %d are equal: %v", i, j, rec.Configs[i])
 			}
 		}

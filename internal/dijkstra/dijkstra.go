@@ -69,9 +69,6 @@ func (a *Algorithm) ShiftOrbit() int { return a.k }
 // N implements statemodel.Algorithm.
 func (a *Algorithm) N() int { return a.n }
 
-// K returns the counter space size.
-func (a *Algorithm) K() int { return a.k }
-
 // Rules implements statemodel.Algorithm; SSToken has a single rule per
 // process (D1 at the bottom, D2 elsewhere), so Rules() = 1.
 func (a *Algorithm) Rules() int { return 1 }
@@ -154,16 +151,6 @@ func (a *Algorithm) Legitimate(c statemodel.Config[State]) bool {
 		return true // all values equal
 	}
 	return c[0].X == (c[h[0]].X+1)%a.k
-}
-
-// StepDown returns the index of the unique token holder of a legitimate
-// configuration, or -1 if c is not legitimate.
-func (a *Algorithm) StepDown(c statemodel.Config[State]) int {
-	h := a.TokenHolders(c)
-	if len(h) != 1 {
-		return -1
-	}
-	return h[0]
 }
 
 // InitialLegitimate returns the all-zero configuration, which is legitimate

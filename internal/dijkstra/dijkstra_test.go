@@ -79,7 +79,7 @@ func TestAtLeastOneTokenQuick(t *testing.T) {
 		c := make(statemodel.Config[State], a.N())
 		for i := range c {
 			if i < len(raw) {
-				c[i] = State{X: int(raw[i]) % a.K()}
+				c[i] = State{X: int(raw[i]) % a.k}
 			}
 		}
 		return len(a.TokenHolders(c)) >= 1
@@ -149,12 +149,12 @@ func TestClosureExhaustive(t *testing.T) {
 	// legitimate. Enumerate legitimate configurations directly.
 	a := New(4, 5)
 	count := 0
-	for x := 0; x < a.K(); x++ {
+	for x := 0; x < a.k; x++ {
 		for h := 0; h < a.N(); h++ {
 			c := make(statemodel.Config[State], a.N())
 			for i := range c {
 				if i < h {
-					c[i] = State{X: (x + 1) % a.K()}
+					c[i] = State{X: (x + 1) % a.k}
 				} else {
 					c[i] = State{X: x}
 				}
@@ -173,8 +173,8 @@ func TestClosureExhaustive(t *testing.T) {
 			count++
 		}
 	}
-	if count != a.N()*a.K() {
-		t.Fatalf("enumerated %d legitimate configs, want %d", count, a.N()*a.K())
+	if count != a.N()*a.k {
+		t.Fatalf("enumerated %d legitimate configs, want %d", count, a.N()*a.k)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestTokenCountNeverIncreases(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := make(statemodel.Config[State], a.N())
 		for i := range c {
-			c[i] = State{X: rng.Intn(a.K())}
+			c[i] = State{X: rng.Intn(a.k)}
 		}
 		prev := len(a.TokenHolders(c))
 		for step := 0; step < 100; step++ {
@@ -263,21 +263,11 @@ func TestAccessorsAndStrings(t *testing.T) {
 	if a.Name() != "sstoken(n=4,K=5)" {
 		t.Errorf("Name = %q", a.Name())
 	}
-	if a.Rules() != 1 || a.K() != 5 || a.N() != 4 {
+	if a.Rules() != 1 || a.k != 5 || a.N() != 4 {
 		t.Error("accessors wrong")
 	}
 	if (State{X: 3}).String() != "3" {
 		t.Error("State.String wrong")
-	}
-}
-
-func TestStepDown(t *testing.T) {
-	a := New(4, 5)
-	if got := a.StepDown(xs(1, 1, 0, 0)); got != 2 {
-		t.Errorf("StepDown = %d, want 2", got)
-	}
-	if got := a.StepDown(xs(0, 1, 0, 1)); got != -1 {
-		t.Errorf("StepDown on multi-token = %d, want -1", got)
 	}
 }
 

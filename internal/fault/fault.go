@@ -1,15 +1,13 @@
 // Package fault injects the transient faults that self-stabilization
 // tolerates: corruption of local states (soft errors), corruption of
-// neighbor caches (message corruption absorbed into Z_i), and message-loss
-// bursts on the network. All injection is deterministic from a seed so
-// that every experiment is reproducible.
+// neighbor caches (message corruption absorbed into Z_i). All injection
+// is deterministic from a seed so that every experiment is reproducible.
 package fault
 
 import (
 	"math/rand"
 
 	"ssrmin/internal/cst"
-	"ssrmin/internal/msgnet"
 	"ssrmin/internal/statemodel"
 )
 
@@ -85,45 +83,5 @@ func CorruptCaches[S comparable](in *Injector, r *cst.Ring[S], count int, draw f
 			k = succ
 		}
 		nd.SetCache(k, draw(in.rng))
-	}
-}
-
-// LossBurst is an msgnet handler (attach it as an extra, link-less node)
-// that alternates the network between lossless phases and bursts during
-// which the configured per-link LossProb applies. It models an interferer
-// that periodically jams the radio. P is the network's frame type; the
-// controller never touches payloads.
-type LossBurst[P any] struct {
-	// Net is the network whose LossEnabled gate is toggled.
-	Net *msgnet.Network[P]
-	// Quiet is the duration of each lossless phase.
-	Quiet msgnet.Time
-	// Burst is the duration of each lossy phase.
-	Burst msgnet.Time
-}
-
-const (
-	timerStartBurst = 1
-	timerEndBurst   = 2
-)
-
-// Start implements msgnet.Handler.
-func (lb *LossBurst[P]) Start(ctx *msgnet.Context[P]) {
-	lb.Net.LossEnabled = false
-	ctx.After(lb.Quiet, timerStartBurst)
-}
-
-// Receive implements msgnet.Handler; a LossBurst node has no links.
-func (lb *LossBurst[P]) Receive(ctx *msgnet.Context[P], from int, payload P) {}
-
-// Timer implements msgnet.Handler.
-func (lb *LossBurst[P]) Timer(ctx *msgnet.Context[P], kind int) {
-	switch kind {
-	case timerStartBurst:
-		lb.Net.LossEnabled = true
-		ctx.After(lb.Burst, timerEndBurst)
-	case timerEndBurst:
-		lb.Net.LossEnabled = false
-		ctx.After(lb.Quiet, timerStartBurst)
 	}
 }

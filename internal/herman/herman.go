@@ -41,24 +41,6 @@ func New(n int, seed int64) *Ring {
 	return &Ring{bits: make([]bool, n), rng: rand.New(rand.NewSource(seed))}
 }
 
-// N returns the ring size.
-func (r *Ring) N() int { return len(r.bits) }
-
-// Bits returns a copy of the bit vector.
-func (r *Ring) Bits() []bool {
-	out := make([]bool, len(r.bits))
-	copy(out, r.bits)
-	return out
-}
-
-// SetBits installs a specific configuration.
-func (r *Ring) SetBits(bits []bool) {
-	if len(bits) != len(r.bits) {
-		panic("herman: bit vector length mismatch")
-	}
-	copy(r.bits, bits)
-}
-
 // Randomize draws a uniformly random configuration.
 func (r *Ring) Randomize() {
 	for i := range r.bits {

@@ -17,8 +17,8 @@ func TestNewValidation(t *testing.T) {
 		}()
 	}
 	r := New(5, 1)
-	if r.N() != 5 {
-		t.Fatalf("N = %d", r.N())
+	if len(r.bits) != 5 {
+		t.Fatalf("N = %d", len(r.bits))
 	}
 }
 
@@ -52,7 +52,7 @@ func TestTokenParityQuick(t *testing.T) {
 				bits[i] = raw[i]
 			}
 		}
-		r.SetBits(bits)
+		copy(r.bits, bits)
 		c := r.TokenCount()
 		return c >= 1 && c%2 == 1
 	}
@@ -112,24 +112,5 @@ func TestExpectedConvergenceScalesQuadratically(t *testing.T) {
 	m5, m15 := mean(5), mean(15)
 	if m15 < 3*m5 {
 		t.Errorf("mean convergence grew too slowly: n=5 %.1f, n=15 %.1f", m5, m15)
-	}
-}
-
-func TestSetBitsValidation(t *testing.T) {
-	r := New(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetBits length mismatch accepted")
-		}
-	}()
-	r.SetBits([]bool{true})
-}
-
-func TestBitsCopy(t *testing.T) {
-	r := New(5, 1)
-	b := r.Bits()
-	b[0] = true
-	if r.Bits()[0] {
-		t.Error("Bits aliases internal storage")
 	}
 }

@@ -22,10 +22,6 @@ type Tracker struct {
 	active []bool
 	count  int
 	events []Event
-
-	// gapsOnly trims memory: when set, only transitions of the global
-	// count to/from zero are retained.
-	gapsOnly bool
 }
 
 // Event is one activity transition.
@@ -47,13 +43,6 @@ func NewTracker(n int) *Tracker {
 	return &Tracker{n: n, active: make([]bool, n)}
 }
 
-// SetGapsOnly trims event retention to global zero-crossings.
-func (t *Tracker) SetGapsOnly() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.gapsOnly = true
-}
-
 // Set records station `node` switching to `active` at time `at`. Redundant
 // transitions (same state) are ignored.
 func (t *Tracker) Set(node int, active bool, at float64) {
@@ -71,19 +60,7 @@ func (t *Tracker) Set(node int, active bool, at float64) {
 	} else {
 		t.count--
 	}
-	if t.gapsOnly && !(t.count == 0 || (active && t.count == 1)) {
-		// Keep only zero-crossings: entering a gap (count hits 0) and
-		// leaving one (count rises from 0 to 1).
-		return
-	}
 	t.events = append(t.events, Event{At: at, Node: node, Active: active, TotalActive: t.count})
-}
-
-// ActiveCount returns the current number of active stations.
-func (t *Tracker) ActiveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
 }
 
 // ActiveSet returns the indices of currently active stations.
@@ -152,17 +129,6 @@ func (t *Tracker) CoverageGaps(start, end float64) []Gap {
 		gaps = append(gaps, Gap{From: cur, To: end})
 	}
 	return gaps
-}
-
-// Covered reports whether coverage was continuous (no positive-length gap)
-// in [start, end].
-func (t *Tracker) Covered(start, end float64) bool {
-	for _, g := range t.CoverageGaps(start, end) {
-		if g.Len() > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // DutyCycles returns, per station, the fraction of [start, end] it was

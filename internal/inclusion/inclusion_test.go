@@ -8,14 +8,11 @@ import (
 
 func TestTrackerBasics(t *testing.T) {
 	tr := NewTracker(3)
-	if tr.ActiveCount() != 0 {
+	if len(tr.ActiveSet()) != 0 {
 		t.Fatal("fresh tracker not idle")
 	}
 	tr.Set(0, true, 1)
 	tr.Set(2, true, 2)
-	if tr.ActiveCount() != 2 {
-		t.Fatalf("count = %d", tr.ActiveCount())
-	}
 	set := tr.ActiveSet()
 	if len(set) != 2 || set[0] != 0 || set[1] != 2 {
 		t.Fatalf("ActiveSet = %v", set)
@@ -26,8 +23,8 @@ func TestTrackerBasics(t *testing.T) {
 		t.Fatalf("events = %d, want 2", got)
 	}
 	tr.Set(0, false, 4)
-	if tr.ActiveCount() != 1 {
-		t.Fatalf("count = %d", tr.ActiveCount())
+	if set := tr.ActiveSet(); len(set) != 1 || set[0] != 2 {
+		t.Fatalf("ActiveSet = %v", set)
 	}
 }
 
@@ -58,11 +55,8 @@ func TestCoverageGaps(t *testing.T) {
 			t.Fatalf("gaps = %v, want %v", gaps, want)
 		}
 	}
-	if tr.Covered(0, 10) {
-		t.Error("Covered should be false")
-	}
-	if !tr.Covered(5, 9) {
-		t.Error("Covered(5,9) should be true")
+	if gaps := tr.CoverageGaps(5, 9); len(gaps) != 0 {
+		t.Errorf("gaps in [5, 9] = %v, want none", gaps)
 	}
 	if g := gaps[1]; g.Len() != 2 {
 		t.Errorf("gap length = %v", g.Len())
@@ -80,26 +74,8 @@ func TestCoverageWithOverlap(t *testing.T) {
 		t.Fatalf("gaps = %v, want none", gaps)
 	}
 	// Window entered mid-activity.
-	if !tr.Covered(2, 8) {
-		t.Error("Covered(2,8) should be true")
-	}
-}
-
-func TestGapsOnlyRetention(t *testing.T) {
-	tr := NewTracker(3)
-	tr.SetGapsOnly()
-	tr.Set(0, true, 1)  // 0 -> 1: keep
-	tr.Set(1, true, 2)  // 1 -> 2: drop
-	tr.Set(1, false, 3) // 2 -> 1: drop
-	tr.Set(0, false, 4) // 1 -> 0: keep
-	tr.Set(2, true, 5)  // 0 -> 1: keep
-	if got := len(tr.Events()); got != 3 {
-		t.Fatalf("kept %d events, want 3", got)
-	}
-	gaps := tr.CoverageGaps(0, 6)
-	want := []Gap{{0, 1}, {4, 5}}
-	if len(gaps) != 2 || gaps[0] != want[0] || gaps[1] != want[1] {
-		t.Fatalf("gaps = %v, want %v", gaps, want)
+	if gaps := tr.CoverageGaps(2, 8); len(gaps) != 0 {
+		t.Errorf("gaps in [2, 8] = %v, want none", gaps)
 	}
 }
 
@@ -135,7 +111,7 @@ func TestTrackerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c := tr.ActiveCount(); c < 0 || c > 8 {
+	if c := len(tr.ActiveSet()); c > 8 {
 		t.Fatalf("count = %d", c)
 	}
 }

@@ -74,17 +74,11 @@ type Context[P any] struct {
 	node int
 }
 
-// ID returns the node's index.
-func (c *Context[P]) ID() int { return c.node }
-
 // Now returns the current simulated time.
 func (c *Context[P]) Now() Time { return c.net.now }
 
 // Rand returns the simulation RNG (shared, deterministic).
 func (c *Context[P]) Rand() *rand.Rand { return c.net.rng }
-
-// N returns the number of nodes.
-func (c *Context[P]) N() int { return len(c.net.handlers) }
 
 // Send transmits payload to node `to` over the configured link. It
 // reports whether the message entered the link: false when no link exists,
@@ -314,17 +308,6 @@ func (n *Network[P]) UseArena(a *Arena[P]) {
 	}
 	a.Reset()
 	n.arena = a
-}
-
-// AddNode appends an extra handler (e.g. a fault controller with no
-// links) and returns its node id. It must be called before the simulation
-// starts.
-func (n *Network[P]) AddNode(h Handler[P]) int {
-	if n.started {
-		panic("msgnet: AddNode after start")
-	}
-	n.handlers = append(n.handlers, h)
-	return len(n.handlers) - 1
 }
 
 // AddLink installs a directed link from a to b, replacing an existing

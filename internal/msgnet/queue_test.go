@@ -60,8 +60,8 @@ func (r *orderRun) act(ctx *Context[int]) {
 		d := r.delay()
 		ctx.After(d, r.kind(ctx.Now()+d))
 	}
-	if n := ctx.N(); r.rng.Intn(2) == 0 {
-		ctx.Send((ctx.ID()+n+2*r.rng.Intn(2)-1)%n, ctx.ID())
+	if n := len(ctx.net.handlers); r.rng.Intn(2) == 0 {
+		ctx.Send((ctx.node+n+2*r.rng.Intn(2)-1)%n, ctx.node)
 	}
 }
 

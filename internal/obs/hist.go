@@ -64,15 +64,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean returns the mean sample, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	c := h.count.Load()
-	if c == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(c)
-}
-
 // Snapshot returns the per-bucket counts. The snapshot is not an atomic
 // cut across buckets — concurrent Observes may straddle it — but each
 // bucket value is itself consistent, which is all a monitoring scrape
@@ -83,26 +74,4 @@ func (h *Histogram) Snapshot() [Buckets]int64 {
 		out[i] = h.buckets[i].Load()
 	}
 	return out
-}
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
-// bound of the first bucket at which the cumulative count reaches
-// q·Count. It returns 0 with no samples.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	want := int64(q * float64(total))
-	if want < 1 {
-		want = 1
-	}
-	var cum int64
-	for i := 0; i < Buckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= want {
-			return BucketBound(i)
-		}
-	}
-	return BucketBound(Buckets - 1)
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 )
 
 // WriteText writes the observer's counters and histograms as a plain-text
@@ -58,52 +57,10 @@ func (o *Observer) Handler() http.Handler {
 	})
 }
 
-// Vars returns a flat snapshot of the counters, the shape Publish exposes
-// through expvar.
-func (o *Observer) Vars() map[string]int64 {
-	if o == nil {
-		return nil
-	}
-	m := map[string]int64{
-		"steps":       o.C.Steps.Load(),
-		"rule_fired":  o.C.RuleFired.Load(),
-		"token_moves": o.C.TokenMoves.Load(),
-		"handovers":   o.C.Handovers.Load(),
-		"msg_sent":    o.C.MsgSent.Load(),
-		"msg_recv":    o.C.MsgRecv.Load(),
-		"msg_dropped": o.C.MsgDropped.Load(),
-		"converged":   o.C.Converged.Load(),
-	}
-	for r := 1; r < MaxRules; r++ {
-		if v := o.C.Rules[r].Load(); v != 0 {
-			m[fmt.Sprintf("rule_%d", r)] = v
-		}
-	}
-	return m
-}
-
-// SortedVarNames returns the Vars keys in stable order (test helper and
-// deterministic dumps).
-func (o *Observer) SortedVarNames() []string {
-	vars := o.Vars()
-	names := make([]string, 0, len(vars))
-	for k := range vars {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Publish registers the observer under name in the process-wide expvar
-// registry (visible at /debug/vars). Publishing the same name twice
-// panics, per expvar semantics — call once per process.
-func (o *Observer) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return o.Vars() }))
-}
-
-// Serve starts an HTTP server on addr exposing the observer at /metrics
-// and the process expvars at /debug/vars. It returns the bound address
-// (useful with ":0") and a shutdown function.
+// Serve starts an HTTP server on addr exposing the observer's counters
+// and histograms at /metrics and Go's runtime expvars (memstats, cmdline)
+// at /debug/vars; the counters are not published as expvars. It returns
+// the bound address (useful with ":0") and a shutdown function.
 func Serve(addr string, o *Observer) (bound string, shutdown func() error, err error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

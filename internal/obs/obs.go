@@ -1,7 +1,7 @@
-// Package obs is the observability layer shared by all four execution
-// vehicles of this repository — the state-reading simulator, the
-// exhaustive model checker, the discrete-event message network, and the
-// live goroutine/TCP rings. It provides three things:
+// Package obs is the observability layer of three execution vehicles of
+// this repository: the state-reading simulator (internal/statemodel), the
+// discrete-event message network (internal/msgnet) and the sharded live
+// engine (internal/runtime). It provides three things:
 //
 //   - Atomic counters for the events the paper's evaluation counts: rule
 //     firings (per rule), steps, token moves, privilege handovers,
@@ -20,9 +20,10 @@
 // BenchmarkObsOverhead* at the repository root and BENCH_obs.json).
 //
 // Time is the emitting vehicle's native model time: the step index for
-// the state-reading model, simulated seconds for internal/msgnet, and
-// wall-clock seconds since ring start for internal/runtime. Histograms of
-// time gaps store microseconds of that native unit.
+// the state-reading model, simulated seconds for internal/msgnet, and the
+// engine's virtual seconds for internal/runtime (which Start paces 1:1
+// against the wall clock). Histograms of time gaps store microseconds of
+// that native unit.
 //
 // Concurrent runs may share one Observer, but sweeps fold instead:
 // crosscheck.RunWithObs and RunWithRes run each scenario against a

@@ -22,9 +22,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.MsgRecv(1, 0, 1)
 	o.MsgDropped(1, 0, 1)
 	o.ConvergedAt(1, 5)
-	if o.Vars() != nil {
-		t.Fatal("nil observer should have nil vars")
-	}
 	var b strings.Builder
 	o.WriteText(&b)
 	if !strings.Contains(b.String(), "no observer") {
@@ -62,8 +59,8 @@ func TestCounters(t *testing.T) {
 	if got := o.C.Handovers.Load(); got != 1 {
 		t.Errorf("handovers = %d, want 1 (only gains count)", got)
 	}
-	if got := o.ConvergeSteps.Mean(); got != 43 {
-		t.Errorf("converge mean = %v, want 43", got)
+	if got := o.ConvergeSteps.Sum(); got != 43 || o.ConvergeSteps.Count() != 1 {
+		t.Errorf("converge steps = %d over %d samples, want 43 over 1", got, o.ConvergeSteps.Count())
 	}
 	if got := o.StepMoves.Count(); got != 3 {
 		t.Errorf("step moves count = %d, want 3", got)
@@ -109,12 +106,6 @@ func TestHistogramBuckets(t *testing.T) {
 	if snap[Buckets-1] != 1 { // catch-all
 		t.Errorf("last bucket = %d, want 1", snap[Buckets-1])
 	}
-	if q := h.Quantile(0.5); q != 3 {
-		t.Errorf("median bound = %d, want 3", q)
-	}
-	if q := h.Quantile(1); q != BucketBound(Buckets-1) {
-		t.Errorf("max bound = %d", q)
-	}
 }
 
 func TestJSONLSink(t *testing.T) {
@@ -156,19 +147,6 @@ func TestJSONLSinkError(t *testing.T) {
 	}
 }
 
-func TestFilterSink(t *testing.T) {
-	var got []Event
-	s := Filter(Func(func(e Event) { got = append(got, e) }), KindHandover, KindTokenMoved)
-	o := New(s)
-	o.RuleFired(1, 0, 1)
-	o.Handover(2, 1, true)
-	o.TokenMoved(3, 1, 2)
-	o.MsgSent(4, 0, 1)
-	if len(got) != 2 || got[0].Kind != KindHandover || got[1].Kind != KindTokenMoved {
-		t.Fatalf("filter passed %v", got)
-	}
-}
-
 func TestNopSinkSkipsEventConstruction(t *testing.T) {
 	o := New(Nop{})
 	if o.emit {
@@ -180,7 +158,7 @@ func TestNopSinkSkipsEventConstruction(t *testing.T) {
 	}
 }
 
-func TestWriteTextAndVars(t *testing.T) {
+func TestWriteText(t *testing.T) {
 	o := New(nil)
 	o.Step(0, 1)
 	o.RuleFired(0, 0, 2)
@@ -199,13 +177,6 @@ func TestWriteTextAndVars(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
-	}
-	vars := o.Vars()
-	if vars["handovers"] != 2 || vars["rule_2"] != 1 {
-		t.Errorf("vars = %v", vars)
-	}
-	if names := o.SortedVarNames(); len(names) != len(vars) {
-		t.Errorf("names = %v", names)
 	}
 }
 
@@ -228,13 +199,6 @@ func TestServeMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "ssrmin_steps 1") {
 		t.Errorf("metrics body:\n%s", body)
-	}
-}
-
-func TestQuantileEmpty(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram should report zeros")
 	}
 }
 

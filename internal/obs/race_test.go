@@ -98,7 +98,6 @@ func TestObserverRaceAllMethods(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			o.WriteText(io.Discard)
-			o.Vars()
 		}
 	}()
 	wg.Wait()

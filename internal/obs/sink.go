@@ -105,17 +105,3 @@ func (s *JSONL) Emit(e Event) {
 	}
 	s.n++
 }
-
-// Filter returns a sink forwarding to next only the events whose kind is
-// in keep — e.g. to log handovers without drowning in refresh traffic.
-func Filter(next Sink, keep ...Kind) Sink {
-	var mask uint64
-	for _, k := range keep {
-		mask |= 1 << k
-	}
-	return Func(func(e Event) {
-		if mask&(1<<e.Kind) != 0 {
-			next.Emit(e)
-		}
-	})
-}

@@ -102,23 +102,3 @@ func grabSize(remaining, workers int) int {
 	}
 	return remaining / (8 * workers)
 }
-
-// Sum runs f(i) in parallel and folds the float64 results.
-func Sum(n, workers int, f func(i int) float64) float64 {
-	total := 0.0
-	for _, v := range Map(n, workers, f) {
-		total += v
-	}
-	return total
-}
-
-// Grid is a two-axis sweep: for every (row, col) pair it computes one
-// cell, in parallel, and returns the row-major matrix.
-func Grid[R any](rows, cols, workers int, f func(r, c int) R) [][]R {
-	flat := Map(rows*cols, workers, func(i int) R { return f(i/cols, i%cols) })
-	out := make([][]R, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = flat[r*cols : (r+1)*cols]
-	}
-	return out
-}

@@ -185,23 +185,3 @@ func TestMapNegativePanics(t *testing.T) {
 	}()
 	Map(-1, 1, func(i int) int { return i })
 }
-
-func TestSum(t *testing.T) {
-	if got := Sum(10, 4, func(i int) float64 { return float64(i) }); got != 45 {
-		t.Fatalf("Sum = %v", got)
-	}
-}
-
-func TestGrid(t *testing.T) {
-	g := Grid(3, 4, 4, func(r, c int) int { return 10*r + c })
-	if len(g) != 3 || len(g[0]) != 4 {
-		t.Fatalf("shape %dx%d", len(g), len(g[0]))
-	}
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 4; c++ {
-			if g[r][c] != 10*r+c {
-				t.Fatalf("g[%d][%d] = %d", r, c, g[r][c])
-			}
-		}
-	}
-}

@@ -66,9 +66,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the table in the chosen format.
 func (t *Table) Render(w io.Writer, f Format) error {
 	switch f {

@@ -76,8 +76,8 @@ func TestRenderCSV(t *testing.T) {
 
 func TestRowsAndBadFormat(t *testing.T) {
 	tb := sample()
-	if tb.Rows() != 2 {
-		t.Errorf("Rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Errorf("Rows = %d", len(tb.rows))
 	}
 	if err := tb.Render(&strings.Builder{}, Format(99)); err == nil {
 		t.Error("bad format accepted")

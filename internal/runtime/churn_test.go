@@ -64,8 +64,8 @@ func TestEngineJoinExtendsRing(t *testing.T) {
 	if got := e.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 5, 3, 4}) {
 		t.Fatalf("Members after join = %v", got)
 	}
-	if e.MemberCount() != 6 {
-		t.Fatalf("MemberCount = %d, want 6", e.MemberCount())
+	if got := len(e.Members()); got != 6 {
+		t.Fatalf("%d members, want 6", got)
 	}
 	minC, maxC, seen := sampleCensus(e, 6)
 	if minC < 1 || maxC > 2 {

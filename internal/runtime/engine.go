@@ -1063,16 +1063,6 @@ func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool) []int {
 	return out
 }
 
-// MemberCount returns the current ring size.
-func (e *Engine[S]) MemberCount() int {
-	if !e.paced() {
-		return e.ring.Count()
-	}
-	var m int
-	e.do(func() { m = e.ring.Count() })
-	return m
-}
-
 // Members returns the active node ids in ring order, starting at node 0
 // (the bottom, which can never leave) and following successor pointers.
 func (e *Engine[S]) Members() []int {

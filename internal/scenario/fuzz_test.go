@@ -40,3 +40,39 @@ func FuzzScenarioLoad(f *testing.F) {
 		}
 	})
 }
+
+// FuzzValidateNumbers varies every float field of a scenario over
+// arbitrary values, NaN, ±Inf and negatives among them: Validate either
+// returns an error or leaves every float field finite and every
+// probability in [0, 1].
+func FuzzValidateNumbers(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(5.0, 0.01, 0.002, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(nan, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(inf, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(5.0, -inf, nan, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(5.0, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(5.0, 0.01, 0.0, 0.0, nan, -inf, 0.0, 0.0, 0.0)
+	f.Add(5.0, 0.01, 0.0, 0.0, -1.0, -1.0, nan, -0.5, 2.0)
+	f.Fuzz(func(t *testing.T, horizon, delay, jitter, refresh, hold, settle, loss, dup, corrupt float64) {
+		s := Scenario{
+			Name: "fuzz", N: 5, Horizon: horizon, Seed: 1,
+			Link:    Link{Delay: delay, Jitter: jitter, Loss: loss, Dup: dup, Corrupt: corrupt},
+			Refresh: refresh, Hold: hold, SettleBefore: settle,
+		}
+		if s.Validate() != nil {
+			return
+		}
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		for _, x := range []float64{s.Horizon, s.Link.Delay, s.Link.Jitter, s.Refresh, s.Hold, s.SettleBefore} {
+			if !finite(x) {
+				t.Fatalf("validated scenario with a non-finite number: %+v", s)
+			}
+		}
+		for _, p := range []float64{s.Link.Loss, s.Link.Dup, s.Link.Corrupt} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("validated scenario with probability %v: %+v", p, s)
+			}
+		}
+	})
+}

@@ -156,11 +156,12 @@ func Load(r io.Reader) ([]Scenario, error) {
 // gigabytes; the shipped scenarios use n ≤ 6.
 const MaxN = 1 << 20
 
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // CheckTimings rejects link timings no simulator can run: a delay or a
 // refresh period that is not positive and finite, or a jitter that is
 // negative or not finite. Validate calls it after filling the defaults.
 func CheckTimings(delay, jitter, refresh float64) error {
-	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch {
 	case !finite(delay) || delay <= 0:
 		return fmt.Errorf("link delay %v must be positive and finite", delay)
@@ -171,6 +172,9 @@ func CheckTimings(delay, jitter, refresh float64) error {
 	}
 	return nil
 }
+
+// ValidProb reports whether p is a probability: in [0, 1], NaN excluded.
+func ValidProb(p float64) bool { return p >= 0 && p <= 1 }
 
 // Validate checks the scenario and fills defaults in place.
 func (s *Scenario) Validate() error {
@@ -211,8 +215,14 @@ func (s *Scenario) Validate() error {
 	if s.K <= s.N {
 		return fmt.Errorf("scenario %q: K = %d must exceed n = %d", s.Name, s.K, s.N)
 	}
-	if s.Horizon <= 0 {
-		return fmt.Errorf("scenario %q: horizon must be positive", s.Name)
+	if !finite(s.Horizon) || s.Horizon <= 0 {
+		return fmt.Errorf("scenario %q: horizon %v must be positive and finite", s.Name, s.Horizon)
+	}
+	if !finite(s.Hold) || s.Hold < 0 {
+		return fmt.Errorf("scenario %q: hold %v must be non-negative and finite", s.Name, s.Hold)
+	}
+	if !finite(s.SettleBefore) || s.SettleBefore < 0 {
+		return fmt.Errorf("scenario %q: settleBefore %v must be non-negative and finite", s.Name, s.SettleBefore)
 	}
 	if s.Link.Delay == 0 {
 		s.Link.Delay = 0.01
@@ -224,7 +234,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	for _, p := range []float64{s.Link.Loss, s.Link.Dup, s.Link.Corrupt} {
-		if p < 0 || p > 1 {
+		if !ValidProb(p) {
 			return fmt.Errorf("scenario %q: probability %v out of range", s.Name, p)
 		}
 	}

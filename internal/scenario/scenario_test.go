@@ -39,7 +39,20 @@ func TestValidateRejections(t *testing.T) {
 		{"small n", func(s *Scenario) { s.N = 2 }},
 		{"bad k", func(s *Scenario) { s.K = 4 }},
 		{"no horizon", func(s *Scenario) { s.Horizon = 0 }},
+		{"negative horizon", func(s *Scenario) { s.Horizon = -1 }},
+		{"NaN horizon", func(s *Scenario) { s.Horizon = math.NaN() }},
+		{"infinite horizon", func(s *Scenario) { s.Horizon = math.Inf(1) }},
 		{"bad loss", func(s *Scenario) { s.Link.Loss = 2 }},
+		{"NaN loss", func(s *Scenario) { s.Link.Loss = math.NaN() }},
+		{"negative dup", func(s *Scenario) { s.Link.Dup = -0.1 }},
+		{"NaN dup", func(s *Scenario) { s.Link.Dup = math.NaN() }},
+		{"NaN corrupt", func(s *Scenario) { s.Link.Corrupt = math.NaN() }},
+		{"negative hold", func(s *Scenario) { s.Hold = -1 }},
+		{"NaN hold", func(s *Scenario) { s.Hold = math.NaN() }},
+		{"infinite hold", func(s *Scenario) { s.Hold = math.Inf(1) }},
+		{"negative settleBefore", func(s *Scenario) { s.SettleBefore = -1 }},
+		{"NaN settleBefore", func(s *Scenario) { s.SettleBefore = math.NaN() }},
+		{"infinite settleBefore", func(s *Scenario) { s.SettleBefore = math.Inf(1) }},
 		{"negative delay", func(s *Scenario) { s.Link.Delay = -1 }},
 		{"NaN delay", func(s *Scenario) { s.Link.Delay = math.NaN() }},
 		{"infinite delay", func(s *Scenario) { s.Link.Delay = math.Inf(1) }},

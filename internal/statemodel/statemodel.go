@@ -17,9 +17,7 @@
 package statemodel
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"ssrmin/internal/obs"
 )
@@ -110,15 +108,6 @@ type DigitShift interface {
 // (class 1).
 const ViewClasses = 2
 
-// ClassOf returns the position class of process i: 0 for the bottom
-// process, 1 otherwise.
-func ClassOf(i int) int {
-	if i == 0 {
-		return 0
-	}
-	return 1
-}
-
 // ClassView builds a representative View of the given position class over
 // explicit neighbor states — the enumeration hook used to compile
 // per-class transition tables from a PositionUniform algorithm.
@@ -153,19 +142,6 @@ func (c Config[S]) Clone() Config[S] {
 	out := make(Config[S], len(c))
 	copy(out, c)
 	return out
-}
-
-// Equal reports whether two configurations are identical.
-func (c Config[S]) Equal(d Config[S]) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Move identifies one process executing one rule in a step.
@@ -231,7 +207,7 @@ func applyInto[S comparable](next Config[S], alg Algorithm[S], c Config[S], move
 //
 // A daemon may return enabled itself or a buffer it owns and reuses, so
 // a selection is valid only until the next Select call; a caller that
-// keeps one copies it, as RecordingDaemon does.
+// keeps one copies it, as trace.Recorder does.
 //
 // The daemons of the paper are all expressible: the central daemon returns
 // exactly one move, the distributed daemon any nonempty subset. Unfairness
@@ -395,69 +371,3 @@ func (s *Simulator[S]) validateSelection(enabled, sel []Move) {
 		s.stamp[m.Process].gen = s.gen
 	}
 }
-
-// Schedule is a recorded sequence of daemon selections, one entry per
-// transition. Captured schedules replay executions exactly — for golden
-// tests, worst-case reproduction, and bug reports.
-type Schedule [][]Move
-
-// RecordingDaemon wraps a daemon and records every selection it makes.
-type RecordingDaemon struct {
-	// Inner is the wrapped scheduler.
-	Inner Daemon
-	// Schedule accumulates the selections.
-	Schedule Schedule
-}
-
-// Name implements Daemon.
-func (d *RecordingDaemon) Name() string { return d.Inner.Name() + "+rec" }
-
-// Select implements Daemon.
-func (d *RecordingDaemon) Select(enabled []Move) []Move {
-	sel := d.Inner.Select(enabled)
-	cp := make([]Move, len(sel))
-	copy(cp, sel)
-	d.Schedule = append(d.Schedule, cp)
-	return sel
-}
-
-// ReplayDaemon replays a recorded schedule. Once the schedule is
-// exhausted, or when a recorded selection is not currently enabled (the
-// replayed execution diverged — usually a bug in the caller), Select
-// panics: a replay must be exact or it is meaningless.
-type ReplayDaemon struct {
-	schedule Schedule
-	step     int
-	buf      []Move // the selection Select returns, reused every call
-}
-
-// NewReplay returns a daemon replaying s.
-func NewReplay(s Schedule) *ReplayDaemon { return &ReplayDaemon{schedule: s} }
-
-// Name implements Daemon.
-func (d *ReplayDaemon) Name() string { return "replay" }
-
-// Remaining returns the number of unconsumed schedule entries.
-func (d *ReplayDaemon) Remaining() int { return len(d.schedule) - d.step }
-
-// Select implements Daemon.
-func (d *ReplayDaemon) Select(enabled []Move) []Move {
-	if d.step >= len(d.schedule) {
-		panic("statemodel: replay schedule exhausted")
-	}
-	want := d.schedule[d.step]
-	d.step++
-	d.buf = d.buf[:0]
-	for _, m := range want {
-		i, ok := slices.BinarySearchFunc(enabled, m.Process, byProcess)
-		if !ok || enabled[i] != m {
-			panic(fmt.Sprintf("statemodel: replay diverged at step %d: %v not enabled", d.step, m))
-		}
-		d.buf = append(d.buf, m)
-	}
-	return d.buf
-}
-
-// byProcess orders a move against a process index, for searching an
-// enabled set (which is in increasing process order).
-func byProcess(m Move, p int) int { return cmp.Compare(m.Process, p) }

@@ -1,6 +1,7 @@
 package statemodel
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -63,15 +64,6 @@ func TestCloneIndependence(t *testing.T) {
 	if c[0] != true {
 		t.Error("Clone shares backing storage")
 	}
-	if !c.Equal(Config[bool]{true, false}) {
-		t.Error("Equal false negative")
-	}
-	if c.Equal(d) {
-		t.Error("Equal false positive")
-	}
-	if c.Equal(Config[bool]{true}) {
-		t.Error("Equal ignores length")
-	}
 }
 
 func TestEnabledOrder(t *testing.T) {
@@ -101,7 +93,7 @@ func TestApplyCompositeAtomicity(t *testing.T) {
 		t.Errorf("composite atomicity violated: %v", next)
 	}
 	// Original untouched.
-	if !c.Equal(Config[bool]{false, true, false}) {
+	if !slices.Equal(c, Config[bool]{false, true, false}) {
 		t.Error("Apply mutated its input")
 	}
 }
@@ -282,52 +274,4 @@ func TestRoundCounterPrimeDirectly(t *testing.T) {
 	if rc.Rounds() != 1 {
 		t.Fatalf("rounds = %d after serving all enabled", rc.Rounds())
 	}
-}
-
-func TestRecordAndReplay(t *testing.T) {
-	alg := parity{n: 4}
-	init := Config[bool]{true, false, true, false}
-
-	rec := &RecordingDaemon{Inner: firstDaemon{}}
-	sim1 := NewSimulator[bool](alg, rec, init)
-	sim1.Run(25)
-	final1 := sim1.Config()
-	if len(rec.Schedule) != 25 {
-		t.Fatalf("recorded %d selections", len(rec.Schedule))
-	}
-
-	replay := NewReplay(rec.Schedule)
-	sim2 := NewSimulator[bool](alg, replay, init)
-	sim2.Run(25)
-	if !sim2.Config().Equal(final1) {
-		t.Fatalf("replay diverged: %v vs %v", sim2.Config(), final1)
-	}
-	if replay.Remaining() != 0 {
-		t.Fatalf("replay left %d entries", replay.Remaining())
-	}
-}
-
-func TestReplayExhaustionPanics(t *testing.T) {
-	alg := parity{n: 3}
-	sim := NewSimulator[bool](alg, NewReplay(nil), Config[bool]{true, false, false})
-	defer func() {
-		if recover() == nil {
-			t.Error("exhausted replay did not panic")
-		}
-	}()
-	sim.Step()
-}
-
-func TestReplayDivergencePanics(t *testing.T) {
-	alg := parity{n: 3}
-	// Schedule selects P2/R1, but from this config P2 is not enabled with
-	// that rule... craft: config where P1 enabled only.
-	sched := Schedule{{Move{Process: 2, Rule: 2}}}
-	sim := NewSimulator[bool](alg, NewReplay(sched), Config[bool]{false, true, true})
-	defer func() {
-		if recover() == nil {
-			t.Error("diverged replay did not panic")
-		}
-	}()
-	sim.Step()
 }

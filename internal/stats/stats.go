@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit the experiment
-// harness uses: summary statistics, percentiles, histograms, and
+// harness uses: summary statistics, percentiles, and
 // least-squares polynomial fits used to check the O(n²) convergence shape
 // of Theorem 2 against measured step counts.
 package stats
@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds the usual five-ish numbers of a sample.
@@ -82,74 +81,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Ints converts an int sample to float64 for the other helpers.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Histogram builds a fixed-width histogram with the given number of
-// buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Buckets  []int
-	Under    int // samples below Min
-	Over     int // samples above Max
-}
-
-// NewHistogram creates a histogram. buckets must be positive and max > min.
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if buckets <= 0 || max <= min {
-		panic(fmt.Sprintf("stats: bad histogram bounds [%v,%v]/%d", min, max, buckets))
-	}
-	return &Histogram{Min: min, Max: max, Buckets: make([]int, buckets)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x > h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Buckets)))
-		if i == len(h.Buckets) {
-			i--
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// Render draws an ASCII bar chart with the given maximum bar width.
-func (h *Histogram) Render(width int) string {
-	var b strings.Builder
-	max := 1
-	for _, c := range h.Buckets {
-		if c > max {
-			max = c
-		}
-	}
-	span := (h.Max - h.Min) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		bar := strings.Repeat("#", c*width/max)
-		fmt.Fprintf(&b, "[%8.3g, %8.3g) %6d %s\n", h.Min+float64(i)*span, h.Min+float64(i+1)*span, c, bar)
-	}
-	return b.String()
-}
-
 // PolyFit fits y ≈ Σ coef[j]·x^j of the given degree by least squares,
 // solving the normal equations with Gaussian elimination. It returns the
 // coefficients lowest-degree first. It panics if the system is singular
@@ -187,42 +118,6 @@ func PolyFit(xs, ys []float64, degree int) []float64 {
 		}
 	}
 	return solve(a, b)
-}
-
-// EvalPoly evaluates a coefficient vector (lowest-degree first) at x.
-func EvalPoly(coef []float64, x float64) float64 {
-	y := 0.0
-	for j := len(coef) - 1; j >= 0; j-- {
-		y = y*x + coef[j]
-	}
-	return y
-}
-
-// RSquared returns the coefficient of determination of the fit coef on
-// (xs, ys).
-func RSquared(coef []float64, xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("stats: RSquared length mismatch")
-	}
-	mean := 0.0
-	for _, y := range ys {
-		mean += y
-	}
-	mean /= float64(len(ys))
-	ssRes, ssTot := 0.0, 0.0
-	for i, x := range xs {
-		d := ys[i] - EvalPoly(coef, x)
-		ssRes += d * d
-		t := ys[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }
 
 // GrowthExponent estimates the exponent b of y ≈ a·x^b by linear

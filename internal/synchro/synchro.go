@@ -85,9 +85,6 @@ func NewNode[S comparable](alg statemodel.Algorithm[S], id int, init S, refresh 
 func (nd *Node[S]) pred() int { return (nd.id - 1 + nd.n) % nd.n }
 func (nd *Node[S]) succ() int { return (nd.id + 1) % nd.n }
 
-// State returns the node's current local state.
-func (nd *Node[S]) State() S { return nd.state }
-
 // Round returns the node's current round number.
 func (nd *Node[S]) Round() int { return nd.round }
 
@@ -251,16 +248,6 @@ func (r *Ring[S]) MaxRoundSkew() int {
 		}
 	}
 	return max - min
-}
-
-// States returns the true state vector. Note that states of different
-// nodes may belong to different rounds (skew ≤ MaxRoundSkew).
-func (r *Ring[S]) States() statemodel.Config[S] {
-	cfg := make(statemodel.Config[S], len(r.Nodes))
-	for i, nd := range r.Nodes {
-		cfg[i] = nd.State()
-	}
-	return cfg
 }
 
 // RuleExecutions sums applied rules across nodes.

@@ -39,13 +39,13 @@ func TestLockstepMatchesSynchronousDaemon(t *testing.T) {
 	}
 	history := make([][]snap, 5)
 	for i, nd := range r.Nodes {
-		history[i] = append(history[i], snap{0, nd.State()})
+		history[i] = append(history[i], snap{0, nd.state})
 	}
 	r.Net.Observer = func(now msgnet.Time) {
 		for i, nd := range r.Nodes {
 			last := history[i][len(history[i])-1]
 			if nd.Round() != last.round {
-				history[i] = append(history[i], snap{nd.Round(), nd.State()})
+				history[i] = append(history[i], snap{nd.Round(), nd.state})
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func TestSSRminKeepsInvariantUnderSynchronizer(t *testing.T) {
 			mon.Observe(float64(now), r.Census(core.HasToken))
 		}
 		r.Net.Run(10)
-		if !mon.OK() {
+		if len(mon.Violations) != 0 {
 			t.Fatalf("seed %d: %v", seed, mon.Violations[0])
 		}
 	}

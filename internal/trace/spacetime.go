@@ -56,9 +56,6 @@ func (st *SpaceTime) Annotate(t msgnet.Time, node int, text string) {
 	st.annotations = append(st.annotations, annotation{at: t, node: node, text: text})
 }
 
-// Events returns the number of collected tap events.
-func (st *SpaceTime) Events() int { return len(st.events) }
-
 // Render writes the lane diagram. Suppressed sends are omitted (they are
 // pure back-pressure noise); everything else appears. Rows are merged per
 // (time, node) so one instant prints once per lane.

@@ -26,7 +26,7 @@ func TestSpaceTimeCapturesAndRenders(t *testing.T) {
 		}
 	}
 	r.Net.Run(0.2)
-	if st.Events() == 0 {
+	if len(st.events) == 0 {
 		t.Fatal("no tap events collected")
 	}
 	var b strings.Builder
@@ -54,8 +54,8 @@ func TestSpaceTimeLimit(t *testing.T) {
 	st.Limit = 10
 	Attach(st, r.Net)
 	r.Net.Run(5)
-	if st.Events() != 10 {
-		t.Fatalf("limit not enforced: %d events", st.Events())
+	if len(st.events) != 10 {
+		t.Fatalf("limit not enforced: %d events", len(st.events))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"ssrmin/internal/core"
-	"ssrmin/internal/dijkstra"
 	"ssrmin/internal/statemodel"
 )
 
@@ -40,9 +39,6 @@ func (r *Recorder[S]) Attach(sim *statemodel.Simulator[S]) {
 		r.Configs = append(r.Configs, cfg.Clone())
 	}
 }
-
-// Steps returns the number of recorded transitions.
-func (r *Recorder[S]) Steps() int { return len(r.Moves) }
 
 // ruleOf returns the rule process p executes in transition t, or 0.
 func (r *Recorder[S]) ruleOf(t, p int) int {
@@ -125,37 +121,6 @@ func RenderTokens(w io.Writer, r *Recorder[core.State]) error {
 			}
 			if cell == "" {
 				cell = "-"
-			}
-			row[i+1] = cell
-		}
-		rows = append(rows, row)
-	}
-	return writeAligned(w, rows)
-}
-
-// RenderDijkstra renders an SSToken execution: x values with 'T' marking
-// the token holder and the rule annotation.
-func RenderDijkstra(w io.Writer, r *Recorder[dijkstra.State]) error {
-	if len(r.Configs) == 0 {
-		return nil
-	}
-	n := len(r.Configs[0])
-	head := make([]string, n+1)
-	head[0] = "Step"
-	for i := 0; i < n; i++ {
-		head[i+1] = fmt.Sprintf("P%d", i)
-	}
-	rows := [][]string{head}
-	for t, cfg := range r.Configs {
-		row := make([]string, n+1)
-		row[0] = strconv.Itoa(t + 1)
-		for i := 0; i < n; i++ {
-			cell := cfg[i].String()
-			if dijkstra.HasToken(cfg.View(i)) {
-				cell += "T"
-			}
-			if r.ruleOf(t, i) != 0 {
-				cell += "*"
 			}
 			row[i+1] = cell
 		}

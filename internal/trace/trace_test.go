@@ -6,7 +6,6 @@ import (
 
 	"ssrmin/internal/core"
 	"ssrmin/internal/daemon"
-	"ssrmin/internal/dijkstra"
 	"ssrmin/internal/statemodel"
 	"ssrmin/internal/verify"
 )
@@ -97,8 +96,8 @@ func TestGoldenFigure1(t *testing.T) {
 
 func TestRecorderCaptures(t *testing.T) {
 	rec := runSSRmin(t, 7)
-	if rec.Steps() != 7 {
-		t.Fatalf("Steps = %d", rec.Steps())
+	if len(rec.Moves) != 7 {
+		t.Fatalf("Steps = %d", len(rec.Moves))
 	}
 	if len(rec.Configs) != 8 {
 		t.Fatalf("Configs = %d", len(rec.Configs))
@@ -130,32 +129,6 @@ func TestWriteCSV(t *testing.T) {
 	// executes rule 1.
 	if lines[1] != "0,0,3,0,1,1,1,1" {
 		t.Errorf("first record = %q", lines[1])
-	}
-}
-
-func TestRenderDijkstra(t *testing.T) {
-	a := dijkstra.New(4, 5)
-	sim := statemodel.NewSimulator[dijkstra.State](a, daemon.NewCentralLowest(), a.InitialLegitimate())
-	var rec Recorder[dijkstra.State]
-	rec.Attach(sim)
-	sim.Run(4)
-	var b strings.Builder
-	if err := RenderDijkstra(&b, &rec); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "T") {
-		t.Errorf("no token marker in:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 6 {
-		t.Errorf("Dijkstra trace has %d lines, want 6", len(lines))
-	}
-	// Exactly one token per row.
-	for _, line := range lines[1:] {
-		if strings.Count(line, "T") != 1 {
-			t.Errorf("row %q does not have exactly one token", line)
-		}
 	}
 }
 

@@ -103,9 +103,6 @@ func (m *Monitor) Observe(at float64, privileged int) {
 // Observed returns how many instants were fed in.
 func (m *Monitor) Observed() int { return m.observed }
 
-// OK reports whether no violation was observed.
-func (m *Monitor) OK() bool { return len(m.Violations) == 0 }
-
 // Timeline accumulates a step function count(t): how many processes are
 // privileged at simulated time t. The message-passing experiments
 // (Figures 11–13) record a changepoint whenever a delivery or a rule
@@ -292,31 +289,6 @@ func (iv Interval) Len() float64 { return iv.To - iv.From }
 func (tl *Timeline) mustClosed() {
 	if !tl.closed {
 		panic("verify: timeline not closed")
-	}
-}
-
-// NeighborsOrSame reports whether the privileged processes of c are all
-// within one ring hop of each other — the structural property of SSRmin's
-// legitimate configurations (the two holders are the same process or
-// adjacent).
-func NeighborsOrSame(c statemodel.Config[core.State]) bool {
-	var holders []int
-	for i := range c {
-		if core.HasToken(c.View(i)) {
-			holders = append(holders, i)
-		}
-	}
-	n := len(c)
-	switch len(holders) {
-	case 0:
-		return false
-	case 1:
-		return true
-	case 2:
-		d := (holders[1] - holders[0]) % n
-		return d == 1 || d == n-1
-	default:
-		return false
 	}
 }
 
