@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -40,6 +41,11 @@ func main() {
 		cc.Seed = time.Now().UnixNano()
 	}
 	if err := cc.ResolveK(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	frames, err := checkFlags(*seconds, *fps)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -98,7 +104,6 @@ func main() {
 
 	fmt.Printf("%s on %d nodes — '●' privileged, '·' idle (dark frames = no privilege anywhere)\n\n",
 		*algF, cc.N)
-	frames := int(*seconds * float64(*fps))
 	dark := 0
 	for f := 0; f < frames; f++ {
 		hs := holders()
@@ -129,4 +134,14 @@ func main() {
 		fmt.Println("unexpected dark frames for SSRmin — see Theorem 3")
 		os.Exit(1)
 	}
+}
+
+// checkFlags returns the number of frames -seconds at -fps animate, or
+// an error unless fps is positive and the count a positive int.
+func checkFlags(seconds float64, fps int) (int, error) {
+	frames := seconds * float64(fps)
+	if fps <= 0 || !(frames >= 1 && frames < math.MaxInt64) {
+		return 0, fmt.Errorf("-seconds %v at -fps %d must give between 1 and %d frames", seconds, fps, math.MaxInt64)
+	}
+	return int(frames), nil
 }

@@ -331,7 +331,7 @@ func RunWithRes(sc Scenario, o *obs.Observer, res *Resources) (Report, error) {
 	}
 	if o != nil {
 		shared := o
-		o = obs.New(shared.Sink())
+		o = obs.New(shared.LiveSink())
 		defer shared.Merge(o)
 	}
 	rep := Report{Scenario: sc}

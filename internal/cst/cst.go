@@ -67,7 +67,8 @@ type Node[S comparable] struct {
 	// StaleFrames counts discarded deliveries: frames that arrived from a
 	// node that is not (any longer) a ring neighbor, or while detached —
 	// the residue of churn rewiring, already on the medium when the
-	// topology changed.
+	// topology changed. They count as delivered (Stats.Delivered,
+	// MsgRecv); the engine counts its own in EngineStats.Dropped only.
 	StaleFrames int
 	// OnExecute, when non-nil, is invoked after the node executes a rule.
 	OnExecute func(now msgnet.Time, rule int)

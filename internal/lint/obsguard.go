@@ -22,9 +22,13 @@ import (
 //
 // The accepted guard shapes are exactly the idioms the repository uses:
 //
-//	if o := r.obsv; o != nil { o.MsgSent(...) }
+//	if o := r.obsv; o != nil { o.Handover(...) }
 //	if s.Obs != nil { s.Obs.Step(...) }
 //	if o == nil { return } ... o.RuleFired(...)
+//	if s := n.sink; s != nil { s.Emit(obs.Event{...}) }
+//
+// The last is the discrete-event loops': they cache the sink from
+// Observer.LiveSink once per run and emit to it directly.
 var ObsGuard = &Analyzer{
 	Name: "obsguard",
 	Doc:  "observer/sink calls are nil-guarded and allocate nothing on the no-observer path",
@@ -76,9 +80,9 @@ func checkObsCall(pass *Pass, call *ast.CallExpr) {
 	default:
 		return
 	}
-	// Accessor calls that *retrieve* the observer/sink (x.Observer(),
-	// o.Sink()) are not emissions; only method calls on a value of the
-	// type are checked, which the type switch above already ensures.
+	// Accessor calls that *retrieve* the observer (x.Observer()) are not
+	// emissions; only method calls on a value of the type are checked,
+	// which the type switch above already ensures.
 	key := exprKey(recv)
 	if key == "" {
 		// Receiver is itself a call or other dynamic expression — e.g.

@@ -15,7 +15,7 @@ type Net struct {
 
 // BadSend fires an observer method with no nil check in sight.
 func (n *Net) BadSend(from, to int) {
-	n.Obs.MsgSent(float64(n.now), from, to) // want `hot-path call n.Obs.MsgSent on \*obs.Observer is not dominated by a nil check`
+	n.Obs.RuleFired(float64(n.now), from, to) // want `hot-path call n.Obs.RuleFired on \*obs.Observer is not dominated by a nil check`
 }
 
 // BadSink calls through the interface field unguarded: a latent panic,
@@ -33,7 +33,7 @@ func (n *Net) BadEvent() obs.Event {
 // GoodSend uses the bind-and-check idiom.
 func (n *Net) GoodSend(from, to int) {
 	if o := n.Obs; o != nil {
-		o.MsgSent(float64(n.now), from, to)
+		o.RuleFired(float64(n.now), from, to)
 	}
 }
 
@@ -63,7 +63,7 @@ func (n *Net) GoodEvent() {
 // sink passes.
 func (n *Net) GoodChained() {
 	if o := n.Obs; o != nil {
-		o.Sink().Emit(obs.Event{Kind: obs.KindConverged})
+		o.LiveSink().Emit(obs.Event{Kind: obs.KindConverged})
 	}
 }
 

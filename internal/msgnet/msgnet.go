@@ -173,6 +173,9 @@ const (
 	// frame just sent (From -> Node). Emitted at send time; the duplicate's
 	// arrival is a plain TapDeliver.
 	TapDup
+	// tapDiscarded tallies a corrupted frame discarded for want of a
+	// Corrupt hook; it taps as TapCorrupted.
+	tapDiscarded
 )
 
 // String returns a short mnemonic.
@@ -208,14 +211,10 @@ type TapEvent struct {
 	Node, From int
 }
 
-//allocgate:hot
-func (n *Network[P]) tap(e TapEvent) {
-	if n.Tap != nil {
-		n.Tap(e)
-	}
-}
-
-// Stats counts network-level events.
+// Stats counts network-level events. The observer's MsgSent is Sent,
+// MsgRecv is Delivered, and MsgDropped is Suppressed + Lost + the
+// Corrupted frames discarded for want of a Corrupt hook. A frame from
+// an ex-neighbour is delivered (cst discards it into Node.StaleFrames).
 type Stats struct {
 	// Sent counts messages accepted onto a link.
 	Sent int
@@ -265,7 +264,8 @@ type Network[P any] struct {
 
 	// Tap, when non-nil, receives a TapEvent for every network-level
 	// action (send, suppression, loss, corruption, delivery, timer) — the
-	// feed for space-time diagrams and debugging.
+	// feed for space-time diagrams and debugging. Run and SendFrom read
+	// it (and Obs) on entry.
 	Tap func(TapEvent)
 
 	// Corrupt, when non-nil, rewrites a payload hit by a CorruptProb coin
@@ -275,10 +275,13 @@ type Network[P any] struct {
 
 	// Obs, when non-nil, receives message send/recv/drop counters and
 	// events; times are simulated seconds. Suppressed, lost and
-	// checksum-discarded messages all count as drops.
+	// checksum-discarded messages all count as drops. The counters are
+	// published from the network's tally when Run or SendFrom returns.
 	Obs *obs.Observer
 
-	stats Stats
+	tally, pub [tapDiscarded + 1]int // actions by tap kind; pub at the last publish
+	sink       obs.Sink              // Obs's live sink, or nil
+	traced     bool                  // a Tap or a live sink: record calls trace
 }
 
 // New creates a network of the given handlers with no links. Seed fixes
@@ -348,8 +351,78 @@ func (n *Network[P]) RingLinks(p LinkParams) {
 	}
 }
 
-// Stats returns a copy of the network counters.
-func (n *Network[P]) Stats() Stats { return n.stats }
+// Stats returns the network counters.
+func (n *Network[P]) Stats() Stats {
+	t := &n.tally
+	return Stats{
+		Sent: t[TapSend], Suppressed: t[TapSuppressed], Lost: t[TapLost],
+		Duplicated: t[TapDup], Corrupted: t[TapCorrupted] + t[tapDiscarded],
+		Delivered: t[TapDeliver], Timers: t[TapTimer],
+	}
+}
+
+// record counts one action in the network's tally and, with a Tap or a
+// live sink, traces it: the one path every action takes.
+//
+//allocgate:hot
+func (n *Network[P]) record(k TapKind, node, from int) {
+	n.tally[k]++
+	if n.traced {
+		n.trace(k, node, from)
+	}
+}
+
+// trace taps the action and hands a live sink the event of a send,
+// delivery or drop.
+//
+//allocgate:hot
+func (n *Network[P]) trace(k TapKind, node, from int) {
+	if n.Tap != nil {
+		tk := k
+		if k == tapDiscarded {
+			tk = TapCorrupted
+		}
+		n.Tap(TapEvent{At: n.now, Kind: tk, Node: node, From: from})
+	}
+	s := n.sink
+	if s == nil {
+		return
+	}
+	kind := obs.KindMsgDropped
+	switch k {
+	case TapSend:
+		kind, node, from = obs.KindMsgSent, from, node
+	case TapDeliver:
+		kind = obs.KindMsgRecv
+	case TapCorrupted, TapDup, TapTimer:
+		return
+	}
+	s.Emit(obs.Event{T: float64(n.now), Kind: kind, Node: node, Peer: from})
+}
+
+// attach reads Tap and Obs; Run and SendFrom call it on entry.
+func (n *Network[P]) attach() {
+	n.sink = nil
+	if o := n.Obs; o != nil {
+		n.sink = o.LiveSink()
+	}
+	n.traced = n.Tap != nil || n.sink != nil
+}
+
+// publish adds what the network tallied since the last publish to Obs's
+// counters.
+//
+//allocgate:hot
+func (n *Network[P]) publish() {
+	t, p := &n.tally, &n.pub
+	if o := n.Obs; o != nil {
+		obs.Add(&o.C.MsgSent, int64(t[TapSend]-p[TapSend]))
+		obs.Add(&o.C.MsgRecv, int64(t[TapDeliver]-p[TapDeliver]))
+		obs.Add(&o.C.MsgDropped, int64(t[TapSuppressed]-p[TapSuppressed]+t[TapLost]-p[TapLost]+
+			t[tapDiscarded]-p[tapDiscarded]))
+	}
+	n.pub = n.tally
+}
 
 // Now returns current simulated time.
 func (n *Network[P]) Now() Time { return n.now }
@@ -426,6 +499,8 @@ func (n *Network[P]) Rand() *rand.Rand { return n.rng }
 // Context.Send: the link-busy rule, loss/corruption/duplication coins and
 // tap stream all apply identically.
 func (n *Network[P]) SendFrom(from, to int, payload P) bool {
+	n.attach()
+	defer n.publish()
 	return n.send(from, to, payload)
 }
 
@@ -468,19 +543,11 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 		return false
 	}
 	if l.down {
-		n.stats.Lost++
-		n.tap(TapEvent{At: n.now, Kind: TapLost, Node: to, From: from})
-		if o := n.Obs; o != nil {
-			o.MsgDropped(float64(n.now), to, from)
-		}
+		n.record(TapLost, to, from)
 		return false
 	}
 	if n.now < l.busyUntil {
-		n.stats.Suppressed++
-		n.tap(TapEvent{At: n.now, Kind: TapSuppressed, Node: to, From: from})
-		if o := n.Obs; o != nil {
-			o.MsgDropped(float64(n.now), to, from)
-		}
+		n.record(TapSuppressed, to, from)
 		return false
 	}
 	// RNG draw order per admitted send attempt is part of the seeded-trace
@@ -492,36 +559,25 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 		// The message occupies the link for its nominal flight time even
 		// though it will never arrive (the medium was busy transmitting
 		// garbage).
-		n.stats.Lost++
-		n.tap(TapEvent{At: n.now, Kind: TapLost, Node: to, From: from})
-		if o := n.Obs; o != nil {
-			o.MsgDropped(float64(n.now), to, from)
-		}
+		n.record(TapLost, to, from)
 		l.busyUntil = n.now + l.params.Delay + n.jitter(l)
 		return false
 	}
 	if l.params.CorruptProb > 0 && n.rng.Float64() < l.params.CorruptProb {
-		n.stats.Corrupted++
-		n.tap(TapEvent{At: n.now, Kind: TapCorrupted, Node: to, From: from})
 		if n.Corrupt == nil {
 			// No corruption hook: model a checksum that discards the
 			// damaged frame (it still occupied the medium).
-			if o := n.Obs; o != nil {
-				o.MsgDropped(float64(n.now), to, from)
-			}
+			n.record(tapDiscarded, to, from)
 			l.busyUntil = n.now + l.params.Delay + n.jitter(l)
 			return false
 		}
+		n.record(TapCorrupted, to, from)
 		payload = n.Corrupt(n.rng, payload)
 	}
 	at := n.now + l.params.Delay + n.jitter(l)
 	l.busyUntil = at
 	n.pushDeliver(at, int32(to), int32(from), &payload)
-	n.stats.Sent++
-	n.tap(TapEvent{At: n.now, Kind: TapSend, Node: to, From: from})
-	if o := n.Obs; o != nil {
-		o.MsgSent(float64(n.now), from, to)
-	}
+	n.record(TapSend, to, from)
 	if l.params.DupProb > 0 && n.rng.Float64() < l.params.DupProb {
 		// The duplicate is the same frame echoing on the medium, so it
 		// occupies the link until its own (later) arrival — Section 5's
@@ -530,8 +586,7 @@ func (n *Network[P]) send(from, to int, payload P) bool {
 		dupAt := at + n.jitter(l)
 		l.busyUntil = dupAt
 		n.pushDeliver(dupAt, int32(to), int32(from), &payload)
-		n.stats.Duplicated++
-		n.tap(TapEvent{At: n.now, Kind: TapDup, Node: to, From: from})
+		n.record(TapDup, to, from)
 	}
 	return true
 }
@@ -572,15 +627,10 @@ func (n *Network[P]) dispatch(rec *evq.Rec[event[P]]) {
 	ctx := n.callbackCtx(node)
 	switch rec.Kind {
 	case evDeliver:
-		n.stats.Delivered++
-		n.tap(TapEvent{At: n.now, Kind: TapDeliver, Node: node, From: int(e.arg)})
-		if o := n.Obs; o != nil {
-			o.MsgRecv(float64(n.now), node, int(e.arg))
-		}
+		n.record(TapDeliver, node, int(e.arg))
 		n.handlers[node].Receive(ctx, int(e.arg), e.load)
 	case evTimer:
-		n.stats.Timers++
-		n.tap(TapEvent{At: n.now, Kind: TapTimer, Node: node})
+		n.record(TapTimer, node, 0)
 		n.handlers[node].Timer(ctx, int(e.arg))
 	}
 	if n.Observer != nil {
@@ -594,6 +644,7 @@ func (n *Network[P]) dispatch(rec *evq.Rec[event[P]]) {
 //
 //allocgate:hot
 func (n *Network[P]) Run(until Time) int {
+	n.attach()
 	n.start()
 	count := 0
 	q := &n.arena.q
@@ -609,5 +660,6 @@ func (n *Network[P]) Run(until Time) int {
 	if n.now < until {
 		n.now = until
 	}
+	n.publish()
 	return count
 }

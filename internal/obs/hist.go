@@ -52,10 +52,10 @@ func (h *Histogram) Observe(v int64) {
 // merge adds src's samples to h.
 func (h *Histogram) merge(src *Histogram) {
 	for i := range h.buckets {
-		addLoaded(&h.buckets[i], &src.buckets[i])
+		Add(&h.buckets[i], src.buckets[i].Load())
 	}
-	addLoaded(&h.count, &src.count)
-	addLoaded(&h.sum, &src.sum)
+	Add(&h.count, src.count.Load())
+	Add(&h.sum, src.sum.Load())
 }
 
 // Count returns the number of samples observed.

@@ -15,9 +15,12 @@
 // The design constraint is a hot path measured in nanoseconds: every
 // emission method is safe on a nil *Observer (one predictable branch), a
 // counter update is one atomic add, and the Event struct is only built
-// when a real sink is installed. An Observer with a no-op sink keeps the
-// instrumented simulators within a few percent of their bare speed (see
-// BenchmarkObsOverhead* at the repository root and BENCH_obs.json).
+// when a real sink is installed. The two discrete-event loops make no
+// observer call per event: they publish their own tallies (see Counters)
+// and emit to the sink LiveSink hands them. An Observer with a no-op
+// sink keeps the instrumented simulators within a few percent of their
+// bare speed (see BenchmarkObsOverhead at the repository root and
+// BENCH_obs.json).
 //
 // Time is the emitting vehicle's native model time: the step index for
 // the state-reading model, simulated seconds for internal/msgnet, and the
@@ -55,7 +58,9 @@ const (
 	// KindMsgRecv: a message was delivered (Node = receiver, Peer = sender).
 	KindMsgRecv
 	// KindMsgDropped: a message was lost, suppressed by a busy link, or
-	// corrupted away (Node = intended receiver, Peer = sender).
+	// corrupted away (Node = intended receiver, Peer = sender). A frame
+	// reaching a departed node or from an ex-neighbour is not a drop: the
+	// engine counts it in EngineStats.Dropped only, msgnet delivers it.
 	KindMsgDropped
 	// KindConverged: a legitimate configuration was reached or verified
 	// (Steps carries the step count / exact worst case).
@@ -109,8 +114,10 @@ type Event struct {
 // every algorithm in this repository has ≤ 5 rules.
 const MaxRules = 8
 
-// Counters is the always-on atomic counter block of an Observer. All
-// fields are safe for concurrent update and read.
+// Counters is the atomic counter block of an Observer, safe for
+// concurrent update and read. The msgnet and engine loops publish their
+// message (and the engine its rule) counts from their own tallies when
+// a run returns and after every engine epoch.
 type Counters struct {
 	// Steps counts daemon steps (state-reading) or observer-visible
 	// transitions.
@@ -171,8 +178,14 @@ func (o *Observer) SetSink(sink Sink) {
 	o.emit = !isNop
 }
 
-// Sink returns the installed sink (never nil).
-func (o *Observer) Sink() Sink { return o.sink }
+// LiveSink returns the installed sink, or nil for a nil observer or a
+// Nop sink: what the discrete-event loops emit to, cached once per run.
+func (o *Observer) LiveSink() Sink {
+	if o == nil || !o.emit {
+		return nil
+	}
+	return o.sink
+}
 
 // Step records one daemon step that executed moves rules.
 func (o *Observer) Step(t float64, moves int) {
@@ -227,40 +240,6 @@ func (o *Observer) Handover(t float64, node int, gained bool) {
 	}
 }
 
-// MsgSent records a message from node entering the link toward peer.
-func (o *Observer) MsgSent(t float64, from, to int) {
-	if o == nil {
-		return
-	}
-	o.C.MsgSent.Add(1)
-	if o.emit {
-		o.sink.Emit(Event{T: t, Kind: KindMsgSent, Node: from, Peer: to})
-	}
-}
-
-// MsgRecv records a delivery to node from peer.
-func (o *Observer) MsgRecv(t float64, to, from int) {
-	if o == nil {
-		return
-	}
-	o.C.MsgRecv.Add(1)
-	if o.emit {
-		o.sink.Emit(Event{T: t, Kind: KindMsgRecv, Node: to, Peer: from})
-	}
-}
-
-// MsgDropped records a message toward node (from peer) that was lost,
-// suppressed or corrupted away.
-func (o *Observer) MsgDropped(t float64, to, from int) {
-	if o == nil {
-		return
-	}
-	o.C.MsgDropped.Add(1)
-	if o.emit {
-		o.sink.Emit(Event{T: t, Kind: KindMsgDropped, Node: to, Peer: from})
-	}
-}
-
 // ConvergedAt records that a legitimate configuration was reached (or
 // exhaustively verified reachable) after steps steps.
 func (o *Observer) ConvergedAt(t float64, steps int) {
@@ -289,19 +268,20 @@ func (o *Observer) Merge(src *Observer) {
 		{&c.Handovers, &sc.Handovers}, {&c.MsgSent, &sc.MsgSent}, {&c.MsgRecv, &sc.MsgRecv},
 		{&c.MsgDropped, &sc.MsgDropped}, {&c.Converged, &sc.Converged},
 	} {
-		addLoaded(p[0], p[1])
+		Add(p[0], p[1].Load())
 	}
 	for i := range c.Rules {
-		addLoaded(&c.Rules[i], &sc.Rules[i])
+		Add(&c.Rules[i], sc.Rules[i].Load())
 	}
 	o.StepMoves.merge(&src.StepMoves)
 	o.ConvergeSteps.merge(&src.ConvergeSteps)
 	o.HandoverGap.merge(&src.HandoverGap)
 }
 
-// addLoaded adds src's value to dst, skipping the atomic write for zero.
-func addLoaded(dst, src *atomic.Int64) {
-	if v := src.Load(); v != 0 {
-		dst.Add(v)
+// Add adds v to c, skipping the atomic write for zero: how Merge folds
+// an observer and how the discrete-event loops publish their tallies.
+func Add(c *atomic.Int64, v int64) {
+	if v != 0 {
+		c.Add(v)
 	}
 }

@@ -18,10 +18,10 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.RuleFired(1, 0, 1)
 	o.TokenMoved(1, 0, 1)
 	o.Handover(1, 0, true)
-	o.MsgSent(1, 0, 1)
-	o.MsgRecv(1, 0, 1)
-	o.MsgDropped(1, 0, 1)
 	o.ConvergedAt(1, 5)
+	if o.LiveSink() != nil {
+		t.Error("nil observer has a live sink")
+	}
 	var b strings.Builder
 	o.WriteText(&b)
 	if !strings.Contains(b.String(), "no observer") {
@@ -39,9 +39,6 @@ func TestCounters(t *testing.T) {
 	o.TokenMoved(3, 0, 1)
 	o.Handover(3, 1, true)
 	o.Handover(4, 0, false)
-	o.MsgSent(5, 0, 1)
-	o.MsgRecv(5, 1, 0)
-	o.MsgDropped(5, 1, 0)
 	o.ConvergedAt(6, 43)
 
 	if got := o.C.Steps.Load(); got != 3 {
@@ -64,6 +61,17 @@ func TestCounters(t *testing.T) {
 	}
 	if got := o.StepMoves.Count(); got != 3 {
 		t.Errorf("step moves count = %d, want 3", got)
+	}
+}
+
+// TestLiveSink: only a sink that builds events is live.
+func TestLiveSink(t *testing.T) {
+	if New(nil).LiveSink() != nil || New(Nop{}).LiveSink() != nil {
+		t.Error("a Nop sink is live")
+	}
+	sink := NewJSONL(io.Discard)
+	if got := New(sink).LiveSink(); got != sink {
+		t.Errorf("LiveSink = %v, want the installed JSONL sink", got)
 	}
 }
 
@@ -115,7 +123,7 @@ func TestJSONLSink(t *testing.T) {
 	o.RuleFired(0.25, 3, 2)
 	o.TokenMoved(0.5, 3, 4)
 	o.Handover(0.5, 4, true)
-	o.MsgDropped(0.75, 1, 0)
+	o.LiveSink().Emit(Event{T: 0.75, Kind: KindMsgDropped, Node: 1, Peer: 0})
 	o.ConvergedAt(1, 16)
 	want := `{"t":0.25,"ev":"rule","node":3,"rule":2}
 {"t":0.5,"ev":"token","node":4,"peer":3}
@@ -217,9 +225,9 @@ func TestMerge(t *testing.T) {
 	for i, o := range []*Observer{a, b} {
 		o.Step(0, 2+i)
 		o.RuleFired(0, 0, 1+i)
-		o.MsgSent(0, 0, 1)
-		o.MsgRecv(0, 1, 0)
-		o.MsgDropped(0, 1, 0)
+		o.C.MsgSent.Add(1)
+		o.C.MsgRecv.Add(1)
+		o.C.MsgDropped.Add(1)
 		o.TokenMoved(0, 0, 1)
 		o.ConvergedAt(0, 7)
 		o.Handover(float64(10*i), 0, true)

@@ -85,9 +85,10 @@ func TestObserverRaceAllMethods(t *testing.T) {
 				o.RuleFired(t, g, 1+i%5)
 				o.TokenMoved(t, g, (g+1)%8)
 				o.Handover(t, g, i%2 == 0)
-				o.MsgSent(t, g, (g+1)%8)
-				o.MsgRecv(t, (g+1)%8, g)
-				o.MsgDropped(t, (g+1)%8, g)
+				o.C.MsgSent.Add(1)
+				o.C.MsgRecv.Add(1)
+				o.C.MsgDropped.Add(1)
+				o.LiveSink().Emit(obs.Event{T: t, Kind: obs.KindMsgSent, Node: g, Peer: (g + 1) % 8})
 				o.ConvergedAt(t, i)
 			}
 		}(g)

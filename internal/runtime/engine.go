@@ -156,7 +156,7 @@ type engLink struct {
 
 // engShard is one worker's territory: the contiguous node arc [lo, hi),
 // its epoch run queue, the SPSC rings toward the neighbor shards, and
-// shard-local counters (summed on demand at barriers).
+// the shard's tally (summed at barriers by Stats and publish).
 type engShard[S comparable] struct {
 	id     int32
 	lo, hi int32
@@ -169,7 +169,8 @@ type engShard[S comparable] struct {
 	tapBuf []TapEvent
 	edges  []handover // the epoch's privilege edges, kept with an observer
 
-	events, sent, carried, dropped, rules int64
+	events int64
+	tally  tally
 
 	// priv is the shard-local census accumulator: how many of this
 	// shard's nodes currently satisfy the installed privilege predicate.
@@ -196,12 +197,23 @@ func cmpHandover(a, b handover) int {
 	return cmp.Compare(a.node, b.node)
 }
 
-// EngineStats aggregates the engine's counters.
+// A shard's tally has one slot per tap kind, one for stale frames (no
+// tap) and, from ruleSlots on, one per rule number.
+const (
+	tapStale  = TapInject + 1
+	ruleSlots = int(tapStale) + 1
+)
+
+type tally [ruleSlots + obs.MaxRules]int64
+
+// EngineStats sums the shards' tallies.
 type EngineStats struct {
 	// Events is the number of events dispatched.
 	Events int64
 	// Sent, Carried and Dropped count frames admitted into links,
-	// delivered, and suppressed or lost.
+	// delivered, and suppressed, lost or stale. A stale frame reaches a
+	// departed node or comes from an ex-neighbour: it is not in the
+	// observer's MsgDropped (msgnet delivers it to cst's StaleFrames).
 	Sent, Carried, Dropped int64
 	// Rules is the number of rule executions.
 	Rules int64
@@ -237,6 +249,9 @@ type Engine[S comparable] struct {
 	holder func(statemodel.View[S]) bool
 	onPriv func(id int, holds bool)
 	obsv   *obs.Observer
+	sink   obs.Sink   // obsv's live sink, or nil
+	traced bool       // taps on or sink live: record calls trace
+	pub    tally      // the tallies' sum at the last publish
 	edges  []handover // replayHandovers' merge buffer, reused every epoch
 	taps   bool
 
@@ -372,7 +387,8 @@ func (e *Engine[S]) SetPrivilegeCallback(holder func(statemodel.View[S]) bool, c
 // handovers are emitted with virtual-time timestamps. When holder is
 // non-nil it becomes the privilege predicate if none is installed.
 // Rule firings and message events are emitted inline, each node's in
-// its own order. Handovers are emitted at the end of their epoch, after
+// its own order, and their counters published after every epoch
+// barrier. Handovers are emitted at the end of their epoch, after
 // the barrier, sorted by (time, node), so the HandoverGap histogram (the
 // gaps between successive gains) is exact at any worker count. Counters
 // are exact under any worker count; with more than one worker the sink's
@@ -476,6 +492,10 @@ func (e *Engine[S]) freeze() {
 		return
 	}
 	e.frozen = true
+	if o := e.obsv; o != nil {
+		e.sink = o.LiveSink()
+	}
+	e.traced = e.taps || e.sink != nil
 	if len(e.churn) > 0 || e.total > e.n {
 		// Churn rewires neighbor relations mid-run; the SPSC rings only
 		// connect adjacent shard arcs, so a rewired ring must run on one
@@ -602,7 +622,38 @@ func (e *Engine[S]) stepEpoch() {
 		e.parallelEpoch(horizon)
 	}
 	e.replayHandovers()
+	e.publish()
 	e.now = horizon
+}
+
+// publish adds what the shards tallied since the last epoch to the
+// observer's counters, if any (stale frames are not drops there).
+//
+//allocgate:hot
+func (e *Engine[S]) publish() {
+	o := e.obsv
+	if o == nil {
+		return
+	}
+	t, p := e.tallied(), &e.pub
+	obs.Add(&o.C.MsgSent, t[TapSend]-p[TapSend])
+	obs.Add(&o.C.MsgRecv, t[TapDeliver]-p[TapDeliver])
+	obs.Add(&o.C.MsgDropped, t[TapSuppressed]-p[TapSuppressed]+t[TapLost]-p[TapLost])
+	obs.Add(&o.C.RuleFired, t[TapRule]-p[TapRule])
+	for r := range o.C.Rules {
+		obs.Add(&o.C.Rules[r], t[ruleSlots+r]-p[ruleSlots+r])
+	}
+	e.pub = t
+}
+
+// tallied sums the shards' tallies.
+func (e *Engine[S]) tallied() (t tally) {
+	for i := range e.shards {
+		for j, v := range &e.shards[i].tally {
+			t[j] += v
+		}
+	}
+	return t
 }
 
 // replayHandovers reports the epoch's privilege edges to the observer,
@@ -716,7 +767,7 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *evq.Rec[S]) {
 		// frames die on arrival and lapsed nodes let their timer chains
 		// end. Mirrors the msgnet tier's detached-node discard.
 		if rec.Kind == evFromPred || rec.Kind == evFromSucc {
-			sh.dropped++
+			sh.tally[tapStale]++
 		}
 		return
 	}
@@ -726,39 +777,31 @@ func (e *Engine[S]) dispatch(sh *engShard[S], rec *evq.Rec[S]) {
 		// was already on the medium when churn rewired the ring: discard
 		// it rather than poison a cache slot describing a different node.
 		if from := int32(rec.Key >> 32); from != e.pred(node) {
-			sh.dropped++
+			sh.tally[tapStale]++
 			return
 		}
 		nd.cachePred = rec.Body
-		sh.carried++
-		e.tap(sh, nd, at, node, TapDeliver, e.pred(node), 0)
-		if o := e.obsv; o != nil {
-			o.MsgRecv(at, int(node), int(e.pred(node)))
-		}
+		e.record(sh, nd, at, node, TapDeliver, e.pred(node), 0)
 		e.step(sh, at, node)
 	case evFromSucc:
 		if from := int32(rec.Key >> 32); from != e.succ(node) {
-			sh.dropped++
+			sh.tally[tapStale]++
 			return
 		}
 		nd.cacheSucc = rec.Body
-		sh.carried++
-		e.tap(sh, nd, at, node, TapDeliver, e.succ(node), 0)
-		if o := e.obsv; o != nil {
-			o.MsgRecv(at, int(node), int(e.succ(node)))
-		}
+		e.record(sh, nd, at, node, TapDeliver, e.succ(node), 0)
 		e.step(sh, at, node)
 	case evInit:
 		e.announce(sh, at, node)
 	case evTimer:
-		e.tap(sh, nd, at, node, TapTimer, -1, 0)
+		e.record(sh, nd, at, node, TapTimer, -1, 0)
 		e.announce(sh, at, node)
 		next := evq.Rec[S]{At: at + e.refresh, Key: key2(node, nd.seq), Lane: node, Kind: evTimer}
 		nd.seq++
 		sh.q.Push(next)
 	case evInject:
 		nd.state = rec.Body
-		e.tap(sh, nd, at, node, TapInject, -1, 0)
+		e.record(sh, nd, at, node, TapInject, -1, 0)
 		e.notifyPriv(sh, at, node)
 		e.announce(sh, at, node)
 	}
@@ -773,11 +816,10 @@ func (e *Engine[S]) step(sh *engShard[S], at float64, node int32) {
 	v := statemodel.View[S]{I: int(node), N: e.n, Self: nd.state, Pred: nd.cachePred, Succ: nd.cacheSucc}
 	if rule := e.alg.EnabledRule(v); rule != 0 {
 		nd.state = e.alg.Apply(v, rule)
-		sh.rules++
-		e.tap(sh, nd, at, node, TapRule, -1, int32(rule))
-		if o := e.obsv; o != nil {
-			o.RuleFired(at, int(node), rule)
+		if uint(rule) < obs.MaxRules {
+			sh.tally[ruleSlots+rule]++
 		}
+		e.record(sh, nd, at, node, TapRule, -1, int32(rule))
 	}
 	e.notifyPriv(sh, at, node)
 	e.announce(sh, at, node)
@@ -807,11 +849,7 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 	}
 	lk := &e.links[lidx]
 	if at < lk.busyUntil {
-		sh.dropped++
-		e.tap(sh, nd, at, node, TapSuppressed, peer, 0)
-		if o := e.obsv; o != nil {
-			o.MsgDropped(at, int(peer), int(node))
-		}
+		e.record(sh, nd, at, node, TapSuppressed, peer, 0)
 		return
 	}
 	d := e.delay
@@ -820,18 +858,10 @@ func (e *Engine[S]) send(sh *engShard[S], at float64, node int32, toSucc bool) {
 	}
 	lk.busyUntil = at + d
 	if e.loss > 0 && lk.rng.float64() < e.loss {
-		sh.dropped++
-		e.tap(sh, nd, at, node, TapLost, peer, 0)
-		if o := e.obsv; o != nil {
-			o.MsgDropped(at, int(peer), int(node))
-		}
+		e.record(sh, nd, at, node, TapLost, peer, 0)
 		return
 	}
-	sh.sent++
-	e.tap(sh, nd, at, node, TapSend, peer, 0)
-	if o := e.obsv; o != nil {
-		o.MsgSent(at, int(node), int(peer))
-	}
+	e.record(sh, nd, at, node, TapSend, peer, 0)
 	rec := evq.Rec[S]{At: at + d, Key: key2(node, nd.seq), Lane: peer, Kind: kind, Body: nd.state}
 	nd.seq++
 	e.emit(sh, rec, toSucc)
@@ -855,15 +885,42 @@ func (e *Engine[S]) emit(sh *engShard[S], rec evq.Rec[S], toSucc bool) {
 	}
 }
 
-// tap records one observable action into the shard's tap buffer.
+// record counts one action of node src in its shard's tally and, with
+// taps on or a live sink, traces it: the one path every action takes.
 //
 //allocgate:hot
-func (e *Engine[S]) tap(sh *engShard[S], nd *engNode[S], at float64, src int32, kind TapKind, peer, rule int32) {
-	if !e.taps {
+func (e *Engine[S]) record(sh *engShard[S], nd *engNode[S], at float64, src int32, kind TapKind, peer, rule int32) {
+	sh.tally[kind]++
+	if e.traced {
+		e.trace(sh, nd, at, src, kind, peer, rule)
+	}
+}
+
+// trace appends the action's tap when taps are on and hands a live sink
+// the event of a send, delivery, drop or rule execution.
+//
+//allocgate:hot
+func (e *Engine[S]) trace(sh *engShard[S], nd *engNode[S], at float64, src int32, kind TapKind, peer, rule int32) {
+	if e.taps {
+		sh.tapBuf = append(sh.tapBuf, TapEvent{At: at, Src: src, Ord: nd.seq, Kind: kind, Peer: peer, Rule: rule})
+		nd.seq++
+	}
+	s := e.sink
+	if s == nil {
 		return
 	}
-	sh.tapBuf = append(sh.tapBuf, TapEvent{At: at, Src: src, Ord: nd.seq, Kind: kind, Peer: peer, Rule: rule})
-	nd.seq++
+	ev, node, other := obs.KindMsgSent, src, peer
+	switch kind {
+	case TapSuppressed, TapLost:
+		ev, node, other = obs.KindMsgDropped, peer, src
+	case TapDeliver:
+		ev = obs.KindMsgRecv
+	case TapRule:
+		ev, other = obs.KindRuleFired, -1
+	case TapTimer, TapInject:
+		return
+	}
+	s.Emit(obs.Event{T: at, Kind: ev, Node: int(node), Peer: int(other), Rule: int(rule)})
 }
 
 // notifyPriv re-evaluates the privilege predicate after a node's view
@@ -1088,14 +1145,11 @@ func (e *Engine[S]) Stats() EngineStats {
 }
 
 func (e *Engine[S]) statsNow() EngineStats {
-	var s EngineStats
+	t := e.tallied()
+	s := EngineStats{Sent: t[TapSend], Carried: t[TapDeliver], Rules: t[TapRule],
+		Dropped: t[TapSuppressed] + t[TapLost] + t[tapStale]}
 	for i := range e.shards {
-		sh := &e.shards[i]
-		s.Events += sh.events
-		s.Sent += sh.sent
-		s.Carried += sh.carried
-		s.Dropped += sh.dropped
-		s.Rules += sh.rules
+		s.Events += e.shards[i].events
 	}
 	return s
 }

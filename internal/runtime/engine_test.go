@@ -278,8 +278,9 @@ func TestEngineIncoherentStartStabilizes(t *testing.T) {
 	}
 }
 
-// TestEngineObserver wires an observer and checks its counters agree
-// exactly with the engine's own stats.
+// TestEngineObserver wires an observer and checks that the counters the
+// engine publishes after every epoch agree exactly with its own stats
+// (a static ring has no stale frames, so MsgDropped is all of Dropped).
 func TestEngineObserver(t *testing.T) {
 	o := obs.New(nil)
 	_, e := newSSRminEngine(5, 6, engineOpts(7, 2))
