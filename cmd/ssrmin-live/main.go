@@ -40,11 +40,7 @@ func main() {
 	if cc.Seed == 0 {
 		cc.Seed = time.Now().UnixNano()
 	}
-	if err := cc.ResolveK(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	frames, err := checkFlags(*seconds, *fps)
+	frames, err := checkFlags(&cc, *seconds, *fps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -136,9 +132,13 @@ func main() {
 	}
 }
 
-// checkFlags returns the number of frames -seconds at -fps animate, or
-// an error unless fps is positive and the count a positive int.
-func checkFlags(seconds float64, fps int) (int, error) {
+// checkFlags checks the ring flags (-n, -k, -workers: cc.ResolveK) and
+// returns the number of frames -seconds at -fps animate, or an error
+// unless fps is positive and the count a positive int.
+func checkFlags(cc *cliconf.Config, seconds float64, fps int) (int, error) {
+	if err := cc.ResolveK(); err != nil {
+		return 0, err
+	}
 	frames := seconds * float64(fps)
 	if fps <= 0 || !(frames >= 1 && frames < math.MaxInt64) {
 		return 0, fmt.Errorf("-seconds %v at -fps %d must give between 1 and %d frames", seconds, fps, math.MaxInt64)

@@ -3,12 +3,16 @@ package main
 import (
 	"math"
 	"testing"
+
+	"ssrmin/internal/cliconf"
 )
 
 // TestCheckFlags: a -seconds/-fps pair that does not give a positive
-// int frame count is a usage error; the defaults give 100 frames.
+// int frame count is a usage error, and so is a negative -workers; the
+// defaults give 100 frames.
 func TestCheckFlags(t *testing.T) {
-	if frames, err := checkFlags(5, 20); err != nil || frames != 100 {
+	ring := func() *cliconf.Config { return &cliconf.Config{N: 8} }
+	if frames, err := checkFlags(ring(), 5, 20); err != nil || frames != 100 {
 		t.Fatalf("defaults: %d frames, %v", frames, err)
 	}
 	for _, tc := range []struct {
@@ -26,8 +30,11 @@ func TestCheckFlags(t *testing.T) {
 		{"negative fps", 5, -5},
 		{"overflowing product", 1e18, 100},
 	} {
-		if frames, err := checkFlags(tc.seconds, tc.fps); err == nil {
+		if frames, err := checkFlags(ring(), tc.seconds, tc.fps); err == nil {
 			t.Errorf("%s: accepted with %d frames", tc.name, frames)
 		}
+	}
+	if _, err := checkFlags(&cliconf.Config{N: 8, Workers: -3}, 5, 20); err == nil {
+		t.Error("negative -workers accepted")
 	}
 }

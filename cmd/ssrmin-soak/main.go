@@ -72,6 +72,10 @@ func run(args []string, out, errw *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(errw, "-workers %d: trial count must not be negative\n", *workers)
+		return 2
+	}
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(errw, err)
 		return 2

@@ -146,7 +146,8 @@ func (c *Config) BindRuntime(fs *flag.FlagSet) {
 }
 
 // ResolveK applies the K default (n+1) and validates the ring shape:
-// every algorithm the tools run needs n ≥ 3 and K > n. The error is
+// every algorithm the tools run needs n ≥ 3 and K > n. It also rejects a
+// negative -workers (BindRuntime; 0 means GOMAXPROCS). The error is
 // ready to print as the tool's one-line usage failure.
 func (c *Config) ResolveK() error {
 	if c.N < 3 {
@@ -157,6 +158,9 @@ func (c *Config) ResolveK() error {
 	}
 	if c.K <= c.N {
 		return fmt.Errorf("-k %d: counter space must exceed n = %d", c.K, c.N)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("-workers %d: worker count must not be negative", c.Workers)
 	}
 	return nil
 }

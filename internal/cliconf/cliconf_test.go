@@ -76,11 +76,13 @@ func TestResolveKExplicit(t *testing.T) {
 }
 
 // TestResolveKValidates pins the shape every tool accepts: n ≥ 3 and
-// K > n, with K = 0 meaning the n+1 default. Invalid shapes are one-line
-// errors naming the offending flag, never a panic deeper down.
+// K > n, with K = 0 meaning the n+1 default, and no negative -workers.
+// Invalid shapes are one-line errors naming the offending flag, never a
+// panic deeper down.
 func TestResolveKValidates(t *testing.T) {
 	cases := []struct {
 		n, k    int
+		workers int
 		wantK   int
 		wantErr string
 	}{
@@ -93,9 +95,11 @@ func TestResolveKValidates(t *testing.T) {
 		{n: 5, k: 5, wantErr: "-k 5: counter space must exceed n = 5"},
 		{n: 4, k: 2, wantErr: "-k 2: counter space must exceed n = 4"},
 		{n: 4, k: -1, wantErr: "-k -1: counter space must exceed n = 4"},
+		{n: 4, k: 0, workers: 2, wantK: 5},
+		{n: 4, k: 0, workers: -3, wantErr: "-workers -3: worker count must not be negative"},
 	}
 	for _, tc := range cases {
-		c := Config{N: tc.n, K: tc.k}
+		c := Config{N: tc.n, K: tc.k, Workers: tc.workers}
 		err := c.ResolveK()
 		if tc.wantErr != "" {
 			if err == nil || err.Error() != tc.wantErr {

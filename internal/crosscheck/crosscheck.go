@@ -164,6 +164,9 @@ func (s *Scenario) Validate() error {
 	if s.MaxSeparation < 0 {
 		return fmt.Errorf("crosscheck %q: maxSeparation must be positive", s.Name)
 	}
+	if s.LiveWorkers < 0 {
+		return fmt.Errorf("crosscheck %q: liveWorkers %d must not be negative", s.Name, s.LiveWorkers)
+	}
 	if len(s.Engines) == 0 {
 		s.Engines = append([]string(nil), AllEngines...)
 	}
@@ -598,9 +601,9 @@ func runLiveEngine(sc Scenario, o *obs.Observer) EngineResult {
 	var members []int
 	membersStale := true
 	fi, ci := 0, 0
-	for eng.Now() < sc.Horizon {
-		eng.RunUntil(eng.Now() + sc.Link.Delay)
-		now := eng.Now()
+	for now := eng.Now(); now < sc.Horizon; {
+		eng.RunUntil(now + sc.Link.Delay)
+		now = eng.Now()
 		for fi < len(faults) && faults[fi].At <= now {
 			chk.perturb(faults[fi].At)
 			fi++

@@ -78,6 +78,7 @@ func TestValidateRejections(t *testing.T) {
 		{"live overflowing refresh", func(s *Scenario) { s.Engines, s.Refresh = []string{EngineLive}, 1e10 }},
 		{"bad fault", func(s *Scenario) { s.Faults = []scenario.Fault{{At: 1, Type: "meteor"}} }},
 		{"late fault", func(s *Scenario) { s.Faults = []scenario.Fault{{At: 99, Type: "loss-on"}} }},
+		{"negative live workers", func(s *Scenario) { s.LiveWorkers = -4 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,9 +58,15 @@
 // # Two modes
 //
 // RunUntil advances virtual time as fast as the CPU allows — the mode
-// benches, crosscheck and large-n experiments use. Start/Stop pace
-// virtual time 1:1 against the wall clock and accept live Inject and
-// census queries, which is how NewLiveRing deploys the engine.
+// benches, crosscheck and large-n experiments use. It takes no lock and
+// must not be mixed with Start. Start/Stop pace virtual time 1:1 against
+// the wall clock and accept live Inject and census queries, which is how
+// NewLiveRing deploys the engine. The pacer holds the engine's one mutex
+// for each epoch; every read and Inject holds it for its whole call, so
+// it sees the state between two epochs. The privilege predicate and
+// callback run inside the epoch: under Start they must not call the
+// engine's reads or Inject, which would wait on the lock the pacer
+// holds; under RunUntil no lock is held.
 package runtime
 
 import (
@@ -261,14 +267,12 @@ type Engine[S comparable] struct {
 	workCh    []chan float64
 	barrier   sync.WaitGroup
 	workerWG  sync.WaitGroup
-	workersUp bool
+	workersUp bool // touched only by the epoch owner
 
+	// mu is held by the pacer for each epoch and by every read, Inject,
+	// Start and Stop for the whole call; RunUntil takes no lock.
 	mu       sync.Mutex
-	started  bool
-	stopped  bool
-	ctrl     chan func()
-	quit     chan struct{}
-	done     chan struct{}
+	cancel   context.CancelFunc // the pacer's; non-nil once started
 	driverWG sync.WaitGroup
 }
 
@@ -374,7 +378,9 @@ func key2(node int32, seq uint32) uint64 {
 // view. Each node's calls keep their order; within an epoch a shard
 // calls for its nodes one after another along its arc. With more than
 // one worker, cb is invoked concurrently from worker loops and must be
-// safe for that.
+// safe for that. holder and cb run inside the epoch: after Start they
+// must not call the engine's reads or Inject (the pacer holds the lock
+// those take); under RunUntil they may.
 func (e *Engine[S]) SetPrivilegeCallback(holder func(statemodel.View[S]) bool, cb func(id int, holds bool)) {
 	if e.frozen {
 		panic("runtime: SetPrivilegeCallback after the engine started")
@@ -392,7 +398,9 @@ func (e *Engine[S]) SetPrivilegeCallback(holder func(statemodel.View[S]) bool, c
 // the barrier, sorted by (time, node), so the HandoverGap histogram (the
 // gaps between successive gains) is exact at any worker count. Counters
 // are exact under any worker count; with more than one worker the sink's
-// order across shards is not deterministic.
+// order across shards is not deterministic. The sink and holder run
+// inside the epoch and, after Start, must not call the engine's reads
+// or Inject.
 func (e *Engine[S]) SetObserver(o *obs.Observer, holder func(statemodel.View[S]) bool) {
 	if e.frozen {
 		panic("runtime: SetObserver after the engine started")
@@ -590,13 +598,12 @@ func (e *Engine[S]) RunUntil(t float64) {
 }
 
 // Now returns the current virtual time in seconds.
+//
+//allocgate:hot
 func (e *Engine[S]) Now() float64 {
-	if !e.paced() {
-		return e.now
-	}
-	var t float64
-	e.do(func() { t = e.now })
-	return t
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.now
 }
 
 // Workers returns the resolved worker count.
@@ -712,13 +719,10 @@ func (e *Engine[S]) parallelEpoch(horizon float64) {
 }
 
 func (e *Engine[S]) ensureWorkers() {
-	e.mu.Lock()
 	if e.workersUp {
-		e.mu.Unlock()
 		return
 	}
 	e.workersUp = true
-	e.mu.Unlock()
 	for i := 0; i < e.w; i++ {
 		e.workerWG.Add(1)
 		go e.worker(i)
@@ -738,13 +742,10 @@ func (e *Engine[S]) worker(i int) {
 // stopWorkers shuts the worker loops down (idempotent). Callers must
 // guarantee no epoch is in flight.
 func (e *Engine[S]) stopWorkers() {
-	e.mu.Lock()
-	up := e.workersUp
-	e.workersUp = false
-	e.mu.Unlock()
-	if !up {
+	if !e.workersUp {
 		return
 	}
+	e.workersUp = false
 	for _, ch := range e.workCh {
 		close(ch)
 	}
@@ -1033,28 +1034,14 @@ func (e *Engine[S]) wake(at float64, j int32, state S) {
 }
 
 // ---------------------------------------------------------------------------
-// Reads (safe in both modes: direct when idle, via the pacer when live)
-//
-// Each read tests paced() before it declares anything its do closure
-// captures: a captured variable lives on the heap from its declaration
-// on, so only the paced path pays for the closure, and an unpaced
-// sample of Now or TrackedCensus allocates nothing. (A
-// generic helper taking the read's body as a method expression did
-// allocate on the unpaced path, so each read spells the test out.)
+// Reads (each holds e.mu, so under Start it sees the state between epochs)
 // ---------------------------------------------------------------------------
 
 // Snapshots returns every node's (state, caches) at the current virtual
 // time — a true instantaneous cut of the virtual execution.
 func (e *Engine[S]) Snapshots() []Snapshot[S] {
-	if !e.paced() {
-		return e.snapshotsNow()
-	}
-	var out []Snapshot[S]
-	e.do(func() { out = e.snapshotsNow() })
-	return out
-}
-
-func (e *Engine[S]) snapshotsNow() []Snapshot[S] {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	out := make([]Snapshot[S], e.n)
 	for i := range e.nodes {
 		nd := &e.nodes[i]
@@ -1074,38 +1061,27 @@ func (e *Engine[S]) Census(holder func(statemodel.View[S]) bool) int {
 // difference between sampling and stalling at million-node rings. The
 // second result is false when no predicate is installed, in which case
 // callers fall back to Census.
+//
+//allocgate:hot
 func (e *Engine[S]) TrackedCensus() (int, bool) {
 	if e.holder == nil {
 		return 0, false
 	}
-	if !e.paced() {
-		return e.trackedCensusNow(), true
-	}
-	var count int
-	e.do(func() { count = e.trackedCensusNow() })
-	return count, true
-}
-
-func (e *Engine[S]) trackedCensusNow() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.freeze()
 	count := 0
 	for i := range e.shards {
 		count += int(e.shards[i].priv)
 	}
-	return count
+	return count, true
 }
 
-// Holders returns the ids of nodes whose view satisfies holder.
+// Holders returns the ids of nodes whose view satisfies holder, which
+// runs under the engine's lock and must not call the engine.
 func (e *Engine[S]) Holders(holder func(statemodel.View[S]) bool) []int {
-	if !e.paced() {
-		return e.holdersNow(holder)
-	}
-	var out []int
-	e.do(func() { out = e.holdersNow(holder) })
-	return out
-}
-
-func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var out []int
 	for i := range e.nodes {
 		if e.ring.Pred[i] < 0 {
@@ -1123,12 +1099,9 @@ func (e *Engine[S]) holdersNow(holder func(statemodel.View[S]) bool) []int {
 // Members returns the active node ids in ring order, starting at node 0
 // (the bottom, which can never leave) and following successor pointers.
 func (e *Engine[S]) Members() []int {
-	if !e.paced() {
-		return e.ring.Members()
-	}
-	var out []int
-	e.do(func() { out = e.ring.Members() })
-	return out
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ring.Members()
 }
 
 // RuleExecutions sums rule executions across shards.
@@ -1136,15 +1109,8 @@ func (e *Engine[S]) RuleExecutions() int64 { return e.Stats().Rules }
 
 // Stats sums the shard counters.
 func (e *Engine[S]) Stats() EngineStats {
-	if !e.paced() {
-		return e.statsNow()
-	}
-	var s EngineStats
-	e.do(func() { s = e.statsNow() })
-	return s
-}
-
-func (e *Engine[S]) statsNow() EngineStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	t := e.tallied()
 	s := EngineStats{Sent: t[TapSend], Carried: t[TapDeliver], Rules: t[TapRule],
 		Dropped: t[TapSuppressed] + t[TapLost] + t[tapStale]}
@@ -1158,15 +1124,8 @@ func (e *Engine[S]) statsNow() EngineStats {
 // called), canonically ordered by (At, Src, Ord). The stream is
 // bit-identical across worker counts.
 func (e *Engine[S]) Taps() []TapEvent {
-	if !e.paced() {
-		return e.tapsNow()
-	}
-	var out []TapEvent
-	e.do(func() { out = e.tapsNow() })
-	return out
-}
-
-func (e *Engine[S]) tapsNow() []TapEvent {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	total := 0
 	for i := range e.shards {
 		total += len(e.shards[i].tapBuf)
@@ -1214,20 +1173,16 @@ func (e *Engine[S]) WatchCensus(holder func(statemodel.View[S]) bool, d, interva
 func (e *Engine[S]) Start() { e.StartContext(context.Background()) }
 
 // StartContext launches a driver goroutine that paces virtual time 1:1
-// against the wall clock (one virtual second per wall second) and
-// services queries and injects between epochs.
+// against the wall clock (one virtual second per wall second), holding
+// e.mu for each epoch; reads and injects run between epochs.
 func (e *Engine[S]) StartContext(ctx context.Context) {
 	e.mu.Lock()
-	if e.started {
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	if e.cancel != nil {
 		panic("runtime: double Start")
 	}
-	e.started = true
-	e.ctrl = make(chan func())
-	e.quit = make(chan struct{})
-	e.done = make(chan struct{})
-	e.mu.Unlock()
 	e.freeze()
+	ctx, e.cancel = context.WithCancel(ctx)
 	e.driverWG.Add(1)
 	go e.drive(ctx)
 }
@@ -1238,15 +1193,14 @@ func (e *Engine[S]) StartContext(ctx context.Context) {
 // more than one worker.
 func (e *Engine[S]) Stop() {
 	e.mu.Lock()
-	wasStarted := e.started
-	if e.started && !e.stopped {
-		e.stopped = true
-		close(e.quit)
-	}
+	cancel := e.cancel
 	e.mu.Unlock()
-	if wasStarted {
+	if cancel != nil {
+		cancel()
 		e.driverWG.Wait()
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.stopWorkers()
 }
 
@@ -1257,42 +1211,34 @@ func (e *Engine[S]) Inject(node int, s S) bool {
 	if node < 0 || node >= e.n {
 		panic(fmt.Sprintf("runtime: node %d out of range", node))
 	}
-	e.do(func() {
-		e.freeze()
-		nd := &e.nodes[node]
-		rec := evq.Rec[S]{At: e.now, Key: key2(int32(node), nd.seq), Lane: int32(node), Kind: evInject, Body: s}
-		nd.seq++
-		e.shards[e.shardOf[node]].q.Push(rec)
-	})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.freeze()
+	nd := &e.nodes[node]
+	rec := evq.Rec[S]{At: e.now, Key: key2(int32(node), nd.seq), Lane: int32(node), Kind: evInject, Body: s}
+	nd.seq++
+	e.shards[e.shardOf[node]].q.Push(rec)
 	return true
 }
 
-// drive is the pacer loop: run epochs while virtual time lags the wall
-// clock, otherwise sleep on a timer — interruptible by control ops,
-// context cancellation and Stop. Whichever ends it, the worker loops
-// exit with it, so cancelling the start context alone drains every
-// engine goroutine.
+// drive is the pacer loop: run epochs, each under e.mu, while virtual
+// time lags the wall clock, otherwise sleep on a timer until it is due
+// or the context ends (Stop cancels it). Whichever ends it, the worker
+// loops exit with it, so cancelling the start context alone drains every
+// engine goroutine. Only drive writes e.now while it runs, so it reads
+// e.now without the lock.
 func (e *Engine[S]) drive(ctx context.Context) {
 	defer e.driverWG.Done()
-	defer close(e.done)
-	defer e.stopWorkers()
 	start := time.Now()
 	base := e.now
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	for {
-		wall := time.Since(start).Seconds()
-		if e.now-base <= wall {
-			select {
-			case <-ctx.Done():
-				return
-			case <-e.quit:
-				return
-			case op := <-e.ctrl:
-				op()
-			default:
-				e.stepEpoch()
-			}
+	for ctx.Err() == nil {
+		ahead := e.now - base - time.Since(start).Seconds()
+		if ahead <= 0 {
+			e.mu.Lock()
+			e.stepEpoch()
+			e.mu.Unlock()
 			continue
 		}
 		if !timer.Stop() {
@@ -1301,40 +1247,13 @@ func (e *Engine[S]) drive(ctx context.Context) {
 			default:
 			}
 		}
-		timer.Reset(time.Duration((e.now - base - wall) * float64(time.Second)))
+		timer.Reset(time.Duration(ahead * float64(time.Second)))
 		select {
 		case <-ctx.Done():
-			return
-		case <-e.quit:
-			return
-		case op := <-e.ctrl:
-			op()
 		case <-timer.C:
 		}
 	}
-}
-
-// paced reports whether the pacer is running.
-func (e *Engine[S]) paced() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.started && !e.stopped
-}
-
-// do runs f with exclusive access to the engine state: directly when the
-// pacer is not running (single-goroutine fast mode), or on the driver
-// goroutine between epochs when it is. If the pacer stops while we wait,
-// the engine is quiescent and f runs directly.
-func (e *Engine[S]) do(f func()) {
-	if !e.paced() {
-		f()
-		return
-	}
-	ran := make(chan struct{})
-	select {
-	case e.ctrl <- func() { f(); close(ran) }:
-		<-ran
-	case <-e.done:
-		f()
-	}
+	e.stopWorkers()
 }

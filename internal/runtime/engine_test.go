@@ -120,10 +120,9 @@ func TestEngineRecordSize(t *testing.T) {
 	}
 }
 
-// TestEngineUnpacedTickAllocs: the soak live tier's per-tick sample of
-// the engine — Now and TrackedCensus — reads the engine directly when the
-// pacer is not running and allocates nothing.
-func TestEngineUnpacedTickAllocs(t *testing.T) {
+// TestEngineTickReadsAllocNothing: the soak live tier's per-tick sample
+// of the engine — Now and TrackedCensus — and Stats allocate nothing.
+func TestEngineTickReadsAllocNothing(t *testing.T) {
 	_, e := newSSRminEngine(12, 13, engineOpts(1, 2))
 	defer e.Stop()
 	e.SetPrivilegeCallback(core.HasToken, nil)
@@ -133,8 +132,9 @@ func TestEngineUnpacedTickAllocs(t *testing.T) {
 		if _, ok := e.TrackedCensus(); !ok {
 			t.Fatal("TrackedCensus untracked with a privilege predicate installed")
 		}
+		_ = e.Stats()
 	}); allocs != 0 {
-		t.Errorf("one unpaced tick sample: %v allocs, want 0", allocs)
+		t.Errorf("one tick sample: %v allocs, want 0", allocs)
 	}
 }
 
